@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/specs"
 )
 
@@ -27,10 +28,15 @@ func main() {
 
 	var clk bus.Clock
 	io := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	// The "chip" is a traced register file: the point of this example is
-	// the access sequence the compiler derives, which the trace shows.
-	trace := &bus.Trace{Inner: bus.NewRAM(2)}
-	io.MustMap(0x530, 2, trace)
+	// The "chip" is a plain register file: the point of this example is
+	// the access sequence the compiler derives, which the observer records
+	// with offsets relative to the chip's window.
+	io.MustMapNamed("cs4236", 0x530, 2, bus.NewRAM(2))
+	var events []obs.Event
+	io.SetObserver(obs.Func(func(e obs.Event) {
+		e.Addr -= 0x530
+		events = append(events, e)
+	}))
 
 	dev, err := core.Link(spec, io, map[string]uint32{"base": 0x530}, core.Options{Debug: true})
 	if err != nil {
@@ -39,10 +45,10 @@ func main() {
 
 	show := func(what string) {
 		fmt.Printf("%s:\n", what)
-		for _, e := range trace.Events {
+		for _, e := range events {
 			fmt.Printf("    %s\n", e)
 		}
-		trace.Events = nil
+		events = nil
 	}
 
 	// A plain indexed register: one pre-action (IA=16), one data write.

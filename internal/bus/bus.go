@@ -622,37 +622,3 @@ func (f FuncHandler) BusWrite(offset uint32, width int, v uint32) {
 		f.Write(offset, width, v)
 	}
 }
-
-// Trace records every access through a handler for assertion in tests. It
-// is a thin adapter binding the Handler plane to the obs event
-// vocabulary: recorded events are obs.Events with handler-relative Addr
-// and no timestamp (a Trace sees offsets, not the clock). Span
-// attribution is captured from Spans when one is wired and enabled.
-type Trace struct {
-	Inner  Handler
-	Spans  *obs.Spans // host attribution source; nil records no spans
-	Events []TraceEvent
-}
-
-// TraceEvent is one recorded access — an alias of obs.Event, so the
-// differential tests and the observer pipeline pin one event vocabulary.
-type TraceEvent = obs.Event
-
-// BusRead implements Handler.
-func (t *Trace) BusRead(offset uint32, width int) uint32 {
-	v := t.Inner.BusRead(offset, width)
-	t.Events = append(t.Events, TraceEvent{
-		Kind: obs.KindPortRead, Span: t.Spans.Current(),
-		Addr: offset, Width: width, Value: uint64(v),
-	})
-	return v
-}
-
-// BusWrite implements Handler.
-func (t *Trace) BusWrite(offset uint32, width int, v uint32) {
-	t.Events = append(t.Events, TraceEvent{
-		Kind: obs.KindPortWrite, Span: t.Spans.Current(),
-		Addr: offset, Width: width, Value: uint64(v),
-	})
-	t.Inner.BusWrite(offset, width, v)
-}

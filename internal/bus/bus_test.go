@@ -160,18 +160,6 @@ func TestIRQLine(t *testing.T) {
 	}
 }
 
-func TestTraceRecords(t *testing.T) {
-	tr := &Trace{Inner: NewRAM(4)}
-	tr.BusWrite(1, 8, 0x7f)
-	v := tr.BusRead(1, 8)
-	if v != 0x7f || len(tr.Events) != 2 {
-		t.Fatalf("events = %v", tr.Events)
-	}
-	if tr.Events[0].String() != "out8[1]=0x7f" || tr.Events[1].String() != "in8[1]=0x7f" {
-		t.Errorf("event strings = %v %v", tr.Events[0], tr.Events[1])
-	}
-}
-
 func TestBlockFaultChargesNothing(t *testing.T) {
 	// A faulting block transfer moved no data: it must book only the
 	// fault — no BlockIn/BlockOut, no BlockUnits, no virtual time, and

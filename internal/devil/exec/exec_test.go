@@ -7,6 +7,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/devil/exec"
+	"repro/internal/obs"
 	"repro/internal/sim/busmouse"
 	"repro/internal/specs"
 )
@@ -321,7 +322,7 @@ device pic_fragment (base : bit[8] port @ {0..1})
 }
 `
 
-func picWriteSeq(t *testing.T, sngl string, ic4 bool) []bus.TraceEvent {
+func picWriteSeq(t *testing.T, sngl string, ic4 bool) []obs.Event {
 	t.Helper()
 	spec, err := core.Compile([]byte(picSrc))
 	if err != nil {
@@ -329,8 +330,9 @@ func picWriteSeq(t *testing.T, sngl string, ic4 bool) []bus.TraceEvent {
 	}
 	var clk bus.Clock
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	trace := &bus.Trace{Inner: bus.NewRAM(2)}
-	space.MustMap(0x20, 2, trace)
+	space.MustMapNamed("pic", 0x20, 2, bus.NewRAM(2))
+	ring := obs.NewRing(16)
+	space.SetObserver(ring)
 	dev, err := core.Link(spec, space, map[string]uint32{"base": 0x20}, exec.Options{Debug: true})
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +355,7 @@ func picWriteSeq(t *testing.T, sngl string, ic4 bool) []bus.TraceEvent {
 	if err := dev.WriteStruct("init"); err != nil {
 		t.Fatal(err)
 	}
-	return trace.Events
+	return ring.Events()
 }
 
 func b2i(b bool) int64 {
@@ -369,20 +371,20 @@ func TestPICInitCascadedWithICW4(t *testing.T) {
 		t.Fatalf("events = %v, want 4 writes", ev)
 	}
 	// icw1: bit4 forced 1, ic4 bit0 = 1 -> 0x11 at offset 0.
-	if ev[0].Addr != 0 || ev[0].Value != 0x11 {
-		t.Errorf("icw1 = %v, want out8[0]=0x11", ev[0])
+	if ev[0].Addr != 0x20 || ev[0].Value != 0x11 {
+		t.Errorf("icw1 = %v, want out8[32]=0x11", ev[0])
 	}
 	// icw2: base_vec=4 in bits 7..3, low bits forced 0 -> 0x20 at offset 1.
-	if ev[1].Addr != 1 || ev[1].Value != 0x20 {
-		t.Errorf("icw2 = %v, want out8[1]=0x20", ev[1])
+	if ev[1].Addr != 0x21 || ev[1].Value != 0x20 {
+		t.Errorf("icw2 = %v, want out8[33]=0x20", ev[1])
 	}
 	// icw3: slaves mask.
-	if ev[2].Addr != 1 || ev[2].Value != 0x04 {
-		t.Errorf("icw3 = %v, want out8[1]=0x4", ev[2])
+	if ev[2].Addr != 0x21 || ev[2].Value != 0x04 {
+		t.Errorf("icw3 = %v, want out8[33]=0x4", ev[2])
 	}
 	// icw4: aeoi bit1 + x8086 bit0, top bits forced 0 -> 0x03.
-	if ev[3].Addr != 1 || ev[3].Value != 0x03 {
-		t.Errorf("icw4 = %v, want out8[1]=0x3", ev[3])
+	if ev[3].Addr != 0x21 || ev[3].Value != 0x03 {
+		t.Errorf("icw4 = %v, want out8[33]=0x3", ev[3])
 	}
 }
 
@@ -395,7 +397,7 @@ func TestPICInitSingleWithoutICW4(t *testing.T) {
 	if ev[0].Value != 0x12 {
 		t.Errorf("icw1 = %v, want 0x12", ev[0])
 	}
-	if ev[1].Addr != 1 || ev[1].Value != 0x20 {
+	if ev[1].Addr != 0x21 || ev[1].Value != 0x20 {
 		t.Errorf("icw2 = %v", ev[1])
 	}
 }
@@ -433,8 +435,12 @@ func TestExtendedRegisterAutomaton(t *testing.T) {
 	}
 	var clk bus.Clock
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	trace := &bus.Trace{Inner: bus.NewRAM(2)}
-	space.MustMap(0x530, 2, trace)
+	space.MustMapNamed("cs", 0x530, 2, bus.NewRAM(2))
+	var seq []string
+	space.SetObserver(obs.Func(func(e obs.Event) {
+		e.Addr -= 0x530 // offsets within the window
+		seq = append(seq, e.String())
+	}))
 	dev, err := core.Link(spec, space, map[string]uint32{"base": 0x530}, exec.Options{Debug: true})
 	if err != nil {
 		t.Fatal(err)
@@ -444,10 +450,6 @@ func TestExtendedRegisterAutomaton(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var seq []string
-	for _, e := range trace.Events {
-		seq = append(seq, e.String())
-	}
 	// Expected automaton walk:
 	//   1. write IA=23 to the control register (extended context: I23)
 	//   2. write I23 with XA=5 (bits 2,7..4 -> 0x50) and XRAE=1 (bit 3)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/devil/exec"
 	gen "repro/internal/gen/busmouse"
+	"repro/internal/obs"
 	sim "repro/internal/sim/busmouse"
 	"repro/internal/specs"
 )
@@ -72,20 +73,17 @@ func TestEnumString(t *testing.T) {
 // interpretive executor through the same scenario and asserts identical bus
 // traces — the two back ends implement one semantics.
 func TestCompiledMatchesInterpreter(t *testing.T) {
-	traceOf := func(drive func(space *bus.Space, trace *bus.Trace)) []string {
+	traceOf := func(drive func(space *bus.Space)) []string {
 		var clk bus.Clock
 		space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-		trace := &bus.Trace{Inner: sim.New()}
-		space.MustMap(0x23c, 4, trace)
-		drive(space, trace)
+		space.MustMapNamed("busmouse", 0x23c, 4, sim.New())
 		var out []string
-		for _, e := range trace.Events {
-			out = append(out, e.String())
-		}
+		space.SetObserver(obs.Func(func(e obs.Event) { out = append(out, e.String()) }))
+		drive(space)
 		return out
 	}
 
-	genTrace := traceOf(func(space *bus.Space, trace *bus.Trace) {
+	genTrace := traceOf(func(space *bus.Space) {
 		dev := gen.New(space, 0x23c)
 		dev.SetConfig(gen.ConfigDEFAULTMODE)
 		dev.SetSignature(0xa5)
@@ -94,7 +92,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 		dev.SetInterrupt(gen.InterruptENABLE)
 	})
 
-	execTrace := traceOf(func(space *bus.Space, trace *bus.Trace) {
+	execTrace := traceOf(func(space *bus.Space) {
 		spec := core.MustCompile(specs.Busmouse)
 		dev, err := core.Link(spec, space, map[string]uint32{"base": 0x23c}, exec.Options{})
 		if err != nil {

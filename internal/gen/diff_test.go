@@ -17,6 +17,7 @@ import (
 	genpm "repro/internal/gen/permedia2"
 	genpic "repro/internal/gen/pic8259"
 	genpiix4 "repro/internal/gen/piix4"
+	"repro/internal/obs"
 	simbm "repro/internal/sim/busmouse"
 	simcs "repro/internal/sim/cs4236"
 	simdma "repro/internal/sim/dma8237"
@@ -47,12 +48,42 @@ func execOpts() exec.Options {
 	return exec.Options{}
 }
 
-// rig is one device-under-test instance: a bus with traced windows over a
-// simulator, plus the values every read returned.
+// rig is one device-under-test instance: a bus whose named windows over a
+// simulator report every port operation to one observer, plus the values
+// every read returned.
 type rig struct {
-	space  *bus.Space
-	traces []*bus.Trace
-	outs   []int64
+	space *bus.Space
+	ops   []portOp
+	outs  []int64
+}
+
+// portOp is the part of an observed bus event the differential tests
+// compare: the window, the kind of access, its address and width, and the
+// value (or the number of block units) it moved.
+type portOp struct {
+	Source string
+	Kind   obs.Kind
+	Addr   uint32
+	Width  int
+	Value  uint64
+	Units  int
+}
+
+func (o portOp) String() string {
+	e := obs.Event{Kind: o.Kind, Addr: o.Addr, Width: o.Width, Value: o.Value, Units: o.Units}
+	return o.Source + ":" + e.String()
+}
+
+// newRig attaches the operation collector to space, whose windows the
+// caller has mapped with MapNamed.
+func newRig(space *bus.Space) *rig {
+	r := &rig{space: space}
+	space.SetObserver(obs.Func(func(e obs.Event) {
+		if e.Kind.IsOp() {
+			r.ops = append(r.ops, portOp{e.Source, e.Kind, e.Addr, e.Width, e.Value, e.Units})
+		}
+	}))
+	return r
 }
 
 func (r *rig) record(v int64) { r.outs = append(r.outs, v) }
@@ -62,17 +93,14 @@ func compareRigs(t *testing.T, seed int64, genRig, execRig *rig) {
 	if gs, es := genRig.space.Stats(), execRig.space.Stats(); gs != es {
 		t.Fatalf("seed %d: bus op counts differ: compiled %+v vs interpreted %+v", seed, gs, es)
 	}
-	for w := range genRig.traces {
-		ge, ee := genRig.traces[w].Events, execRig.traces[w].Events
-		if len(ge) != len(ee) {
-			t.Fatalf("seed %d: window %d trace lengths differ: compiled %d vs interpreted %d\n%v\n%v",
-				seed, w, len(ge), len(ee), ge, ee)
-		}
-		for i := range ge {
-			if ge[i] != ee[i] {
-				t.Fatalf("seed %d: window %d op %d differs: compiled %s vs interpreted %s",
-					seed, w, i, ge[i], ee[i])
-			}
+	ge, ee := genRig.ops, execRig.ops
+	if len(ge) != len(ee) {
+		t.Fatalf("seed %d: trace lengths differ: compiled %d vs interpreted %d\n%v\n%v",
+			seed, len(ge), len(ee), ge, ee)
+	}
+	for i := range ge {
+		if ge[i] != ee[i] {
+			t.Fatalf("seed %d: op %d differs: compiled %s vs interpreted %s", seed, i, ge[i], ee[i])
 		}
 	}
 	if len(genRig.outs) != len(execRig.outs) {
@@ -94,9 +122,8 @@ func newBusmouseRig() (*rig, *simbm.Sim) {
 	var clk bus.Clock
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
 	mouse := simbm.New()
-	trace := &bus.Trace{Inner: mouse}
-	space.MustMap(0x23c, 4, trace)
-	return &rig{space: space, traces: []*bus.Trace{trace}}, mouse
+	space.MustMapNamed("busmouse", 0x23c, 4, mouse)
+	return newRig(space), mouse
 }
 
 func TestDifferentialBusmouse(t *testing.T) {
@@ -169,11 +196,9 @@ func newIDERig() (*rig, *simide.Disk) {
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
 	mem := bus.NewRAM(1 << 16)
 	disk := simide.New(&clk, 64, mem)
-	cmd := &bus.Trace{Inner: disk.TaskFile()}
-	ctl := &bus.Trace{Inner: disk.Control()}
-	space.MustMap(0x1f0, 8, cmd)
-	space.MustMap(0x3f6, 1, ctl)
-	return &rig{space: space, traces: []*bus.Trace{cmd, ctl}}, disk
+	space.MustMapNamed("ide-cmd", 0x1f0, 8, disk.TaskFile())
+	space.MustMapNamed("ide-ctl", 0x3f6, 1, disk.Control())
+	return newRig(space), disk
 }
 
 func TestDifferentialIDE(t *testing.T) {
@@ -311,9 +336,8 @@ func newPIIX4Rig() (*rig, *simide.Disk) {
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
 	mem := bus.NewRAM(1 << 16)
 	disk := simide.New(&clk, 64, mem)
-	bm := &bus.Trace{Inner: disk.Busmaster()}
-	space.MustMap(0xc000, 8, bm)
-	return &rig{space: space, traces: []*bus.Trace{bm}}, disk
+	space.MustMapNamed("piix4", 0xc000, 8, disk.Busmaster())
+	return newRig(space), disk
 }
 
 func TestDifferentialPIIX4(t *testing.T) {
@@ -380,9 +404,8 @@ func newNE2000Rig() (*rig, *simne.Sim) {
 	var clk bus.Clock
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
 	nic := simne.New()
-	trace := &bus.Trace{Inner: nic}
-	space.MustMap(0x300, 0x20, trace)
-	return &rig{space: space, traces: []*bus.Trace{trace}}, nic
+	space.MustMapNamed("ne2000", 0x300, 0x20, nic)
+	return newRig(space), nic
 }
 
 func TestDifferentialNE2000(t *testing.T) {
@@ -527,9 +550,8 @@ func newPermedia2Rig() (*rig, *simpm.Sim) {
 	var clk bus.Clock
 	space := bus.NewSpace("mmio", &clk, bus.DefaultMemCosts())
 	chip := simpm.New(&clk, 640, 480)
-	trace := &bus.Trace{Inner: chip}
-	space.MustMap(0xf0000000, 0x100, trace)
-	return &rig{space: space, traces: []*bus.Trace{trace}}, chip
+	space.MustMapNamed("permedia2", 0xf0000000, 0x100, chip)
+	return newRig(space), chip
 }
 
 func TestDifferentialPermedia2(t *testing.T) {
@@ -620,9 +642,8 @@ func newPICRig() (*rig, *simpic.Sim) {
 	var clk bus.Clock
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
 	pic := simpic.New()
-	trace := &bus.Trace{Inner: pic}
-	space.MustMap(0x20, 2, trace)
-	return &rig{space: space, traces: []*bus.Trace{trace}}, pic
+	space.MustMapNamed("pic8259", 0x20, 2, pic)
+	return newRig(space), pic
 }
 
 func TestDifferentialPIC8259(t *testing.T) {
@@ -731,9 +752,8 @@ func newDMARig() (*rig, *simdma.Sim) {
 	var clk bus.Clock
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
 	dma := simdma.New()
-	trace := &bus.Trace{Inner: dma}
-	space.MustMap(0x00, 13, trace)
-	return &rig{space: space, traces: []*bus.Trace{trace}}, dma
+	space.MustMapNamed("dma8237", 0x00, 13, dma)
+	return newRig(space), dma
 }
 
 func TestDifferentialDMA8237(t *testing.T) {
@@ -828,9 +848,8 @@ func newCSRig() (*rig, *simcs.Sim) {
 	var clk bus.Clock
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
 	codec := simcs.New()
-	trace := &bus.Trace{Inner: codec}
-	space.MustMap(0x530, 2, trace)
-	return &rig{space: space, traces: []*bus.Trace{trace}}, codec
+	space.MustMapNamed("cs4236", 0x530, 2, codec)
+	return newRig(space), codec
 }
 
 // extDomain is the ext register family's argument domain {0..17, 25}.

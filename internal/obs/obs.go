@@ -94,9 +94,9 @@ func (e Event) Bytes() uint64 {
 	return 0
 }
 
-// String renders the event in the repo's canonical trace syntax. Port
-// accesses keep the historical bus.Trace format ("out8[2]=0x40") that
-// the differential tests and examples pin.
+// String renders the event in the repo's canonical trace syntax. The
+// port access format ("out8[2]=0x40") is pinned by the differential
+// tests and the examples.
 func (e Event) String() string {
 	switch e.Kind {
 	case KindPortRead:

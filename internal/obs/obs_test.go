@@ -12,8 +12,8 @@ func TestEventString(t *testing.T) {
 		e    Event
 		want string
 	}{
-		// The port formats are pinned: bus.Trace consumers and the
-		// differential tests assert on them verbatim.
+		// The port formats are pinned: the differential tests and the
+		// examples assert on them verbatim.
 		{Event{Kind: KindPortWrite, Addr: 2, Width: 8, Value: 0x40}, "out8[2]=0x40"},
 		{Event{Kind: KindPortRead, Addr: 1, Width: 8, Value: 0x7f}, "in8[1]=0x7f"},
 		{Event{Kind: KindBlockIn, Addr: 0, Width: 16, Units: 8}, "inblock16[0]x8"},

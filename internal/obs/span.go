@@ -41,7 +41,7 @@ type Spans struct {
 // on until a matching number of Disable calls. bus.Space.SetObserver and
 // bus.Clock.SetObserver enable and disable automatically; call this
 // directly only when recording spans without a space observer (e.g. a
-// Trace handler in a unit test).
+// handler that reads Current itself in a unit test).
 func (s *Spans) Enable() {
 	if s == nil {
 		panic("obs: Enable on nil Spans")
