@@ -10,9 +10,15 @@
 //	*ast.Device
 //	   │  Check/Compile    — §3.1 consistency properties (package sema)
 //	   ▼
-//	*sema.Device ──Link──▶ *exec.Device      interpretive stubs (package exec)
+//	*sema.Device
+//	   │  Lower            — one typed plan per access, passes applied (package ir)
+//	   ▼
+//	*ir.Program ──interpreted──▶ *exec.Device   interpretive stubs (Link, package exec)
 //	        │
-//	        └───GenerateGo─▶ Go source       compiled stubs (package codegen)
+//	        └─────printed─────▶ Go source      compiled stubs (package codegen)
+//
+// Link and codegen.Generate both lower the specification themselves, so
+// the two back ends run one set of plans.
 //
 // Typical use:
 //

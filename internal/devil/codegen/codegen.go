@@ -28,20 +28,9 @@ type Options struct {
 	// defaults to "repro/internal/snap".
 	SnapImport string
 	// Opt selects the optimization level applied to every method's
-	// port-access plan. The zero value is ir.O1, the default level;
-	// ir.O0 disables all passes (devilc -O0).
+	// access plan. The zero value is ir.O1, the default level; ir.O0
+	// disables all passes (devilc -O0).
 	Opt ir.OptLevel
-	// Passes, when non-nil, overrides the pass set implied by Opt, so
-	// individual peephole passes can be composed.
-	Passes *ir.Passes
-}
-
-// passes resolves the effective pass set.
-func (o Options) passes() ir.Passes {
-	if o.Passes != nil {
-		return *o.Passes
-	}
-	return o.Opt.Passes()
 }
 
 // Generate emits a Go stub package for the resolved device. The emitted
@@ -64,45 +53,33 @@ func Generate(spec *sema.Device, opts Options) ([]byte, error) {
 	return generateVerified(spec, opts)
 }
 
-// generate runs the generator for one exact pass configuration and
-// returns the unformatted source.
+// generate lowers the device under one exact pass set and prints its
+// plans, returning the unformatted source.
 func generate(spec *sema.Device, opts Options, passes ir.Passes) ([]byte, error) {
-	g := &generator{spec: spec, opts: opts, passes: passes}
-	if err := g.run(); err != nil {
+	prog, err := ir.LowerPasses(spec, passes)
+	if err != nil {
 		return nil, err
 	}
+	g := &generator{spec: spec, opts: opts, prog: prog}
+	g.run()
 	return []byte(g.b.String()), nil
 }
 
 type generator struct {
-	spec   *sema.Device
-	opts   Options
-	passes ir.Passes
-	b      strings.Builder
+	spec *sema.Device
+	opts Options
+	b    strings.Builder
 
 	needFmt bool
 	needB32 bool
 	needObs bool
 
-	// shadowed marks registers whose last written value must be kept for
-	// read-modify-write composition.
-	shadowed map[*sema.Register]bool
-	// snapped marks registers read through a structure snapshot.
-	snapped map[*sema.Register]bool
-	// vcached marks top-level variables whose last value must be cached
-	// per variable: they co-tenant a register some structure flushes, so
-	// the flush has to compose their bits the way the interpreter does
-	// (from the variable cache, not the register shadow).
-	vcached map[*sema.Variable]bool
-	// info is the elision eligibility analysis; guarded marks the
-	// registers whose writers maintain shadow and ok-flag state under
-	// the enabled passes.
-	info    *ir.Info
-	guarded map[*sema.Register]bool
-	// layout is the canonical serialization order of all the state above,
-	// shared with the exec interpreter so both paths emit byte-identical
-	// snapshots (MarshalState/UnmarshalState).
-	layout *ir.StateLayout
+	// prog holds every access plan of the device, which the generator
+	// prints, and its canonical state layout: which registers carry
+	// shadows, snapshots and ok flags, which variables a flush cache, and
+	// the serialization order of all of it, shared with the exec
+	// interpreter so both paths emit byte-identical snapshots.
+	prog *ir.Program
 }
 
 func (g *generator) p(format string, args ...any) {
@@ -110,16 +87,11 @@ func (g *generator) p(format string, args ...any) {
 	g.b.WriteByte('\n')
 }
 
-func (g *generator) run() error {
-	g.analyze()
-
-	var body strings.Builder
+func (g *generator) run() {
 	saved := g.b
 	g.b = strings.Builder{}
-	if err := g.emitBody(); err != nil {
-		return err
-	}
-	body = g.b
+	g.emitBody()
+	body := g.b
 	g.b = saved
 
 	// Header (after the body, so needFmt/needB32 are known).
@@ -153,53 +125,6 @@ func (g *generator) run() error {
 		g.p("")
 	}
 	g.b.WriteString(body.String())
-	return nil
-}
-
-// analyze decides which registers need shadows and snapshots, and which
-// top-level variables need a per-variable cache. The classification — and
-// the serialization order of the resulting state — is ir.NewStateLayout,
-// shared with the exec interpreter.
-func (g *generator) analyze() {
-	g.info = ir.Analyze(g.spec)
-	g.layout = ir.NewStateLayout(g.spec, g.info, g.passes)
-	g.shadowed = g.layout.RMWShadowed
-	g.snapped = g.layout.SnappedSet
-	g.vcached = g.layout.VCachedSet
-	g.guarded = g.layout.GuardedSet
-}
-
-func structReadable(s *sema.Structure) bool { return ir.StructReadable(s) }
-func structWritable(s *sema.Structure) bool { return ir.StructWritable(s) }
-
-// ---------------------------------------------------------------------------
-// Mask computations (generation-time constants, delegated to package ir so
-// the interpreter and the state layout share one definition)
-
-// varMask returns the register bits owned by v on reg.
-func varMask(reg *sema.Register, v *sema.Variable) uint64 { return ir.VarMask(reg, v) }
-
-// tenants returns the variables owning bits of reg, in declaration order.
-func (g *generator) tenants(reg *sema.Register) []*sema.Variable {
-	return ir.Tenants(g.spec, reg)
-}
-
-// neutralConst returns the placed neutral contributions of trigger
-// co-tenants of v on reg, and the mask of their bits.
-func (g *generator) neutralConst(reg *sema.Register, v *sema.Variable) (placed, mask uint64) {
-	return ir.NeutralConst(g.spec, reg, v)
-}
-
-// keepMask returns the bits of reg composed from the shadow when v writes:
-// relevant bits of cached (non-trigger) co-tenants.
-func (g *generator) keepMask(reg *sema.Register, v *sema.Variable) uint64 {
-	return ir.KeepMask(g.spec, reg, v)
-}
-
-// placeValue scatters a variable's raw value onto its register bits
-// (generation-time version of exec's placeChunkBits).
-func placeValue(reg *sema.Register, v *sema.Variable, raw uint64) uint64 {
-	return ir.PlaceValue(reg, v, raw)
 }
 
 // ---------------------------------------------------------------------------
@@ -355,53 +280,17 @@ func regWord(width int) string { return fmt.Sprintf("uint%d", width) }
 // ---------------------------------------------------------------------------
 // Emission
 
-func (g *generator) emitBody() error {
+func (g *generator) emitBody() {
 	g.emitEnums()
-	if err := g.emitDeviceStruct(); err != nil {
-		return err
-	}
+	g.emitDeviceStruct()
 	g.emitNew()
-	for _, v := range g.spec.Variables {
-		if v.Cell {
-			continue
-		}
-		if v.Struct == nil {
-			if v.Readable {
-				if err := g.emitTopLevelGetter(v); err != nil {
-					return err
-				}
-			}
-			if v.Writable {
-				if err := g.emitTopLevelSetter(v); err != nil {
-					return err
-				}
-			}
-		} else {
-			if v.Readable && structReadable(v.Struct) {
-				g.emitFieldGetter(v)
-			}
-			if v.Writable && structWritable(v.Struct) {
-				g.emitFieldSetter(v)
-			}
-		}
-		if v.Block {
-			g.emitBlock(v)
-		}
+	for _, vp := range g.prog.Vars {
+		g.emitPlans(vp.Get, vp.Set, vp.BlockIn, vp.BlockOut)
 	}
-	for _, s := range g.spec.Structures {
-		if structReadable(s) {
-			if err := g.emitStructRead(s); err != nil {
-				return err
-			}
-		}
-		if structWritable(s) {
-			if err := g.emitStructWrite(s); err != nil {
-				return err
-			}
-		}
+	for _, sp := range g.prog.Structs {
+		g.emitPlans(sp.Read, sp.Write)
 	}
 	g.emitSnapshot()
-	return nil
 }
 
 // emitSnapshot emits the MarshalState/UnmarshalState pair implementing
@@ -412,25 +301,25 @@ func (g *generator) emitSnapshot() {
 	// The field accesses, in wire order, as (append-call, read-expr) pairs.
 	type slot struct{ field, kind string }
 	var slots []slot
-	for _, v := range g.layout.Cells {
+	for _, v := range g.prog.Layout.Cells {
 		slots = append(slots, slot{g.cellField(v), "U32"})
 	}
-	for _, v := range g.layout.VCached {
+	for _, v := range g.prog.Layout.VCached {
 		slots = append(slots, slot{g.vcField(v), "U32"})
 	}
-	for _, r := range g.layout.Shadows {
+	for _, r := range g.prog.Layout.Shadows {
 		slots = append(slots, slot{g.shadowField(r), "U32"})
 	}
-	for _, r := range g.layout.Guarded {
+	for _, r := range g.prog.Layout.Guarded {
 		slots = append(slots, slot{g.okField(r), "Bool"})
 	}
-	for _, r := range g.layout.Snapped {
+	for _, r := range g.prog.Layout.Snapped {
 		slots = append(slots, slot{g.snapField(r), "U32"})
 	}
-	for _, s := range g.layout.Readable {
+	for _, s := range g.prog.Layout.Readable {
 		slots = append(slots, slot{"valid" + goName(s.Name, true), "Bool"})
 	}
-	for _, s := range g.layout.Writable {
+	for _, s := range g.prog.Layout.Writable {
 		for _, f := range s.Fields {
 			slots = append(slots, slot{g.fldField(f), "U32"})
 			if f.Trigger != nil {
@@ -517,7 +406,7 @@ func careAll(bits int) uint64 {
 	return 1<<uint(bits) - 1
 }
 
-func (g *generator) emitDeviceStruct() error {
+func (g *generator) emitDeviceStruct() {
 	g.needObs = true
 	g.p("// Device provides typed access to the %s functional interface.", g.spec.Name)
 	g.p("type Device struct {")
@@ -527,16 +416,14 @@ func (g *generator) emitDeviceStruct() error {
 		g.p("\t%s uint32", g.portField(p))
 	}
 	var shadows, snaps, oks []string
-	for _, r := range g.spec.Registers {
-		if g.shadowed[r] || g.guarded[r] {
-			shadows = append(shadows, g.shadowField(r))
-		}
-		if g.snapped[r] {
-			snaps = append(snaps, g.snapField(r))
-		}
-		if g.guarded[r] {
-			oks = append(oks, g.okField(r))
-		}
+	for _, r := range g.prog.Layout.Shadows {
+		shadows = append(shadows, g.shadowField(r))
+	}
+	for _, r := range g.prog.Layout.Snapped {
+		snaps = append(snaps, g.snapField(r))
+	}
+	for _, r := range g.prog.Layout.Guarded {
+		oks = append(oks, g.okField(r))
 	}
 	sort.Strings(shadows)
 	sort.Strings(snaps)
@@ -554,15 +441,15 @@ func (g *generator) emitDeviceStruct() error {
 		if v.Cell {
 			g.p("\t%s uint32 // private memory cell", g.cellField(v))
 		}
-		if g.vcached[v] {
+		if g.prog.Layout.VCachedSet[v] {
 			g.p("\t%s uint32 // last value, composed into structure flushes", g.vcField(v))
 		}
 	}
 	for _, s := range g.spec.Structures {
-		if structReadable(s) {
+		if ir.StructReadable(s) {
 			g.p("\tvalid%s bool", goName(s.Name, true))
 		}
-		if structWritable(s) {
+		if ir.StructWritable(s) {
 			for _, f := range s.Fields {
 				g.p("\t%s uint32 // staged field of %s", g.fldField(f), s.Name)
 				if f.Trigger != nil {
@@ -573,7 +460,6 @@ func (g *generator) emitDeviceStruct() error {
 	}
 	g.p("}")
 	g.p("")
-	return nil
 }
 
 func (g *generator) emitNew() {
@@ -597,83 +483,250 @@ func (g *generator) emitNew() {
 }
 
 // ---------------------------------------------------------------------------
-// Actions
+// Plans
 
-// valueExpr renders an action value as a uint32 Go expression. cur is the
-// variable whose raw value is in scope as "raw" (may be nil); argName is the
-// register-family parameter in scope ("" if none).
-func (g *generator) valueExpr(val sema.Value, cur *sema.Variable, argName string) (string, error) {
-	switch val.Kind {
-	case sema.ValConst:
-		return fmt.Sprintf("%#x", val.Const), nil
-	case sema.ValAny:
-		return "0", nil
-	case sema.ValParamRef:
-		if argName == "" {
-			return "", fmt.Errorf("parameter reference outside a parameterized context")
-		}
-		return "uint32(" + argName + ")", nil
-	case sema.ValVarRef:
-		switch {
-		case cur != nil && val.Var == cur:
-			return "raw", nil
-		case val.Var.Cell:
-			return "d." + g.cellField(val.Var), nil
-		case val.Var.Struct != nil && structWritable(val.Var.Struct):
-			return "d." + g.fldField(val.Var), nil
-		}
-		return "", fmt.Errorf("cannot compile reference to variable %s", val.Var.Name)
-	}
-	return "", fmt.Errorf("cannot compile value kind %d", val.Kind)
-}
-
-// emitActions compiles pre/post/set actions to statements.
-func (g *generator) emitActions(acts []*sema.Action, cur *sema.Variable, argName, indent string) error {
-	for _, a := range acts {
-		switch {
-		case a.TargetVar != nil && a.TargetVar.Cell:
-			e, err := g.valueExpr(a.Value, cur, argName)
-			if err != nil {
-				return err
-			}
-			g.p("%sd.%s = %s", indent, g.cellField(a.TargetVar), e)
-		case a.TargetVar != nil:
-			e, err := g.valueExpr(a.Value, cur, argName)
-			if err != nil {
-				return err
-			}
-			g.p("%sd.%s(%s)", indent, g.setterName(a.TargetVar), g.castToVarType(a.TargetVar, e))
-		case a.TargetStruct != nil:
-			for _, f := range a.Value.Fields {
-				e, err := g.valueExpr(f.Value, cur, argName)
-				if err != nil {
-					return err
-				}
-				if f.Var.Cell {
-					g.p("%sd.%s = %s", indent, g.cellField(f.Var), e)
-					continue
-				}
-				g.p("%sd.%s(%s)", indent, g.setterName(f.Var), g.castToVarType(f.Var, e))
-			}
-			g.p("%sd.%s()", indent, g.structMethod("Write", a.TargetStruct))
+// emitPlans prints the plans that exist, in order.
+func (g *generator) emitPlans(plans ...*ir.Plan) {
+	for _, p := range plans {
+		if p != nil {
+			g.emitPlan(p)
 		}
 	}
-	return nil
 }
 
-// castToVarType converts a uint32 expression to the variable's Go type.
-func (g *generator) castToVarType(v *sema.Variable, e string) string {
-	if v.Type.Kind == sema.TypeBool {
-		return fmt.Sprintf("%s != 0", e)
+// planScope is the printing state of one method: the out variable is
+// declared by the first composition that runs unconditionally, and the
+// registers read so far name their r<N> sources.
+type planScope struct {
+	arg         string // the register-family parameter in scope, "" if none
+	outDeclared bool
+	srcs        map[*sema.Register]string
+}
+
+// emitPlan prints one plan as a method: the signature, span, typed
+// conversions and §3.2 checks around the plan's steps.
+func (g *generator) emitPlan(p *ir.Plan) {
+	v, sc := p.Var, &planScope{}
+	switch p.Kind {
+	case ir.PGet:
+		arg := ""
+		if v.Param != "" {
+			sc.arg = goName(v.Param, false)
+			arg = sc.arg + " int"
+		}
+		g.p("// %s reads the %s device variable.", g.getterName(v), v.Name)
+		g.p("func (d *Device) %s(%s) %s {", g.getterName(v), arg, g.goType(v))
+		g.span(p.Span(g.spec.Name))
+		g.emitDomainCheck(v, sc.arg)
+	case ir.PSet:
+		arg := ""
+		if v.Param != "" {
+			sc.arg = goName(v.Param, false)
+			arg = ", " + sc.arg + " int"
+		}
+		g.p("// %s writes the %s device variable.", g.setterName(v), v.Name)
+		g.p("func (d *Device) %s(v %s%s) {", g.setterName(v), g.goType(v), arg)
+		g.span(p.Span(g.spec.Name))
+		g.emitDomainCheck(v, sc.arg)
+		g.p("\traw := %s", g.typedToRaw(v, "v"))
+		g.emitWriteCheck(v, "\t")
+	case ir.PFieldGet:
+		g.p("// %s returns the %s field from the last %s snapshot.", g.getterName(v), v.Name, v.Struct.Name)
+		g.p("func (d *Device) %s() %s {", g.getterName(v), g.goType(v))
+		g.p("\tif debug && !d.valid%s {", goName(v.Struct.Name, true))
+		g.p("\t\tpanic(%q)", fmt.Sprintf("devil: %s read before %s snapshot", v.Name, v.Struct.Name))
+		g.p("\t}")
+	case ir.PFieldSet:
+		g.p("// %s stages the %s field; %s flushes it to the device.", g.setterName(v), v.Name, g.structMethod("Write", v.Struct))
+		g.p("func (d *Device) %s(v %s) {", g.setterName(v), g.goType(v))
+		g.p("\traw := %s", g.typedToRaw(v, "v"))
+		g.emitWriteCheck(v, "\t")
+	case ir.PRead:
+		m := g.structMethod("Read", p.Struct)
+		g.p("// %s reads the registers of %s once, refreshing the snapshot the", m, p.Struct.Name)
+		g.p("// field getters decode.")
+		g.p("func (d *Device) %s() {", m)
+		g.span(p.Span(g.spec.Name))
+	case ir.PWrite:
+		m := g.structMethod("Write", p.Struct)
+		g.p("// %s flushes the staged fields of %s in serialization order.", m, p.Struct.Name)
+		g.p("func (d *Device) %s() {", m)
+		g.span(p.Span(g.spec.Name))
+	case ir.PBlockIn, ir.PBlockOut:
+		elem := "uint16"
+		if v.Width > 16 {
+			elem = "uint32"
+		}
+		name := goName(v.Name, true)
+		if p.Kind == ir.PBlockIn {
+			g.p("// Read%sBlock reads len(buf) values with one block operation", name)
+			g.p("// (the rep-ins equivalent).")
+			g.p("func (d *Device) Read%sBlock(buf []%s) {", name, elem)
+		} else {
+			g.p("// Write%sBlock writes len(buf) values with one block operation", name)
+			g.p("// (the rep-outs equivalent).")
+			g.p("func (d *Device) Write%sBlock(buf []%s) {", name, elem)
+		}
+		g.span(p.Span(g.spec.Name))
 	}
-	return fmt.Sprintf("%s(%s)", g.goType(v), e)
+	g.emitSteps(p, p.Steps, "\t", sc)
+	if p.Kind == ir.PGet || p.Kind == ir.PFieldGet {
+		g.p("\treturn %s", g.rawToTyped(v, "raw"))
+	}
+	g.p("}")
+	g.p("")
 }
 
-// ---------------------------------------------------------------------------
-// Top-level variable stubs
+// emitSteps prints plan steps as Go statements.
+func (g *generator) emitSteps(p *ir.Plan, steps []ir.Step, indent string, sc *planScope) {
+	for i := range steps {
+		s := &steps[i]
+		switch s.Kind {
+		case ir.SCompose:
+			g.p("%sout %s %s", indent, sc.assign(), g.composeExpr(s))
+		case ir.SAccum:
+			g.p("%sout %s uint32(%#x)", indent, sc.assign(), s.Or)
+			g.emitAccumTerms(s, indent)
+		case ir.SMask:
+			g.p("%sout = out&%#x | %#x", indent, s.And, s.Or)
+		case ir.SCtxCall, ir.SAction:
+			g.emitAction(s.Act, s.Var, sc.arg, indent)
+		case ir.SWrite:
+			w := s.Reg.Write
+			g.p("%sd.bus.Out%d(d.%s+%d, %s(out))", indent, w.Port.Width, g.portField(w.Port), w.Offset, regWord(w.Port.Width))
+		case ir.SRead:
+			r := s.Reg.Read
+			src := fmt.Sprintf("r%d", len(sc.srcs))
+			if sc.srcs == nil {
+				sc.srcs = map[*sema.Register]string{}
+			}
+			sc.srcs[s.Reg] = src
+			g.p("%s%s := uint32(d.bus.In%d(d.%s + %d))", indent, src, r.Port.Width, g.portField(r.Port), r.Offset)
+		case ir.SGather:
+			g.p("%sraw := %s", indent, gatherExpr(s.Var, sc.srcs))
+			g.emitReadCheck(s.Var, indent)
+		case ir.SSnap:
+			r := s.Reg.Read
+			g.p("%sd.%s = uint32(d.bus.In%d(d.%s + %d))", indent, g.snapField(s.Reg), r.Port.Width, g.portField(r.Port), r.Offset)
+		case ir.SValid:
+			g.p("%sd.valid%s = true", indent, goName(p.Struct.Name, true))
+		case ir.SDecode:
+			srcs := map[*sema.Register]string{}
+			for _, ch := range s.Var.Chunks {
+				srcs[ch.Reg] = "d." + g.snapField(ch.Reg)
+			}
+			g.p("%sraw := %s", indent, gatherExpr(s.Var, srcs))
+			g.emitReadCheck(s.Var, indent)
+		case ir.SVCache:
+			g.p("%sd.%s = raw", indent, g.vcField(s.Var))
+		case ir.SStage:
+			g.p("%sd.%s = raw", indent, g.fldField(s.Var))
+			if s.Var.Trigger != nil {
+				g.p("%sd.%s = true", indent, g.stgField(s.Var))
+			}
+		case ir.SUnstage:
+			g.p("%sd.%s = false", indent, g.stgField(s.Var))
+		case ir.SShadow:
+			g.p("%sd.%s = out", indent, g.shadowField(s.Reg))
+		case ir.SOkFlag:
+			g.p("%sd.%s = true", indent, g.okField(s.Reg))
+		case ir.SBlockIn:
+			r := s.Reg.Read
+			g.p("%sd.bus.InBlock%d(d.%s+%d, buf)", indent, s.Var.Width, g.portField(r.Port), r.Offset)
+		case ir.SBlockOut:
+			w := s.Reg.Write
+			g.p("%sd.bus.OutBlock%d(d.%s+%d, buf)", indent, s.Var.Width, g.portField(w.Port), w.Offset)
+		case ir.SGuard:
+			g.p("%sif !(%s) {", indent, g.elisionCond(s.Elide))
+			g.emitSteps(p, s.Body, indent+"\t", sc)
+			g.p("%s}", indent)
+		case ir.SIf:
+			op := "=="
+			if s.Cond.Neg {
+				op = "!="
+			}
+			g.p("%sif d.%s %s %#x {", indent, g.slotField(s.Cond.Var), op, s.Cond.Value)
+			// A declaration inside the if-block stays scoped there, so
+			// later steps may declare out again.
+			inner := *sc
+			g.emitSteps(p, s.Body, indent+"\t", &inner)
+			g.p("%s}", indent)
+		}
+	}
+}
+
+// assign returns the assignment operator for out: the first composition
+// declares it.
+func (sc *planScope) assign() string {
+	if sc.outDeclared {
+		return "="
+	}
+	sc.outDeclared = true
+	return ":="
+}
+
+// composeExpr renders a write composition as one Go expression.
+func (g *generator) composeExpr(s *ir.Step) string {
+	var parts []string
+	for _, t := range s.Expr.Terms {
+		switch t.Kind {
+		case ir.TRaw:
+			parts = append(parts, scatterExpr(s.Reg, t.Var, "raw"))
+		case ir.TShadow:
+			parts = append(parts, fmt.Sprintf("d.%s&%#x", g.shadowField(s.Reg), t.Mask))
+		case ir.TVar:
+			parts = append(parts, scatterExpr(s.Reg, t.Var, "d."+g.slotField(t.Var)))
+		default:
+			parts = append(parts, fmt.Sprintf("%#x", t.Const))
+		}
+	}
+	if len(parts) == 0 {
+		return "0"
+	}
+	return strings.Join(parts, " | ")
+}
+
+// emitAccumTerms prints a flush composition one tenant at a time.
+func (g *generator) emitAccumTerms(s *ir.Step, indent string) {
+	for _, t := range s.Expr.Terms {
+		switch t.Kind {
+		case ir.TConst:
+			g.p("%sout |= %#x", indent, t.Const)
+		case ir.TStaged:
+			g.p("%sif d.%s {", indent, g.stgField(t.Var))
+			g.p("%s\tout |= %s", indent, scatterExpr(s.Reg, t.Var, "d."+g.fldField(t.Var)))
+			g.p("%s} else {", indent)
+			g.p("%s\tout |= %#x", indent, t.Const)
+			g.p("%s}", indent)
+		default:
+			g.p("%sout |= %s", indent, scatterExpr(s.Reg, t.Var, "d."+g.slotField(t.Var)))
+		}
+	}
+}
+
+// elisionCond renders the elision guard: the shadow is authoritative,
+// already holds out, and every constant cell assignment already holds.
+func (g *generator) elisionCond(el *ir.Elision) string {
+	cond := fmt.Sprintf("d.%s && d.%s == out", g.okField(el.Reg), g.shadowField(el.Reg))
+	for _, c := range el.Cells {
+		cond += fmt.Sprintf(" && d.%s == %#x", g.cellField(c.Cell), c.Val)
+	}
+	return cond
+}
+
+// slotField names the field holding a variable's stored value.
+func (g *generator) slotField(v *sema.Variable) string {
+	switch ir.SlotOf(v) {
+	case ir.SlotCell:
+		return g.cellField(v)
+	case ir.SlotField:
+		return g.fldField(v)
+	}
+	return g.vcField(v)
+}
 
 // span emits the observation prologue attributing every bus access in
-// the method to the given Devil-level name (the exec interpreter pushes
+// the method to the plan's Devil-level name (the exec interpreter pushes
 // the same names, so hand-vs-devil trace diffs line up). The spans
 // handle is the host's own stack (nil when the bus has none), so the
 // Enabled guard keeps disabled runs at a nil check plus one atomic load
@@ -685,312 +738,65 @@ func (g *generator) span(name string) {
 	g.p("\t}")
 }
 
-func (g *generator) emitTopLevelGetter(v *sema.Variable) error {
-	arg := ""
-	argName := ""
-	if v.Param != "" {
-		arg = goName(v.Param, false) + " int"
-		argName = goName(v.Param, false)
+// emitDomainCheck emits the §3.2 family-argument domain check.
+func (g *generator) emitDomainCheck(v *sema.Variable, arg string) {
+	if arg == "" || v.Domain == nil {
+		return
 	}
-	g.p("// %s reads the %s device variable.", g.getterName(v), v.Name)
-	g.p("func (d *Device) %s(%s) %s {", g.getterName(v), arg, g.goType(v))
-	g.span(g.spec.Name + "." + v.Name + ".get")
-	if argName != "" && v.Domain != nil {
-		g.p("\tif debug && !(%s) {", domainCond(argName, v.Domain))
-		g.p("\t\tpanic(%q)", fmt.Sprintf("devil: %s: argument out of domain %s", v.Name, v.Domain))
-		g.p("\t}")
-	}
-	srcs := map[*sema.Register]string{}
-	for i, step := range v.Order {
-		if step.Guard != nil {
-			return fmt.Errorf("codegen: guarded variable reads are not supported (%s)", v.Name)
-		}
-		reg := step.Reg
-		if err := g.emitActions(reg.Pre, nil, argName, "\t"); err != nil {
-			return err
-		}
-		src := fmt.Sprintf("r%d", i)
-		srcs[reg] = src
-		g.p("\t%s := uint32(d.bus.In%d(d.%s + %d))", src, reg.Read.Port.Width, g.portField(reg.Read.Port), reg.Read.Offset)
-		if err := g.emitActions(reg.Set, nil, argName, "\t"); err != nil {
-			return err
-		}
-		if err := g.emitActions(reg.Post, nil, argName, "\t"); err != nil {
-			return err
-		}
-	}
-	g.p("\traw := %s", gatherExpr(v, srcs))
-	g.emitReadCheck(v, "\t")
-	if g.vcached[v] {
-		g.p("\td.%s = raw", g.vcField(v))
-	}
-	if err := g.emitActions(v.Set, v, argName, "\t"); err != nil {
-		return err
-	}
-	g.p("\treturn %s", g.rawToTyped(v, "raw"))
-	g.p("}")
-	g.p("")
-	return nil
-}
-
-func (g *generator) emitTopLevelSetter(v *sema.Variable) error {
-	arg := ""
-	argName := ""
-	if v.Param != "" {
-		arg = ", " + goName(v.Param, false) + " int"
-		argName = goName(v.Param, false)
-	}
-	g.p("// %s writes the %s device variable.", g.setterName(v), v.Name)
-	g.p("func (d *Device) %s(v %s%s) {", g.setterName(v), g.goType(v), arg)
-	g.span(g.spec.Name + "." + v.Name + ".set")
-	if argName != "" && v.Domain != nil {
-		g.p("\tif debug && !(%s) {", domainCond(argName, v.Domain))
-		g.p("\t\tpanic(%q)", fmt.Sprintf("devil: %s: argument out of domain %s", v.Name, v.Domain))
-		g.p("\t}")
-	}
-	g.p("\traw := %s", g.typedToRaw(v, "v"))
-	g.emitWriteCheck(v, "\t")
-	if g.vcached[v] {
-		g.p("\td.%s = raw", g.vcField(v))
-	}
-	plan, err := g.buildWritePlan(v, argName)
-	if err != nil {
-		return err
-	}
-	plan = ir.Optimize(plan, g.passes)
-	// A multi-register write plan (serialized low/high byte pairs, the
-	// 8259A ICW sequence) reuses one out variable: declare it on the
-	// first compose only.
-	outDeclared := false
-	g.emitSteps(plan.Steps, "\t", &outDeclared)
-	if err := g.emitActions(v.Set, v, argName, "\t"); err != nil {
-		return err
-	}
-	g.p("}")
-	g.p("")
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Structure field stubs
-
-func (g *generator) emitFieldGetter(v *sema.Variable) {
-	s := v.Struct
-	g.p("// %s returns the %s field from the last %s snapshot.", g.getterName(v), v.Name, s.Name)
-	g.p("func (d *Device) %s() %s {", g.getterName(v), g.goType(v))
-	g.p("\tif debug && !d.valid%s {", goName(s.Name, true))
-	g.p("\t\tpanic(%q)", fmt.Sprintf("devil: %s read before %s snapshot", v.Name, s.Name))
+	g.p("\tif debug && !(%s) {", domainCond(arg, v.Domain))
+	g.p("\t\tpanic(%q)", fmt.Sprintf("devil: %s: argument out of domain %s", v.Name, v.Domain))
 	g.p("\t}")
-	srcs := map[*sema.Register]string{}
-	for _, ch := range v.Chunks {
-		srcs[ch.Reg] = "d." + g.snapField(ch.Reg)
-	}
-	g.p("\traw := %s", gatherExpr(v, srcs))
-	g.emitReadCheck(v, "\t")
-	g.p("\treturn %s", g.rawToTyped(v, "raw"))
-	g.p("}")
-	g.p("")
-}
-
-func (g *generator) emitFieldSetter(v *sema.Variable) {
-	g.p("// %s stages the %s field; %s flushes it to the device.", g.setterName(v), v.Name, g.structMethod("Write", v.Struct))
-	g.p("func (d *Device) %s(v %s) {", g.setterName(v), g.goType(v))
-	g.p("\traw := %s", g.typedToRaw(v, "v"))
-	g.emitWriteCheck(v, "\t")
-	g.p("\td.%s = raw", g.fldField(v))
-	if v.Trigger != nil {
-		g.p("\td.%s = true", g.stgField(v))
-	}
-	g.p("}")
-	g.p("")
 }
 
 // ---------------------------------------------------------------------------
-// Structures
+// Actions
 
-func (g *generator) emitStructRead(s *sema.Structure) error {
-	m := g.structMethod("Read", s)
-	g.p("// %s reads the registers of %s once, refreshing the snapshot the", m, s.Name)
-	g.p("// field getters decode.")
-	g.p("func (d *Device) %s() {", m)
-	g.span(g.spec.Name + "." + s.Name + ".read")
-	for _, step := range s.Order {
-		if step.Guard != nil {
-			return fmt.Errorf("codegen: guarded structure reads are not supported (%s)", s.Name)
+// valueExpr renders an action value as a uint32 Go expression. cur is the
+// variable whose raw value is in scope as "raw" (may be nil); arg is the
+// register-family parameter in scope. The plan lowering has already
+// rejected every value the stubs cannot express.
+func (g *generator) valueExpr(val sema.Value, cur *sema.Variable, arg string) string {
+	switch val.Kind {
+	case sema.ValConst:
+		return fmt.Sprintf("%#x", val.Const)
+	case sema.ValParamRef:
+		return "uint32(" + arg + ")"
+	case sema.ValVarRef:
+		if val.Var == cur {
+			return "raw"
 		}
-		reg := step.Reg
-		if err := g.emitActions(reg.Pre, nil, "", "\t"); err != nil {
-			return err
-		}
-		g.p("\td.%s = uint32(d.bus.In%d(d.%s + %d))", g.snapField(reg), reg.Read.Port.Width, g.portField(reg.Read.Port), reg.Read.Offset)
-		if err := g.emitActions(reg.Set, nil, "", "\t"); err != nil {
-			return err
-		}
-		if err := g.emitActions(reg.Post, nil, "", "\t"); err != nil {
-			return err
-		}
+		return "d." + g.slotField(val.Var)
 	}
-	g.p("\td.valid%s = true", goName(s.Name, true))
-	g.p("}")
-	g.p("")
-	return nil
+	return "0"
 }
 
-func (g *generator) emitStructWrite(s *sema.Structure) error {
-	m := g.structMethod("Write", s)
-	g.p("// %s flushes the staged fields of %s in serialization order.", m, s.Name)
-	g.p("func (d *Device) %s() {", m)
-	g.span(g.spec.Name + "." + s.Name + ".write")
-	// One out variable serves every serialization step; it is declared by
-	// the first step that runs unconditionally (a declaration inside a
-	// guard's if-block stays scoped there, so later guarded steps may
-	// declare again).
-	outDeclared := false
-	for _, step := range s.Order {
-		indent := "\t"
-		if gd := step.Guard; gd != nil {
-			var lhs string
-			if gd.Var.Cell {
-				lhs = "d." + g.cellField(gd.Var)
-			} else {
-				lhs = "d." + g.fldField(gd.Var)
-			}
-			op := "=="
-			if gd.Neg {
-				op = "!="
-			}
-			g.p("\tif %s %s %#x {", lhs, op, gd.Value)
-			indent = "\t\t"
-		}
-		reg := step.Reg
-		or, and := reg.ForcedBits()
-		if outDeclared {
-			g.p("%sout = uint32(%#x)", indent, or)
-		} else {
-			g.p("%sout := uint32(%#x)", indent, or)
-			if step.Guard == nil {
-				outDeclared = true
-			}
-		}
-		for _, f := range g.tenants(reg) {
-			if f.Struct != s {
-				// Non-member co-tenants contribute the way the
-				// interpreter composes them: trigger neutrals as
-				// constants, everything else from its cached value
-				// (the whole 8-bit register is rewritten by the flush).
-				switch {
-				case f.Trigger != nil && f.Trigger.HasNeutral:
-					if n := placeValue(reg, f, f.Trigger.Neutral); n != 0 {
-						g.p("%sout |= %#x", indent, n)
-					}
-				case f.Cell:
-					g.p("%sout |= %s", indent, scatterExpr(reg, f, "d."+g.cellField(f)))
-				case f.Struct != nil:
-					g.p("%sout |= %s", indent, scatterExpr(reg, f, "d."+g.fldField(f)))
-				default:
-					g.p("%sout |= %s", indent, scatterExpr(reg, f, "d."+g.vcField(f)))
-				}
+// emitAction prints one action: a cell assignment, a setter call, or a
+// structure literal staged and flushed.
+func (g *generator) emitAction(a *sema.Action, cur *sema.Variable, arg, indent string) {
+	switch {
+	case a.TargetVar != nil && a.TargetVar.Cell:
+		g.p("%sd.%s = %s", indent, g.cellField(a.TargetVar), g.valueExpr(a.Value, cur, arg))
+	case a.TargetVar != nil:
+		g.p("%sd.%s(%s)", indent, g.setterName(a.TargetVar), g.castToVarType(a.TargetVar, g.valueExpr(a.Value, cur, arg)))
+	default:
+		for _, f := range a.Value.Fields {
+			e := g.valueExpr(f.Value, cur, arg)
+			if f.Var.Cell {
+				g.p("%sd.%s = %s", indent, g.cellField(f.Var), e)
 				continue
 			}
-			sc := scatterExpr(reg, f, "d."+g.fldField(f))
-			if f.Trigger != nil && f.Trigger.HasNeutral {
-				g.p("%sif d.%s {", indent, g.stgField(f))
-				g.p("%s\tout |= %s", indent, sc)
-				g.p("%s} else {", indent)
-				g.p("%s\tout |= %#x", indent, placeValue(reg, f, f.Trigger.Neutral))
-				g.p("%s}", indent)
-			} else {
-				g.p("%sout |= %s", indent, sc)
-			}
+			g.p("%sd.%s(%s)", indent, g.setterName(f.Var), g.castToVarType(f.Var, e))
 		}
-		full := careAll(reg.Write.Port.Width)
-		if !(g.passes.ConstFold && (and|or)&full == full && or == 0) {
-			g.p("%sout = out&%#x | %#x", indent, and|or, or)
-		}
-		if err := g.emitActions(reg.Pre, nil, "", indent); err != nil {
-			return err
-		}
-		g.p("%sd.bus.Out%d(d.%s+%d, %s(out))", indent, reg.Write.Port.Width, g.portField(reg.Write.Port), reg.Write.Offset, regWord(reg.Write.Port.Width))
-		if g.shadowed[reg] || g.guarded[reg] {
-			g.p("%sd.%s = out", indent, g.shadowField(reg))
-		}
-		if g.guarded[reg] {
-			g.p("%sd.%s = true", indent, g.okField(reg))
-		}
-		if err := g.emitActions(reg.Set, nil, "", indent); err != nil {
-			return err
-		}
-		if err := g.emitActions(reg.Post, nil, "", indent); err != nil {
-			return err
-		}
-		// Field-level set actions fire with the flushed register.
-		for _, f := range s.Fields {
-			if len(f.Set) == 0 || varMask(reg, f) == 0 {
-				continue
-			}
-			saved := "d." + g.fldField(f)
-			for _, a := range f.Set {
-				if a.TargetVar != nil && a.TargetVar.Cell && a.Value.Kind == sema.ValVarRef && a.Value.Var == f {
-					g.p("%sd.%s = %s", indent, g.cellField(a.TargetVar), saved)
-				} else if err := g.emitActions([]*sema.Action{a}, nil, "", indent); err != nil {
-					return err
-				}
-			}
-		}
-		if step.Guard != nil {
-			g.p("\t}")
-		}
-	}
-	for _, f := range s.Fields {
-		if f.Trigger != nil {
-			g.p("\td.%s = false", g.stgField(f))
-		}
-	}
-	g.p("}")
-	g.p("")
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Block transfers
-
-func (g *generator) emitBlock(v *sema.Variable) {
-	reg := v.Chunks[0].Reg
-	elem := "uint16"
-	if v.Width > 16 {
-		elem = "uint32"
-	}
-	name := goName(v.Name, true)
-	if v.Readable {
-		g.p("// Read%sBlock reads len(buf) values with one block operation", name)
-		g.p("// (the rep-ins equivalent).")
-		g.p("func (d *Device) Read%sBlock(buf []%s) {", name, elem)
-		g.span(g.spec.Name + "." + v.Name + ".blockin")
-		g.emitActionsNoErr(reg.Pre, "\t")
-		g.p("\td.bus.InBlock%d(d.%s+%d, buf)", v.Width, g.portField(reg.Read.Port), reg.Read.Offset)
-		g.emitActionsNoErr(reg.Post, "\t")
-		g.p("}")
-		g.p("")
-	}
-	if v.Writable {
-		g.p("// Write%sBlock writes len(buf) values with one block operation", name)
-		g.p("// (the rep-outs equivalent).")
-		g.p("func (d *Device) Write%sBlock(buf []%s) {", name, elem)
-		g.span(g.spec.Name + "." + v.Name + ".blockout")
-		g.emitActionsNoErr(reg.Pre, "\t")
-		g.p("\td.bus.OutBlock%d(d.%s+%d, buf)", v.Width, g.portField(reg.Write.Port), reg.Write.Offset)
-		g.emitActionsNoErr(reg.Post, "\t")
-		g.p("}")
-		g.p("")
+		g.p("%sd.%s()", indent, g.structMethod("Write", a.TargetStruct))
 	}
 }
 
-func (g *generator) emitActionsNoErr(acts []*sema.Action, indent string) {
-	if err := g.emitActions(acts, nil, "", indent); err != nil {
-		// Block registers with uncommpilable actions are rejected earlier
-		// by the same emitActions call in the scalar stubs.
-		panic(err)
+// castToVarType converts a uint32 expression to the variable's Go type.
+func (g *generator) castToVarType(v *sema.Variable, e string) string {
+	if v.Type.Kind == sema.TypeBool {
+		return fmt.Sprintf("%s != 0", e)
 	}
+	return fmt.Sprintf("%s(%s)", g.goType(v), e)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 // Package codegen generates Go stub packages from resolved Devil
-// specifications — the compiled counterpart of package exec's interpreter.
+// specifications by printing the access plans of package ir — the same
+// plans package exec interprets. Codegen owns only the Go side: naming,
+// types, the §3.2 debug checks, the snapshot methods, and the
+// verification of the emitted source.
 //
 // For a device the generator emits one Go source file containing:
 //

@@ -53,13 +53,18 @@ func TestGenerateOptLevels(t *testing.T) {
 	}
 }
 
-// TestGeneratePassSubsets exercises the explicit Passes override: each
-// pass must only introduce its own shape of change.
+// TestGeneratePassSubsets generates under individual passes: each pass
+// must only introduce its own shape of change.
 func TestGeneratePassSubsets(t *testing.T) {
 	spec := core.MustCompile(specs.CS4236)
 	gen := func(p ir.Passes) string {
 		t.Helper()
-		code, err := Generate(spec, Options{Package: "cs4236", Passes: &p})
+		raw, err := generate(spec, Options{Package: "cs4236", BusImport: "repro/internal/bus",
+			ObsImport: "repro/internal/obs", SnapImport: "repro/internal/snap"}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, err := verifySource(raw)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 // at a time in application order) so the error names the optimization pass
 // that produced the invalid plan.
 func generateVerified(spec *sema.Device, opts Options) ([]byte, error) {
-	passes := opts.passes()
+	passes := opts.Opt.Passes()
 	raw, err := generate(spec, opts, passes)
 	if err != nil {
 		return nil, err

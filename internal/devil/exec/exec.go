@@ -1,17 +1,25 @@
 // Package exec links a resolved Devil specification to a bus and executes
 // variable accesses interpretively.
 //
-// It implements the same access semantics that package codegen compiles into
-// Go stubs: register composition with forced mask bits, trigger-neutral
-// values for co-tenant variables, pre/post/set actions (including the
-// recursive case where establishing a register's context writes another
-// device variable), explicit and default serialization orders with guards,
-// structure snapshot reads, staged structure writes, private memory cells,
-// and parameterized register families.
+// It runs the access plans of package ir — the same plans package codegen
+// prints as Go stubs — so the two back ends share one statement of Devil
+// access semantics: register composition with forced mask bits, trigger
+// neutrals and register shadows for co-tenant variables, pre/post/set
+// actions (including the recursive case where establishing a register's
+// context writes another device variable), serialization orders with
+// guards, structure snapshot reads, staged structure flushes, private
+// memory cells, parameterized register families, block transfers, and the
+// optimizer's elision guards.
 //
-// Debug mode adds the §3.2 run-time checks: written values are verified
-// against the variable type, and (optionally) values read from the device
-// are verified to match the specification.
+// The interpreter's driver state is the canonical ir.StateLayout, slot for
+// slot the fields of a generated stub: memory cells, flush caches,
+// register shadows and elision flags, structure snapshots and their
+// validity, staged fields and staged flags.
+//
+// Where a debug stub panics, the interpreter returns an error. Debug mode
+// adds the §3.2 write checks (written values are verified against the
+// variable type); ReadCheck verifies values read from the device against
+// the specification.
 package exec
 
 import (
@@ -25,28 +33,18 @@ import (
 
 // Options configures a linked device.
 type Options struct {
-	// Debug enables write-range checks and strict structure-cache
-	// discipline, as generated by the compiler in debug mode.
+	// Debug enables write-range checks, as generated by the compiler in
+	// debug mode.
 	Debug bool
 	// ReadCheck additionally verifies values read from the device against
 	// the specification (§3.2: "run-time checks can optionally be generated
 	// after variable reads").
 	ReadCheck bool
-	// Opt selects the optimization level, mirroring the code generator's:
-	// the interpreter applies the same run-time elision guards the compiled
-	// stubs carry, so the two back ends stay trace-identical at every
-	// level. The zero value is ir.O1, the default level.
+	// Opt selects the optimization level of the interpreted plans, as the
+	// code generator's does for the compiled ones, so the two back ends
+	// stay trace-identical at every level. The zero value is ir.O1, the
+	// default level.
 	Opt ir.OptLevel
-	// Passes, when non-nil, overrides the pass set implied by Opt.
-	Passes *ir.Passes
-}
-
-// passes resolves the effective pass set.
-func (o Options) passes() ir.Passes {
-	if o.Passes != nil {
-		return *o.Passes
-	}
-	return o.Opt.Passes()
 }
 
 // Device is a specification linked to a bus at concrete base addresses.
@@ -56,67 +54,48 @@ type Device struct {
 	opts  Options
 	spans *obs.Spans // host attribution stack, discovered from the bus
 
-	base map[*sema.Port]uint32
+	prog *ir.Program
+	base []uint32 // port base addresses, by sema port Index
+	st   state
+}
 
-	// cells holds private memory-cell values.
-	cells map[*sema.Variable]uint64
-	// varCache holds the last written or snapshot-decoded raw value per
-	// variable; used for composition, guards, and structure field reads.
-	varCache map[*sema.Variable]uint64
-	varValid map[*sema.Variable]bool
-	// regShadow holds the last raw value written to (or read from) each
-	// register, the substrate for read-modify-write on write-only registers.
-	regShadow map[*sema.Register]uint64
-	// structRead marks structures whose snapshot cache is valid.
-	structRead map[*sema.Structure]bool
-	// structSnap retains the raw register values of the last structure
-	// read — the interpreted twin of the generated snap fields, kept so
-	// snapshots serialize the same bytes the stubs do.
-	structSnap map[*sema.Register]uint64
-	// staged marks structure fields assigned since the last flush; staged
-	// values override trigger neutrals during composition, so an explicit
-	// assignment to a trigger field does fire exactly once.
-	staged map[*sema.Variable]bool
-	// fldCache holds the last value staged for each structure field,
-	// surviving flushes — the interpreted twin of the generated fld
-	// fields, updated only on staging (never by structure reads).
-	fldCache map[*sema.Variable]uint64
+// state holds the slots of the canonical ir.StateLayout, indexed by the
+// sema Index of their variable, register or structure. Slots the layout
+// does not list stay zero and are never read.
+type state struct {
+	cell, vc, fld []uint32 // by variable
+	stg           []bool   // by variable
+	shadow, snap  []uint32 // by register
+	ok            []bool   // by register
+	valid         []bool   // by structure
+}
 
-	// passes and info drive the optimizer's run-time elision guards (the
-	// interpreted twin of the guards codegen compiles into the stubs).
-	// lastWritten/regWritten track the last value written to each register
-	// — only writes, unlike regShadow, which reads also refresh — so the
-	// elision guard matches the generated ok/shadow pair exactly.
-	passes      ir.Passes
-	info        *ir.Info
-	lastWritten map[*sema.Register]uint64
-	regWritten  map[*sema.Register]bool
-
-	// layout is the canonical snapshot wire order, computed on first use
-	// (see snap.go).
-	layout *ir.StateLayout
+func newState(spec *sema.Device) state {
+	nv, nr := len(spec.Variables), len(spec.Registers)
+	return state{
+		cell: make([]uint32, nv), vc: make([]uint32, nv), fld: make([]uint32, nv),
+		stg:    make([]bool, nv),
+		shadow: make([]uint32, nr), snap: make([]uint32, nr),
+		ok:    make([]bool, nr),
+		valid: make([]bool, len(spec.Structures)),
+	}
 }
 
 // Link binds spec to b. bases maps every port parameter name to its
-// absolute address on the bus.
+// absolute address on the bus. The specification is lowered to its access
+// plans here, so shapes no back end implements are rejected at link time.
 func Link(spec *sema.Device, b bus.Bus, bases map[string]uint32, opts Options) (*Device, error) {
+	prog, err := ir.Lower(spec, opts.Opt)
+	if err != nil {
+		return nil, fmt.Errorf("devil: %w", err)
+	}
 	d := &Device{
-		Spec:        spec,
-		bus:         b,
-		opts:        opts,
-		base:        map[*sema.Port]uint32{},
-		cells:       map[*sema.Variable]uint64{},
-		varCache:    map[*sema.Variable]uint64{},
-		varValid:    map[*sema.Variable]bool{},
-		regShadow:   map[*sema.Register]uint64{},
-		structRead:  map[*sema.Structure]bool{},
-		structSnap:  map[*sema.Register]uint64{},
-		staged:      map[*sema.Variable]bool{},
-		fldCache:    map[*sema.Variable]uint64{},
-		passes:      opts.passes(),
-		info:        ir.Analyze(spec),
-		lastWritten: map[*sema.Register]uint64{},
-		regWritten:  map[*sema.Register]bool{},
+		Spec: spec,
+		bus:  b,
+		opts: opts,
+		prog: prog,
+		base: make([]uint32, len(spec.Ports)),
+		st:   newState(spec),
 	}
 	if sp, ok := b.(obs.Spanner); ok {
 		d.spans = sp.Spans()
@@ -126,7 +105,7 @@ func Link(spec *sema.Device, b bus.Bus, bases map[string]uint32, opts Options) (
 		if !ok {
 			return nil, fmt.Errorf("devil: no base address for port %s", p.Name)
 		}
-		d.base[p] = addr
+		d.base[p.Index] = addr
 	}
 	for name := range bases {
 		if spec.Port(name) == nil {
@@ -140,7 +119,7 @@ func Link(spec *sema.Device, b bus.Bus, bases map[string]uint32, opts Options) (
 // Public accessors
 
 // Get reads a device variable and returns its semantic value. Structure
-// fields are served from the structure's snapshot cache (read the structure
+// fields are decoded from the structure's snapshot (read the structure
 // first); memory cells from their storage.
 func (d *Device) Get(name string) (int64, error) { return d.get(name, 0, false) }
 
@@ -149,33 +128,25 @@ func (d *Device) Get(name string) (int64, error) { return d.get(name, 0, false) 
 func (d *Device) GetParam(name string, arg int) (int64, error) { return d.get(name, arg, true) }
 
 func (d *Device) get(name string, arg int, withArg bool) (int64, error) {
-	v := d.Spec.Variable(name)
-	if v == nil {
-		return 0, fmt.Errorf("devil: unknown variable %s", name)
-	}
-	if v.Private {
-		return 0, fmt.Errorf("devil: variable %s is private and not part of the device interface", name)
-	}
-	if err := d.checkArg(v, arg, withArg); err != nil {
+	v, err := d.public(name, arg, withArg)
+	if err != nil {
 		return 0, err
 	}
 	if v.Cell {
-		return v.Type.Decode(d.cells[v]), nil
+		return v.Type.Decode(uint64(d.st.cell[v.Index])), nil
 	}
 	if !v.Readable {
 		return 0, fmt.Errorf("devil: variable %s is not readable", name)
 	}
-	if v.Struct != nil {
-		if !d.structRead[v.Struct] {
-			return 0, fmt.Errorf("devil: structure %s has not been read; call ReadStruct first", v.Struct.Name)
-		}
-		return v.Type.Decode(d.varCache[v]), nil
+	p := d.prog.Vars[v.Index].Get
+	if v.Struct != nil && (p == nil || !d.st.valid[v.Struct.Index]) {
+		return 0, fmt.Errorf("devil: structure %s has not been read; call ReadStruct first", v.Struct.Name)
 	}
-	raw, err := d.readVariable(v, arg)
+	raw, err := d.run(p, frame{arg: arg})
 	if err != nil {
 		return 0, err
 	}
-	return v.Type.Decode(raw), nil
+	return v.Type.Decode(uint64(raw)), nil
 }
 
 // GetSym reads an enumerated variable and returns the matching symbol name.
@@ -198,9 +169,9 @@ func (d *Device) GetSym(name string) (string, error) {
 	return sym.Name, nil
 }
 
-// Set writes a device variable. For fields of a structure the value is
-// staged in the cache and flushed by WriteStruct; for plain variables the
-// write plan runs immediately; for memory cells the storage is updated.
+// Set writes a device variable. Fields of a structure are staged for
+// WriteStruct; plain variables run their write plan immediately; memory
+// cells are stored.
 func (d *Device) Set(name string, value int64) error { return d.set(name, value, 0, false) }
 
 // SetParam writes a parameterized variable at the given register-family
@@ -226,14 +197,8 @@ func (d *Device) SetSym(name, symbol string) error {
 }
 
 func (d *Device) set(name string, value int64, arg int, withArg bool) error {
-	v := d.Spec.Variable(name)
-	if v == nil {
-		return fmt.Errorf("devil: unknown variable %s", name)
-	}
-	if v.Private {
-		return fmt.Errorf("devil: variable %s is private and not part of the device interface", name)
-	}
-	if err := d.checkArg(v, arg, withArg); err != nil {
+	v, err := d.public(name, arg, withArg)
+	if err != nil {
 		return err
 	}
 	raw, err := d.encode(v, value)
@@ -241,62 +206,33 @@ func (d *Device) set(name string, value int64, arg int, withArg bool) error {
 		return err
 	}
 	if v.Cell {
-		d.cells[v] = raw
+		d.st.cell[v.Index] = raw
 		return nil
 	}
 	if !v.Writable {
 		return fmt.Errorf("devil: variable %s is not writable", name)
 	}
-	if v.Struct != nil {
-		d.varCache[v] = raw
-		d.varValid[v] = true
-		d.staged[v] = true
-		d.fldCache[v] = raw
-		return nil
+	p := d.prog.Vars[v.Index].Set
+	if p == nil {
+		return fmt.Errorf("devil: structure %s of %s is not writable", v.Struct.Name, name)
 	}
-	return d.writeVariable(v, raw, arg)
+	_, err = d.run(p, frame{raw: raw, arg: arg})
+	return err
 }
 
 // ReadStruct reads all registers of the structure once, in serialization
-// order, and fills the snapshot cache the field getters use.
+// order, and refreshes the snapshot the field getters decode.
 func (d *Device) ReadStruct(name string) error {
 	s := d.Spec.Structure(name)
 	if s == nil {
 		return fmt.Errorf("devil: unknown structure %s", name)
 	}
-	if d.spans.Enabled() {
-		defer d.spans.Span(d.Spec.Name + "." + s.Name + ".read")()
+	p := d.prog.Structs[s.Index].Read
+	if p == nil {
+		return fmt.Errorf("devil: structure %s is not readable", name)
 	}
-	raws := map[*sema.Register]uint64{}
-	for _, step := range s.Order {
-		if !d.guardHolds(step.Guard) {
-			continue
-		}
-		if step.Reg.Read == nil {
-			return fmt.Errorf("devil: register %s of structure %s is not readable", step.Reg.Name, name)
-		}
-		raw, err := d.accessRegisterRead(step.Reg, 0)
-		if err != nil {
-			return err
-		}
-		raws[step.Reg] = raw
-		d.structSnap[step.Reg] = raw
-	}
-	for _, f := range s.Fields {
-		if !f.Readable {
-			continue
-		}
-		raw := d.extractBits(f, raws)
-		if d.opts.ReadCheck {
-			if err := f.Type.CheckRead(raw); err != nil {
-				return fmt.Errorf("devil: read check on %s: %w", f.Name, err)
-			}
-		}
-		d.varCache[f] = raw
-		d.varValid[f] = true
-	}
-	d.structRead[s] = true
-	return nil
+	_, err := d.run(p, frame{})
+	return err
 }
 
 // WriteStruct flushes the staged field values of the structure to the
@@ -306,25 +242,33 @@ func (d *Device) WriteStruct(name string) error {
 	if s == nil {
 		return fmt.Errorf("devil: unknown structure %s", name)
 	}
-	return d.writeStructResolved(s)
+	p := d.prog.Structs[s.Index].Write
+	if p == nil {
+		return fmt.Errorf("devil: structure %s is not writable", name)
+	}
+	_, err := d.run(p, frame{})
+	return err
 }
 
-// Peek returns the cached value of any variable — including private ones
-// and memory cells — without touching the device. It exists for diagnosis
-// and testing; ok is false when the variable is unknown or has no cached
-// value yet.
+// Peek returns the stored value of a variable — memory cells, including
+// private ones, flush caches and staged structure fields — without
+// touching the device. It exists for diagnosis and testing; ok is false
+// when the variable is unknown or the driver state holds no value for it.
 func (d *Device) Peek(name string) (value int64, ok bool) {
 	v := d.Spec.Variable(name)
 	if v == nil {
 		return 0, false
 	}
-	if v.Cell {
-		return v.Type.Decode(d.cells[v]), true
-	}
-	if !d.varValid[v] {
+	switch ir.SlotOf(v) {
+	case ir.SlotCell, ir.SlotField:
+	case ir.SlotCache:
+		if !d.prog.Layout.VCachedSet[v] {
+			return 0, false
+		}
+	default:
 		return 0, false
 	}
-	return v.Type.Decode(d.varCache[v]), true
+	return v.Type.Decode(uint64(d.stored(v))), true
 }
 
 // Interface returns the names of the public device variables.
@@ -342,473 +286,340 @@ func (d *Device) Interface() []string {
 // ReadBlock16 performs a block read of a 16-bit block variable, one bus
 // block operation after the register's context is established.
 func (d *Device) ReadBlock16(name string, buf []uint16) error {
-	v, err := d.blockVar(name, 16, true)
-	if err != nil {
-		return err
-	}
-	if d.spans.Enabled() {
-		defer d.spans.Span(d.Spec.Name + "." + v.Name + ".blockin")()
-	}
-	reg := v.Chunks[0].Reg
-	if err := d.runActions(reg.Pre, 0, nil); err != nil {
-		return err
-	}
-	d.bus.InBlock16(d.portAddr(reg.Read), buf)
-	return d.runActions(reg.Post, 0, nil)
+	return d.block(name, 16, true, frame{buf16: buf})
 }
 
 // WriteBlock16 performs a block write of a 16-bit block variable.
 func (d *Device) WriteBlock16(name string, buf []uint16) error {
-	v, err := d.blockVar(name, 16, false)
-	if err != nil {
-		return err
-	}
-	if d.spans.Enabled() {
-		defer d.spans.Span(d.Spec.Name + "." + v.Name + ".blockout")()
-	}
-	reg := v.Chunks[0].Reg
-	if err := d.runActions(reg.Pre, 0, nil); err != nil {
-		return err
-	}
-	d.bus.OutBlock16(d.portAddr(reg.Write), buf)
-	return d.runActions(reg.Post, 0, nil)
+	return d.block(name, 16, false, frame{buf16: buf})
 }
 
 // ReadBlock32 performs a block read of a 32-bit block variable.
 func (d *Device) ReadBlock32(name string, buf []uint32) error {
-	v, err := d.blockVar(name, 32, true)
-	if err != nil {
-		return err
-	}
-	if d.spans.Enabled() {
-		defer d.spans.Span(d.Spec.Name + "." + v.Name + ".blockin")()
-	}
-	reg := v.Chunks[0].Reg
-	if err := d.runActions(reg.Pre, 0, nil); err != nil {
-		return err
-	}
-	d.bus.InBlock32(d.portAddr(reg.Read), buf)
-	return d.runActions(reg.Post, 0, nil)
+	return d.block(name, 32, true, frame{buf32: buf})
 }
 
 // WriteBlock32 performs a block write of a 32-bit block variable.
 func (d *Device) WriteBlock32(name string, buf []uint32) error {
-	v, err := d.blockVar(name, 32, false)
-	if err != nil {
-		return err
-	}
-	if d.spans.Enabled() {
-		defer d.spans.Span(d.Spec.Name + "." + v.Name + ".blockout")()
-	}
-	reg := v.Chunks[0].Reg
-	if err := d.runActions(reg.Pre, 0, nil); err != nil {
-		return err
-	}
-	d.bus.OutBlock32(d.portAddr(reg.Write), buf)
-	return d.runActions(reg.Post, 0, nil)
+	return d.block(name, 32, false, frame{buf32: buf})
 }
 
-func (d *Device) blockVar(name string, width int, read bool) (*sema.Variable, error) {
+func (d *Device) block(name string, width int, read bool, f frame) error {
 	v := d.Spec.Variable(name)
 	if v == nil {
-		return nil, fmt.Errorf("devil: unknown variable %s", name)
+		return fmt.Errorf("devil: unknown variable %s", name)
 	}
 	if !v.Block {
-		return nil, fmt.Errorf("devil: variable %s has no block attribute", name)
+		return fmt.Errorf("devil: variable %s has no block attribute", name)
 	}
 	if v.Width != width {
-		return nil, fmt.Errorf("devil: block variable %s is %d bits wide, not %d", name, v.Width, width)
+		return fmt.Errorf("devil: block variable %s is %d bits wide, not %d", name, v.Width, width)
 	}
-	if read && !v.Readable {
-		return nil, fmt.Errorf("devil: variable %s is not readable", name)
+	p := d.prog.Vars[v.Index].BlockOut
+	if read {
+		p = d.prog.Vars[v.Index].BlockIn
 	}
-	if !read && !v.Writable {
-		return nil, fmt.Errorf("devil: variable %s is not writable", name)
+	if p == nil && read {
+		return fmt.Errorf("devil: variable %s is not readable", name)
 	}
-	return v, nil
+	if p == nil {
+		return fmt.Errorf("devil: variable %s is not writable", name)
+	}
+	_, err := d.run(p, f)
+	return err
 }
 
 // ---------------------------------------------------------------------------
 // Plumbing
 
-func (d *Device) checkArg(v *sema.Variable, arg int, withArg bool) error {
+// public resolves a variable of the device interface and checks its
+// register-family argument.
+func (d *Device) public(name string, arg int, withArg bool) (*sema.Variable, error) {
+	v := d.Spec.Variable(name)
+	if v == nil {
+		return nil, fmt.Errorf("devil: unknown variable %s", name)
+	}
+	if v.Private {
+		return nil, fmt.Errorf("devil: variable %s is private and not part of the device interface", name)
+	}
 	if v.Param == "" {
 		if withArg {
-			return fmt.Errorf("devil: variable %s is not parameterized", v.Name)
+			return nil, fmt.Errorf("devil: variable %s is not parameterized", v.Name)
 		}
-		return nil
+		return v, nil
 	}
 	if !withArg {
-		return fmt.Errorf("devil: variable %s needs a register-family argument", v.Name)
+		return nil, fmt.Errorf("devil: variable %s needs a register-family argument", v.Name)
 	}
 	if v.Domain != nil && !v.Domain.Contains(arg) {
-		return fmt.Errorf("devil: argument %d outside the domain %s of %s", arg, v.Domain, v.Name)
+		return nil, fmt.Errorf("devil: argument %d outside the domain %s of %s", arg, v.Domain, v.Name)
 	}
-	return nil
+	return v, nil
 }
 
 // encode converts a semantic value to raw bits, applying the §3.2 write
 // check in debug mode and plain truncation otherwise.
-func (d *Device) encode(v *sema.Variable, value int64) (uint64, error) {
+func (d *Device) encode(v *sema.Variable, value int64) (uint32, error) {
 	if d.opts.Debug {
 		raw, err := v.Type.Encode(value)
 		if err != nil {
 			return 0, fmt.Errorf("devil: write check on %s: %w", v.Name, err)
 		}
-		return raw, nil
+		return uint32(raw), nil
 	}
-	mask := ^uint64(0)
-	if v.Type.Bits < 64 {
-		mask = 1<<uint(v.Type.Bits) - 1
+	if v.Type.Bits < 32 {
+		return uint32(value) & (1<<uint(v.Type.Bits) - 1), nil
 	}
-	return uint64(value) & mask, nil
+	return uint32(value), nil
 }
 
-func (d *Device) portAddr(u *sema.PortUse) uint32 {
-	return d.base[u.Port] + uint32(u.Offset)
+// narrow converts an action value the way a generated setter call does:
+// booleans test non-zero, everything else truncates to the variable's
+// width.
+func narrow(v *sema.Variable, val uint32) uint32 {
+	switch {
+	case v.Type.Kind == sema.TypeBool:
+		if val != 0 {
+			return 1
+		}
+		return 0
+	case v.Type.Bits < 32:
+		return val & (1<<uint(v.Type.Bits) - 1)
+	}
+	return val
 }
 
-// guardHolds evaluates a serialization guard against the cached values.
-func (d *Device) guardHolds(g *sema.Guard) bool {
-	if g == nil {
-		return true
-	}
-	var cur uint64
-	if g.Var.Cell {
-		cur = d.cells[g.Var]
-	} else {
-		cur = d.varCache[g.Var]
-	}
-	eq := cur == g.Value
-	if g.Neg {
-		return !eq
-	}
-	return eq
+// ---------------------------------------------------------------------------
+// The plan interpreter
+
+// frame is the scope of one running plan: the raw value being written (or
+// gathered by a read), the register-family argument, the register value
+// being composed, and the caller's block buffer.
+type frame struct {
+	raw, out uint32
+	arg      int
+	buf16    []uint16
+	buf32    []uint32
 }
 
-// readVariable runs the read plan of a top-level variable. The span is
-// pushed here rather than in the public getter so action-driven nested
-// reads attribute exactly like the generated stubs, whose actions call
-// the public accessors.
-func (d *Device) readVariable(v *sema.Variable, arg int) (uint64, error) {
-	if d.spans.Enabled() {
-		defer d.spans.Span(d.Spec.Name + "." + v.Name + ".get")()
+// run interprets one plan under its span and returns the frame's raw value
+// (the gathered value of a read).
+func (d *Device) run(p *ir.Plan, f frame) (uint32, error) {
+	if p.Spanned() && d.spans.Enabled() {
+		defer d.spans.Span(p.Span(d.Spec.Name))()
 	}
-	raws := map[*sema.Register]uint64{}
-	for _, step := range v.Order {
-		if !d.guardHolds(step.Guard) {
-			continue
-		}
-		raw, err := d.accessRegisterRead(step.Reg, arg)
-		if err != nil {
-			return 0, err
-		}
-		raws[step.Reg] = raw
-	}
-	raw := d.extractBits(v, raws)
-	if d.opts.ReadCheck {
-		if err := v.Type.CheckRead(raw); err != nil {
-			return 0, fmt.Errorf("devil: read check on %s: %w", v.Name, err)
-		}
-	}
-	d.varCache[v] = raw
-	d.varValid[v] = true
-	if err := d.runActions(v.Set, arg, map[*sema.Variable]uint64{v: raw}); err != nil {
-		return 0, err
-	}
-	return raw, nil
+	err := d.steps(p, p.Steps, &f)
+	return f.raw, err
 }
 
-// writeVariable runs the write plan of a top-level variable.
-func (d *Device) writeVariable(v *sema.Variable, raw uint64, arg int) error {
-	if d.spans.Enabled() {
-		defer d.spans.Span(d.Spec.Name + "." + v.Name + ".set")()
-	}
-	d.varCache[v] = raw
-	d.varValid[v] = true
-	pending := map[*sema.Variable]uint64{v: raw}
-	for _, step := range v.Order {
-		if !d.guardHolds(step.Guard) {
-			continue
-		}
-		reg := step.Reg
-		if reg.Write == nil {
-			return fmt.Errorf("devil: register %s of %s is not writable", reg.Name, v.Name)
-		}
-		out := d.composeRegister(reg, pending, arg)
-		// The run-time elision guard (-O1, passes elide-rmw/batch-index):
-		// when the register's last written value is known and already equals
-		// the composed value — and every constant cell assignment the write
-		// would perform already holds — the whole interaction, context
-		// selection included, is skipped, exactly as the generated guard
-		// "ok && shadow == out && cells" does.
-		if el := d.info.Eligible(v, d.passes); el != nil &&
-			d.regWritten[reg] && d.lastWritten[reg] == out && d.cellsHold(el) {
-			continue
-		}
-		if err := d.writeRegister(reg, out, arg); err != nil {
-			return err
-		}
-	}
-	return d.runActions(v.Set, arg, pending)
-}
-
-// composeRegister builds the raw value to write to a register: pending or
-// cached values for each tenant variable's bits, trigger neutrals for
-// trigger co-tenants without a pending value, zero elsewhere, then the
-// forced mask bits.
-func (d *Device) composeRegister(reg *sema.Register, pending map[*sema.Variable]uint64, arg int) uint64 {
-	var out uint64
-	for _, v := range d.Spec.Variables {
-		for _, ch := range v.Chunks {
-			if !chunkTargets(ch, reg) {
-				continue
+func (d *Device) steps(p *ir.Plan, steps []ir.Step, f *frame) error {
+	for i := range steps {
+		s := &steps[i]
+		switch s.Kind {
+		case ir.SCompose:
+			f.out = d.compose(s, f)
+		case ir.SAccum:
+			f.out = uint32(s.Or) | d.compose(s, f)
+		case ir.SMask:
+			f.out = f.out&uint32(s.And) | uint32(s.Or)
+		case ir.SCtxCall, ir.SAction:
+			if err := d.action(s.Act, s.Var, f); err != nil {
+				return err
 			}
-			val, ok := pending[v]
-			if !ok {
-				switch {
-				case v.Trigger != nil && v.Trigger.HasNeutral:
-					val = v.Trigger.Neutral
-				case d.varValid[v]:
-					val = d.varCache[v]
-				default:
-					val = 0
+		case ir.SWrite:
+			d.out(s.Reg.Write, f.out)
+		case ir.SRead:
+			// A read plan's actions never see raw, so the gathered value
+			// accumulates as the registers are read.
+			f.raw |= uint32(ir.ExtractValue(s.Reg, p.Var, uint64(d.in(s.Reg.Read))))
+		case ir.SDecode:
+			f.raw = 0
+			for _, ch := range s.Var.Chunks {
+				f.raw |= uint32(ir.ExtractValue(ch.Reg, s.Var, uint64(d.st.snap[ch.Reg.Index])))
+			}
+			fallthrough
+		case ir.SGather:
+			if d.opts.ReadCheck {
+				if err := s.Var.Type.CheckRead(uint64(f.raw)); err != nil {
+					return fmt.Errorf("devil: read check on %s: %w", s.Var.Name, err)
 				}
 			}
-			out |= d.placeChunkBits(v, ch, val)
+		case ir.SSnap:
+			d.st.snap[s.Reg.Index] = d.in(s.Reg.Read)
+		case ir.SValid:
+			d.st.valid[p.Struct.Index] = true
+		case ir.SVCache:
+			d.st.vc[s.Var.Index] = f.raw
+		case ir.SStage:
+			d.st.fld[s.Var.Index] = f.raw
+			if s.Var.Trigger != nil {
+				d.st.stg[s.Var.Index] = true
+			}
+		case ir.SUnstage:
+			d.st.stg[s.Var.Index] = false
+		case ir.SShadow:
+			d.st.shadow[s.Reg.Index] = f.out
+		case ir.SOkFlag:
+			d.st.ok[s.Reg.Index] = true
+		case ir.SBlockIn:
+			if addr := d.addr(s.Reg.Read); s.Var.Width > 16 {
+				d.bus.InBlock32(addr, f.buf32)
+			} else {
+				d.bus.InBlock16(addr, f.buf16)
+			}
+		case ir.SBlockOut:
+			if addr := d.addr(s.Reg.Write); s.Var.Width > 16 {
+				d.bus.OutBlock32(addr, f.buf32)
+			} else {
+				d.bus.OutBlock16(addr, f.buf16)
+			}
+		case ir.SGuard:
+			if !d.elided(s.Elide, f.out) {
+				if err := d.steps(p, s.Body, f); err != nil {
+					return err
+				}
+			}
+		case ir.SIf:
+			if d.holds(s.Cond) {
+				if err := d.steps(p, s.Body, f); err != nil {
+					return err
+				}
+			}
 		}
 	}
-	or, and := reg.ForcedBits()
-	return (out & and) | or
+	return nil
 }
 
-// chunkTargets reports whether a chunk addresses reg, following family
-// aliases: a chunk over family F also feeds an instantiation of F and vice
-// versa (they are the same physical slot; masks differ only in relevance).
-func chunkTargets(ch *sema.Chunk, reg *sema.Register) bool {
-	if ch.Reg == reg {
-		return true
-	}
-	if reg.Base != nil && ch.Reg == reg.Base && ch.ArgKind == sema.ArgConst && ch.ArgVal == reg.Arg {
-		return true
-	}
-	if ch.Reg.Base != nil && ch.Reg.Base == reg {
-		return true
-	}
-	return false
-}
-
-// placeChunkBits maps a variable's raw value onto the register bits of one
-// of its chunks. The variable's chunks are MSB-first; bit i of the chunk
-// list corresponds to bit (width-1-i) of the value.
-func (d *Device) placeChunkBits(v *sema.Variable, ch *sema.Chunk, raw uint64) uint64 {
-	// Find the chunk's position within the variable.
-	pos := v.Width
-	var out uint64
-	for _, c := range v.Chunks {
-		pos -= len(c.Bits)
-		if c != ch {
-			continue
-		}
-		for i, b := range c.Bits {
-			valBit := pos + len(c.Bits) - 1 - i
-			if raw&(1<<uint(valBit)) != 0 {
-				out |= 1 << uint(b)
+// compose evaluates a composition step's terms.
+func (d *Device) compose(s *ir.Step, f *frame) uint32 {
+	var out uint32
+	for _, t := range s.Expr.Terms {
+		switch t.Kind {
+		case ir.TConst:
+			out |= uint32(t.Const)
+		case ir.TRaw:
+			out |= uint32(ir.PlaceValue(s.Reg, t.Var, uint64(f.raw)))
+		case ir.TShadow:
+			out |= d.st.shadow[s.Reg.Index] & uint32(t.Mask)
+		case ir.TVar:
+			out |= uint32(ir.PlaceValue(s.Reg, t.Var, uint64(d.stored(t.Var))))
+		case ir.TStaged:
+			if d.st.stg[t.Var.Index] {
+				out |= uint32(ir.PlaceValue(s.Reg, t.Var, uint64(d.st.fld[t.Var.Index])))
+			} else {
+				out |= uint32(t.Const)
 			}
 		}
 	}
 	return out
 }
 
-// extractBits assembles a variable's raw value from per-register raw reads.
-func (d *Device) extractBits(v *sema.Variable, raws map[*sema.Register]uint64) uint64 {
-	var out uint64
-	for _, ch := range v.Chunks {
-		raw, ok := raws[ch.Reg]
-		if !ok && ch.Reg.Base != nil {
-			raw = raws[ch.Reg.Base]
-		}
-		for _, b := range ch.Bits {
-			out <<= 1
-			if raw&(1<<uint(b)) != 0 {
-				out |= 1
+// action runs one action; cur is the variable whose raw value is in scope.
+func (d *Device) action(a *sema.Action, cur *sema.Variable, f *frame) error {
+	if a.TargetStruct != nil {
+		for _, fv := range a.Value.Fields {
+			val := d.value(fv.Value, cur, f)
+			if fv.Var.Cell {
+				d.st.cell[fv.Var.Index] = val
+			} else if err := d.assign(fv.Var, val, f.arg); err != nil {
+				return err
 			}
 		}
-	}
-	return out
-}
-
-// accessRegisterRead establishes the register's context and reads it.
-func (d *Device) accessRegisterRead(reg *sema.Register, arg int) (uint64, error) {
-	if reg.Read == nil {
-		return 0, fmt.Errorf("devil: register %s is not readable", reg.Name)
-	}
-	if err := d.runActions(reg.Pre, arg, nil); err != nil {
-		return 0, err
-	}
-	addr := d.portAddr(reg.Read)
-	var raw uint64
-	switch reg.Read.Port.Width {
-	case 8:
-		raw = uint64(d.bus.In8(addr))
-	case 16:
-		raw = uint64(d.bus.In16(addr))
-	case 32:
-		raw = uint64(d.bus.In32(addr))
-	}
-	d.regShadow[reg] = raw
-	if err := d.runActions(reg.Set, arg, nil); err != nil {
-		return 0, err
-	}
-	return raw, d.runActions(reg.Post, arg, nil)
-}
-
-// writeRegister establishes the register's context and writes raw.
-func (d *Device) writeRegister(reg *sema.Register, raw uint64, arg int) error {
-	if err := d.runActions(reg.Pre, arg, nil); err != nil {
+		p := d.prog.Structs[a.TargetStruct.Index].Write
+		if p == nil {
+			return fmt.Errorf("devil: action flushes structure %s, which is not writable", a.TargetStruct.Name)
+		}
+		_, err := d.run(p, frame{})
 		return err
 	}
-	addr := d.portAddr(reg.Write)
-	switch reg.Write.Port.Width {
-	case 8:
-		d.bus.Out8(addr, uint8(raw))
-	case 16:
-		d.bus.Out16(addr, uint16(raw))
-	case 32:
-		d.bus.Out32(addr, uint32(raw))
+	val := d.value(a.Value, cur, f)
+	if a.TargetVar.Cell {
+		d.st.cell[a.TargetVar.Index] = val
+		return nil
 	}
-	d.regShadow[reg] = raw
-	d.lastWritten[reg] = raw
-	d.regWritten[reg] = true
-	if err := d.runActions(reg.Set, arg, nil); err != nil {
-		return err
-	}
-	return d.runActions(reg.Post, arg, nil)
+	return d.assign(a.TargetVar, val, f.arg)
 }
 
-// cellsHold reports whether every constant cell assignment of an elidable
-// write already holds, the interpreted form of the generated guard's cell
-// conditions.
-func (d *Device) cellsHold(el *ir.Elision) bool {
+// assign writes an action value through the target variable's set plan,
+// converted the way a generated setter call converts it.
+func (d *Device) assign(v *sema.Variable, val uint32, arg int) error {
+	p := d.prog.Vars[v.Index].Set
+	if p == nil {
+		return fmt.Errorf("devil: action writes %s, which is not writable", v.Name)
+	}
+	_, err := d.run(p, frame{raw: narrow(v, val), arg: arg})
+	return err
+}
+
+// value evaluates an action value; the lowering has rejected every kind
+// it does not handle.
+func (d *Device) value(v sema.Value, cur *sema.Variable, f *frame) uint32 {
+	switch v.Kind {
+	case sema.ValConst:
+		return uint32(v.Const)
+	case sema.ValParamRef:
+		return uint32(f.arg)
+	case sema.ValVarRef:
+		if v.Var == cur {
+			return f.raw
+		}
+		return d.stored(v.Var)
+	}
+	return 0
+}
+
+// stored returns the value of v's state slot.
+func (d *Device) stored(v *sema.Variable) uint32 {
+	switch ir.SlotOf(v) {
+	case ir.SlotCell:
+		return d.st.cell[v.Index]
+	case ir.SlotField:
+		return d.st.fld[v.Index]
+	case ir.SlotCache:
+		return d.st.vc[v.Index]
+	}
+	return 0
+}
+
+// elided evaluates an elision guard against the composed value.
+func (d *Device) elided(el *ir.Elision, out uint32) bool {
+	r := el.Reg.Index
+	if !d.st.ok[r] || d.st.shadow[r] != out {
+		return false
+	}
 	for _, c := range el.Cells {
-		if d.cells[c.Cell] != c.Val {
+		if d.st.cell[c.Cell.Index] != uint32(c.Val) {
 			return false
 		}
 	}
 	return true
 }
 
-// runActions executes pre/post/set actions. arg is the register-family
-// argument in scope; pending carries values being written in the current
-// plan (so "set {xm = XRAE}" sees the value of XRAE being written).
-func (d *Device) runActions(acts []*sema.Action, arg int, pending map[*sema.Variable]uint64) error {
-	for _, a := range acts {
-		if a.TargetVar != nil {
-			val, err := d.evalValue(a.Value, arg, pending)
-			if err != nil {
-				return err
-			}
-			if a.TargetVar.Cell {
-				d.cells[a.TargetVar] = val
-				continue
-			}
-			if err := d.writeVariable(a.TargetVar, val, arg); err != nil {
-				return err
-			}
-			continue
-		}
-		if a.TargetStruct != nil {
-			for _, f := range a.Value.Fields {
-				val, err := d.evalValue(f.Value, arg, pending)
-				if err != nil {
-					return err
-				}
-				if f.Var.Cell {
-					d.cells[f.Var] = val
-					continue
-				}
-				d.varCache[f.Var] = val
-				d.varValid[f.Var] = true
-				d.staged[f.Var] = true
-				d.fldCache[f.Var] = val
-			}
-			if err := d.writeStructResolved(a.TargetStruct); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// holds evaluates a serialization guard.
+func (d *Device) holds(g *sema.Guard) bool {
+	return (d.stored(g.Var) == uint32(g.Value)) != g.Neg
 }
 
-func (d *Device) writeStructResolved(s *sema.Structure) error {
-	if d.spans.Enabled() {
-		defer d.spans.Span(d.Spec.Name + "." + s.Name + ".write")()
+func (d *Device) addr(u *sema.PortUse) uint32 { return d.base[u.Port.Index] + uint32(u.Offset) }
+
+func (d *Device) in(u *sema.PortUse) uint32 {
+	switch addr := d.addr(u); u.Port.Width {
+	case 8:
+		return uint32(d.bus.In8(addr))
+	case 16:
+		return uint32(d.bus.In16(addr))
+	default:
+		return d.bus.In32(addr)
 	}
-	// Fields staged since the last flush are "being written": their values
-	// participate in the composition even for trigger fields, which would
-	// otherwise contribute their neutral value.
-	pending := map[*sema.Variable]uint64{}
-	for _, f := range s.Fields {
-		if d.staged[f] {
-			pending[f] = d.varCache[f]
-		}
-	}
-	defer func() {
-		for _, f := range s.Fields {
-			delete(d.staged, f)
-		}
-	}()
-	for _, step := range s.Order {
-		if !d.guardHolds(step.Guard) {
-			continue
-		}
-		if step.Reg.Write == nil {
-			return fmt.Errorf("devil: register %s of structure %s is not writable", step.Reg.Name, s.Name)
-		}
-		raw := d.composeRegister(step.Reg, pending, 0)
-		if err := d.writeRegister(step.Reg, raw, 0); err != nil {
-			return err
-		}
-		// Field-level set actions fire when the flush writes the field's
-		// register (e.g. the CS4236B "set {xm = XRAE}" mode switch).
-		for _, f := range s.Fields {
-			if len(f.Set) == 0 {
-				continue
-			}
-			for _, ch := range f.Chunks {
-				if ch.Reg == step.Reg {
-					pend := map[*sema.Variable]uint64{f: d.varCache[f]}
-					if err := d.runActions(f.Set, 0, pend); err != nil {
-						return err
-					}
-					break
-				}
-			}
-		}
-	}
-	return nil
 }
 
-// evalValue evaluates an action value in the current context.
-func (d *Device) evalValue(v sema.Value, arg int, pending map[*sema.Variable]uint64) (uint64, error) {
-	switch v.Kind {
-	case sema.ValConst:
-		return v.Const, nil
-	case sema.ValAny:
-		return 0, nil
-	case sema.ValParamRef:
-		return uint64(arg), nil
-	case sema.ValVarRef:
-		if pend, ok := pending[v.Var]; ok {
-			return pend, nil
-		}
-		if v.Var.Cell {
-			return d.cells[v.Var], nil
-		}
-		if d.varValid[v.Var] {
-			return d.varCache[v.Var], nil
-		}
-		return 0, nil
+func (d *Device) out(u *sema.PortUse, v uint32) {
+	switch addr := d.addr(u); u.Port.Width {
+	case 8:
+		d.bus.Out8(addr, uint8(v))
+	case 16:
+		d.bus.Out16(addr, uint16(v))
+	default:
+		d.bus.Out32(addr, v)
 	}
-	return 0, fmt.Errorf("devil: unexpected value kind %d", v.Kind)
 }

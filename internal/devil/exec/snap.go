@@ -1,62 +1,51 @@
 package exec
 
-import (
-	"repro/internal/devil/ir"
-	"repro/internal/devil/sema"
-	"repro/internal/snap"
-)
+import "repro/internal/snap"
 
-// The interpreter implements snap.Snapshotter by walking the canonical
-// ir.StateLayout of its specification — the same slots, in the same
+// The interpreter implements snap.Snapshotter by walking its state slots
+// in the canonical ir.StateLayout order — the same slots, in the same
 // order, that devilc compiles into each stub's MarshalState — so a
 // snapshot taken through the interpreter is byte-identical to one taken
 // through the generated stub after the same operation sequence, and
 // either path restores the other's blobs.
-//
-// The interpreter keeps some state the stubs do not (per-variable caches
-// where the stubs use register shadows); those caches are re-derived from
-// the canonical slots on restore rather than serialized, which is what
-// keeps the wire cross-path portable.
 
-// stateLayout computes the canonical wire order once per device.
-func (d *Device) stateLayout() *ir.StateLayout {
-	if d.layout == nil {
-		d.layout = ir.NewStateLayout(d.Spec, d.info, d.passes)
+// walk visits every slot of the layout in wire order.
+func (d *Device) walk(u32 func(*uint32), flag func(*bool)) {
+	l := d.prog.Layout
+	for _, v := range l.Cells {
+		u32(&d.st.cell[v.Index])
 	}
-	return d.layout
+	for _, v := range l.VCached {
+		u32(&d.st.vc[v.Index])
+	}
+	for _, r := range l.Shadows {
+		u32(&d.st.shadow[r.Index])
+	}
+	for _, r := range l.Guarded {
+		flag(&d.st.ok[r.Index])
+	}
+	for _, r := range l.Snapped {
+		u32(&d.st.snap[r.Index])
+	}
+	for _, s := range l.Readable {
+		flag(&d.st.valid[s.Index])
+	}
+	for _, s := range l.Writable {
+		for _, f := range s.Fields {
+			u32(&d.st.fld[f.Index])
+			if f.Trigger != nil {
+				flag(&d.st.stg[f.Index])
+			}
+		}
+	}
 }
 
 // MarshalState appends the device's spec-derived driver state as one snap
 // blob in the canonical ir.StateLayout order.
 func (d *Device) MarshalState(dst []byte) ([]byte, error) {
-	l := d.stateLayout()
 	dst, patch := snap.AppendHeader(dst, d.Spec.Name)
-	for _, v := range l.Cells {
-		dst = snap.AppendU32(dst, uint32(d.cells[v]))
-	}
-	for _, v := range l.VCached {
-		dst = snap.AppendU32(dst, uint32(d.varCache[v]))
-	}
-	for _, reg := range l.Shadows {
-		dst = snap.AppendU32(dst, uint32(d.lastWritten[reg]))
-	}
-	for _, reg := range l.Guarded {
-		dst = snap.AppendBool(dst, d.regWritten[reg])
-	}
-	for _, reg := range l.Snapped {
-		dst = snap.AppendU32(dst, uint32(d.structSnap[reg]))
-	}
-	for _, s := range l.Readable {
-		dst = snap.AppendBool(dst, d.structRead[s])
-	}
-	for _, s := range l.Writable {
-		for _, f := range s.Fields {
-			dst = snap.AppendU32(dst, uint32(d.fldCache[f]))
-			if f.Trigger != nil {
-				dst = snap.AppendBool(dst, d.staged[f])
-			}
-		}
-	}
+	d.walk(func(p *uint32) { dst = snap.AppendU32(dst, *p) },
+		func(p *bool) { dst = snap.AppendBool(dst, *p) })
 	return snap.FinishHeader(dst, patch), nil
 }
 
@@ -65,95 +54,11 @@ func (d *Device) MarshalState(dst []byte) ([]byte, error) {
 // optimization level). On error the device state is unspecified; restore
 // into a freshly linked device. The method never panics on corrupt input.
 func (d *Device) UnmarshalState(data []byte) error {
-	l := d.stateLayout()
 	r, err := snap.NewReader(data, d.Spec.Name)
 	if err != nil {
 		return err
 	}
-	clear(d.cells)
-	clear(d.varCache)
-	clear(d.varValid)
-	clear(d.regShadow)
-	clear(d.structRead)
-	clear(d.structSnap)
-	clear(d.staged)
-	clear(d.fldCache)
-	clear(d.lastWritten)
-	clear(d.regWritten)
-
-	for _, v := range l.Cells {
-		d.cells[v] = uint64(r.U32())
-	}
-	for _, v := range l.VCached {
-		d.varCache[v] = uint64(r.U32())
-		d.varValid[v] = true
-	}
-	shadows := map[*sema.Register]uint64{}
-	for _, reg := range l.Shadows {
-		raw := uint64(r.U32())
-		d.lastWritten[reg] = raw
-		d.regShadow[reg] = raw
-		shadows[reg] = raw
-	}
-	for _, reg := range l.Guarded {
-		d.regWritten[reg] = r.Bool()
-	}
-	for _, reg := range l.Snapped {
-		d.structSnap[reg] = uint64(r.U32())
-	}
-	for _, s := range l.Readable {
-		d.structRead[s] = r.Bool()
-	}
-	for _, s := range l.Writable {
-		for _, f := range s.Fields {
-			raw := uint64(r.U32())
-			d.fldCache[f] = raw
-			d.varCache[f] = raw
-			d.varValid[f] = true
-			if f.Trigger != nil && r.Bool() {
-				d.staged[f] = true
-			}
-		}
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-
-	// Re-derive the interpreter-only caches the stubs hold as register
-	// shadows. A generated top-level setter composes co-tenant bits from
-	// the register shadow; the interpreter composes from varCache, so the
-	// co-tenants of every RMW-shadowed register recover their bits from
-	// the restored shadow. Extracting zero for never-written registers
-	// matches the generated zero-valued shadow fields.
-	for _, reg := range l.Shadows {
-		if !l.RMWShadowed[reg] {
-			continue
-		}
-		for _, t := range ir.Tenants(d.Spec, reg) {
-			if t.Cell || t.Struct != nil || l.VCachedSet[t] {
-				continue
-			}
-			if t.Trigger != nil && t.Trigger.HasNeutral {
-				continue
-			}
-			d.varCache[t] = d.extractBits(t, shadows)
-			d.varValid[t] = true
-		}
-	}
-	// Readable structure fields decode from the restored raw snapshot,
-	// exactly as ReadStruct filled them; the snapshot wins over a staged
-	// value because a valid snapshot means the read happened.
-	for _, s := range l.Readable {
-		if !d.structRead[s] {
-			continue
-		}
-		for _, f := range s.Fields {
-			if !f.Readable {
-				continue
-			}
-			d.varCache[f] = d.extractBits(f, d.structSnap)
-			d.varValid[f] = true
-		}
-	}
-	return nil
+	d.st = newState(d.Spec)
+	d.walk(func(p *uint32) { *p = r.U32() }, func(p *bool) { *p = r.Bool() })
+	return r.Close()
 }

@@ -273,7 +273,8 @@ func classify(spec *sema.Device, v *sema.Variable) (*Elision, DowngradeReason, s
 }
 
 // tenantOf reports whether t owns bits of reg, following family aliases
-// the way the interpreter's composition does.
+// in both directions: a conservative superset of the tenants a write plan
+// composes.
 func tenantOf(t *sema.Variable, reg *sema.Register) bool {
 	for _, ch := range t.Chunks {
 		if ch.Reg == reg {

@@ -1,26 +1,30 @@
-// Package ir is the optimization layer between the resolved Devil model
-// (package sema) and the two access back ends (packages codegen and exec).
+// Package ir is the single statement of Devil access semantics, between
+// the resolved Devil model (package sema) and the two access back ends:
+// package codegen prints its plans as Go stubs and package exec
+// interprets the same plans.
 //
 // It has three parts:
 //
-//   - An explicit intermediate representation of a generated method's
-//     port-access plan (Plan, Step, Expr): the sequence of context-setter
-//     calls, register compositions, forced-bit mask adjustments, port
-//     operations and cache updates that one variable write performs. The
-//     code generator builds a Plan per write method instead of emitting Go
-//     text directly, runs the enabled passes over it, and renders the
-//     result.
+//   - Lowering (Lower): every access of a device — variable get and set,
+//     structure-field decode and staging, structure read and flush, block
+//     in and out — becomes a Plan of typed Steps: register compositions
+//     (Expr), forced-bit masks, context-selecting and other actions, port
+//     reads and writes, cache and shadow updates, serialization guards and
+//     elision guards. Steps reference registers, variables, sema actions
+//     and guards; they carry no rendered code. Lowering is also the one
+//     place that rejects specification shapes neither back end
+//     implements.
 //
 //   - Composable peephole passes over plans (Coalesce, ConstFold, ElideRMW,
-//     BatchIndex), selected by an optimization level (OptLevel) or
-//     individually (Passes). The passes are pure Plan→Plan transformations,
-//     so each is testable in isolation against golden plan listings.
+//     BatchIndex), selected by an optimization level (OptLevel) and
+//     applied by Lower. The passes are pure Plan→Plan transformations, so
+//     each is testable in isolation against golden plan listings.
 //
 //   - The elision eligibility analysis (Analyze): the static rules deciding
 //     for which variables a redundant register write may be skipped at run
-//     time, shared by codegen (which emits the guard) and exec (which
-//     interprets the same guard), so the two back ends keep producing
-//     identical bus traces at every optimization level.
+//     time. The decision becomes an SGuard step, which codegen prints and
+//     exec evaluates, so the two back ends keep producing identical bus
+//     traces at every optimization level.
 //
 // The run-time elision rule is deliberately conservative. A write of
 // variable V to register R may be skipped only when R's last written value
@@ -75,8 +79,8 @@ func ParseLevel(s string) (OptLevel, error) {
 }
 
 // Passes selects the peephole passes individually. The level-to-pass
-// mapping lives in OptLevel.Passes; generators accept an explicit Passes
-// to compose any subset.
+// mapping lives in OptLevel.Passes; LowerPasses accepts an explicit set to
+// compose any subset.
 type Passes struct {
 	// Coalesce merges adjacent writes of the same register into one Out:
 	// a repeated context-selector call with no intervening port operation

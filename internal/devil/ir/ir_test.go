@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/devil/ir"
 	"repro/internal/devil/sema"
+	"repro/internal/specs"
 )
 
 func TestLevels(t *testing.T) {
@@ -39,7 +41,7 @@ func TestLevels(t *testing.T) {
 	}
 }
 
-// golden runs one pass over a plan and compares the stable listing.
+// golden compares a plan's stable listing.
 func golden(t *testing.T, name string, got *ir.Plan, want string) {
 	t.Helper()
 	if g, w := got.String(), strings.TrimLeft(want, "\n"); g != w {
@@ -47,67 +49,95 @@ func golden(t *testing.T, name string, got *ir.Plan, want string) {
 	}
 }
 
+// A hand-built fragment of the cs4236 index/data window for the pass
+// tests: the index variable IA and the data register I9 behind it.
+var (
+	ia  = &sema.Variable{Name: "IA"}
+	pen = &sema.Variable{Name: "pen"}
+	i9  = reg8("I9")
+)
+
+// reg8 returns a register on an 8-bit port.
+func reg8(name string) *sema.Register {
+	return &sema.Register{Name: name, Write: &sema.PortUse{Port: &sema.Port{Name: "base", Width: 8}}}
+}
+
+// selectI9 returns a fresh context call selecting I9: distinct action
+// objects with equal contents, as two registers' pre actions are.
+func selectI9(index uint64) ir.Step {
+	return ir.Step{Kind: ir.SCtxCall, Reg: i9, Act: &sema.Action{
+		TargetVar: ia, Value: sema.Value{Kind: sema.ValConst, Const: index},
+	}}
+}
+
 func TestCoalesceGolden(t *testing.T) {
-	reg := &sema.Register{Name: "I9"}
-	ctx := func() *ir.Step { return &ir.Step{Kind: ir.SCtxCall, Reg: reg, Text: "d.SetIA(uint8(0x9))"} }
-	p := &ir.Plan{Method: "SetPen", Steps: []*ir.Step{
-		{Kind: ir.SCompose, Reg: reg, Expr: &ir.Expr{Terms: []ir.Term{{Text: "(raw & 0x1)", Mask: 0x1}}}},
-		ctx(),
-		{Kind: ir.SMask, Reg: reg, And: 0x5, Full: 0xff},
-		ctx(), // window already selected: dropped
-		{Kind: ir.SWrite, Reg: reg, Text: "d.bus.Out8(d.portBase+1, uint8(out))"},
-		ctx(), // a port operation intervened: kept
+	p := &ir.Plan{Kind: ir.PSet, Var: pen, Steps: []ir.Step{
+		{Kind: ir.SCompose, Reg: i9, Expr: ir.Expr{Terms: []ir.Term{{Kind: ir.TRaw, Mask: 0x1}}}},
+		selectI9(9),
+		{Kind: ir.SMask, Reg: i9, And: 0x5},
+		selectI9(9), // the same window is already selected: dropped
+		selectI9(8), // another window: kept
+		{Kind: ir.SWrite, Reg: i9},
+		selectI9(8), // a port operation intervened: kept
 	}}
 	golden(t, "coalesce", ir.Coalesce(p), `
-plan SetPen:
-  compose I9 = (raw & 0x1)
-  ctx d.SetIA(uint8(0x9)) -> I9
+plan pen.set:
+  compose I9 = raw
+  ctx IA = 0x9 -> I9
   mask &0x5 |0x0
+  ctx IA = 0x8 -> I9
   write I9
-  ctx d.SetIA(uint8(0x9)) -> I9
+  ctx IA = 0x8 -> I9
 `)
 }
 
 func TestConstFoldGolden(t *testing.T) {
-	reg := &sema.Register{Name: "ctl"}
-	p := &ir.Plan{Method: "SetX", Steps: []*ir.Step{
-		{Kind: ir.SCompose, Reg: reg, Expr: &ir.Expr{Terms: []ir.Term{
-			{Text: "(raw & 0x3)", Mask: 0x3},
-			{Const: 0x20, Mask: 0x20},            // trigger neutral: kept, merged
-			{Const: 0x00, Mask: 0xc0},            // zero constant: dropped
-			{Text: "d.shadowCtl&0x0", Mask: 0x0}, // masked-out keep: dropped
+	reg := reg8("ctl")
+	p := &ir.Plan{Kind: ir.PSet, Var: &sema.Variable{Name: "x"}, Steps: []ir.Step{
+		{Kind: ir.SCompose, Reg: reg, Expr: ir.Expr{Terms: []ir.Term{
+			{Kind: ir.TRaw, Mask: 0x3},
+			{Kind: ir.TConst, Const: 0x20, Mask: 0x20}, // trigger neutral: kept, merged
+			{Kind: ir.TConst, Const: 0x00, Mask: 0xc0}, // zero constant: dropped
+			{Kind: ir.TShadow, Mask: 0x0},              // masked-out keep: dropped
 		}}},
-		{Kind: ir.SMask, Reg: reg, And: 0xff, Or: 0x0, Full: 0xff}, // no-op: dropped
-		{Kind: ir.SWrite, Reg: reg, Text: "d.bus.Out8(d.portBase+0, uint8(out))"},
+		{Kind: ir.SMask, Reg: reg, And: 0xff, Or: 0x0}, // no-op: dropped
+		{Kind: ir.SWrite, Reg: reg},
 	}}
 	golden(t, "constfold", ir.ConstFold(p), `
-plan SetX:
-  compose ctl = (raw & 0x3) | 0x20
+plan x.set:
+  compose ctl = raw | 0x20
   write ctl
 `)
-	// A mask that forces bits is not a no-op and must survive.
-	p2 := &ir.Plan{Method: "SetY", Steps: []*ir.Step{
-		{Kind: ir.SMask, Reg: reg, And: 0x60, Or: 0x80, Full: 0xff},
+	// A mask that forces bits is not a no-op and must survive; a no-op
+	// mask inside a serialization guard is dropped too.
+	p2 := &ir.Plan{Kind: ir.PWrite, Struct: &sema.Structure{Name: "y"}, Steps: []ir.Step{
+		{Kind: ir.SMask, Reg: reg, And: 0x60, Or: 0x80},
+		{Kind: ir.SIf, Cond: &sema.Guard{Var: &sema.Variable{Name: "c", Cell: true}, Value: 1}, Body: []ir.Step{
+			{Kind: ir.SMask, Reg: reg, And: 0xff},
+			{Kind: ir.SWrite, Reg: reg},
+		}},
 	}}
 	golden(t, "constfold-keep", ir.ConstFold(p2), `
-plan SetY:
+plan y.write:
   mask &0x60 |0x80
+  if cell.c == 0x1:
+    write ctl
 `)
 }
 
 func elidablePlan(ctx bool) *ir.Plan {
-	reg := &sema.Register{Name: "I9"}
+	xm := &sema.Variable{Name: "xm", Cell: true}
 	return &ir.Plan{
-		Method: "SetPen",
-		Ctx:    ctx,
-		Elide:  &ir.Guard{Ok: "d.okI9", Shadow: "d.shadowI9", Cells: []string{"d.cellXm == 0x0"}},
-		Steps: []*ir.Step{
-			{Kind: ir.SCompose, Reg: reg, Expr: &ir.Expr{Terms: []ir.Term{{Text: "(raw & 0x1)", Mask: 0x1}}}},
-			{Kind: ir.SMask, Reg: reg, And: 0x5, Full: 0xff},
-			{Kind: ir.SCtxCall, Reg: reg, Text: "d.SetIA(uint8(0x9))"},
-			{Kind: ir.SWrite, Reg: reg, Text: "d.bus.Out8(d.portBase+1, uint8(out))"},
-			{Kind: ir.SShadow, Reg: reg, Text: "d.shadowI9 = out"},
-			{Kind: ir.SOkFlag, Reg: reg, Text: "d.okI9 = true"},
+		Kind:  ir.PSet,
+		Var:   pen,
+		Elide: &ir.Elision{Reg: i9, Ctx: ctx, Cells: []ir.CellCond{{Cell: xm, Val: 0}}},
+		Steps: []ir.Step{
+			{Kind: ir.SCompose, Reg: i9, Expr: ir.Expr{Terms: []ir.Term{{Kind: ir.TRaw, Mask: 0x1}}}},
+			{Kind: ir.SMask, Reg: i9, And: 0x5},
+			selectI9(9),
+			{Kind: ir.SWrite, Reg: i9},
+			{Kind: ir.SShadow, Reg: i9},
+			{Kind: ir.SOkFlag, Reg: i9},
 		},
 	}
 }
@@ -115,35 +145,25 @@ func elidablePlan(ctx bool) *ir.Plan {
 func TestElideRMWGolden(t *testing.T) {
 	// Composition and mask stay outside the guard (the guard compares the
 	// composed out value); everything effectful moves inside.
-	golden(t, "elide-rmw", ir.ElideRMW(elidablePlan(false)), `
-plan SetPen:
-  compose I9 = (raw & 0x1)
+	want := `
+plan pen.set:
+  compose I9 = raw
   mask &0x5 |0x0
-  guard unless d.okI9 && d.shadowI9 == out && d.cellXm == 0x0:
-    ctx d.SetIA(uint8(0x9)) -> I9
+  guard unless ok.I9 && shadow.I9 == out && cell.xm == 0x0:
+    ctx IA = 0x9 -> I9
     write I9
     shadow I9
     ok I9
-`)
+`
+	golden(t, "elide-rmw", ir.ElideRMW(elidablePlan(false)), want)
 	// A context-selector plan is BatchIndex's job, not ElideRMW's.
 	p := elidablePlan(true)
 	if got := ir.ElideRMW(p).String(); strings.Contains(got, "guard") {
 		t.Errorf("ElideRMW guarded a ctx-class plan:\n%s", got)
 	}
-	golden(t, "batch-index", ir.BatchIndex(p), `
-plan SetPen:
-  compose I9 = (raw & 0x1)
-  mask &0x5 |0x0
-  guard unless d.okI9 && d.shadowI9 == out && d.cellXm == 0x0:
-    ctx d.SetIA(uint8(0x9)) -> I9
-    write I9
-    shadow I9
-    ok I9
-`)
+	golden(t, "batch-index", ir.BatchIndex(p), want)
 	// A plan without elision facts is left alone by both passes.
-	bare := &ir.Plan{Method: "SetZ", Steps: []*ir.Step{
-		{Kind: ir.SWrite, Reg: &sema.Register{Name: "R"}, Text: "d.bus.Out8(d.portBase+0, uint8(out))"},
-	}}
+	bare := &ir.Plan{Kind: ir.PSet, Var: &sema.Variable{Name: "z"}, Steps: []ir.Step{{Kind: ir.SWrite, Reg: reg8("R")}}}
 	if got := ir.Optimize(bare, ir.O1.Passes()).String(); strings.Contains(got, "guard") {
 		t.Errorf("pass set guarded an ineligible plan:\n%s", got)
 	}
@@ -154,15 +174,175 @@ func TestExprRender(t *testing.T) {
 	if got := e.Render(); got != "0" {
 		t.Errorf("empty Render() = %q", got)
 	}
-	e = &ir.Expr{Terms: []ir.Term{{Text: "a", Mask: 1}, {Const: 0x20, Mask: 0x20}}}
-	if got := e.Render(); got != "a | 0x20" {
+	cell := &sema.Variable{Name: "xm", Cell: true}
+	e = &ir.Expr{Terms: []ir.Term{
+		{Kind: ir.TRaw, Mask: 1}, {Kind: ir.TConst, Const: 0x20, Mask: 0x20},
+		{Kind: ir.TShadow, Mask: 0xc0}, {Kind: ir.TVar, Var: cell, Mask: 0x2},
+	}}
+	if got := e.Render(); got != "raw | 0x20 | shadow&0xc0 | cell.xm" {
 		t.Errorf("Render() = %q", got)
 	}
-	if _, isConst := e.IsConst(); isConst {
-		t.Error("IsConst true with a text term")
+}
+
+// TestLowerGolden pins the lowered plans of the library shapes the pass
+// tests do not reach: a family getter whose context is a structure
+// flush, a flush with guarded serialization steps, and a block read.
+// Each listing is pinned at both levels; an empty O1 listing means the
+// passes leave the plan unchanged.
+func TestLowerGolden(t *testing.T) {
+	cases := []struct {
+		src    []byte
+		plan   func(*sema.Device, *ir.Program) *ir.Plan
+		o0, o1 string
+	}{
+		{
+			// The cs4236 ext(j) getter: staging XA/XRAE and flushing XS
+			// converts I23 into the extended data window.
+			src: specs.CS4236,
+			plan: func(s *sema.Device, p *ir.Program) *ir.Plan {
+				return p.Vars[s.Variable("ext").Index].Get
+			},
+			o0: `
+plan ext.get:
+  action XS = {XA = arg, XRAE = 0x1}
+  read X
+  gather ext
+`,
+		},
+		{
+			// The XS flush the getter runs: a flush cache (ACF), a staged
+			// trigger field, and the field set action updating xm.
+			src: specs.CS4236,
+			plan: func(s *sema.Device, p *ir.Program) *ir.Plan {
+				return p.Structs[s.Structure("XS").Index].Write
+			},
+			o0: `
+plan XS.write:
+  accum I23 = 0x0 | vc.ACF | fld.XA | stg.XRAE?fld.XRAE:0x0
+  mask &0xfd |0x0
+  ctx IA = 0x17 -> I23
+  write I23
+  shadow I23
+  action xm = fld.XRAE
+  unstage XRAE
+`,
+			o1: `
+plan XS.write:
+  accum I23 = 0x0 | vc.ACF | fld.XA | stg.XRAE?fld.XRAE:0x0
+  mask &0xfd |0x0
+  ctx IA = 0x17 -> I23
+  write I23
+  shadow I23
+  ok I23
+  action xm = fld.XRAE
+  unstage XRAE
+`,
+		},
+		{
+			// The pic8259 ICW sequence: ICW3 and ICW4 go out only when the
+			// staged ICW1 fields call for them.
+			src: specs.PIC8259,
+			plan: func(s *sema.Device, p *ir.Program) *ir.Plan {
+				return p.Structs[s.Structure("init").Index].Write
+			},
+			o0: `
+plan init.write:
+  accum icw1 = 0x10 | fld.lirq | fld.ltim | fld.adi | fld.sngl | fld.ic4
+  mask &0xff |0x10
+  write icw1
+  accum icw2 = 0x0 | fld.base_vec
+  mask &0xf8 |0x0
+  write icw2
+  if fld.sngl == 0x0:
+    accum icw3 = 0x0 | fld.slaves
+    mask &0xff |0x0
+    write icw3
+  if fld.ic4 == 0x1:
+    accum icw4 = 0x0 | fld.sfnm | fld.buf | fld.aeoi | fld.microprocessor
+    mask &0x1f |0x0
+    write icw4
+`,
+			o1: `
+plan init.write:
+  accum icw1 = 0x10 | fld.lirq | fld.ltim | fld.adi | fld.sngl | fld.ic4
+  mask &0xff |0x10
+  write icw1
+  accum icw2 = 0x0 | fld.base_vec
+  mask &0xf8 |0x0
+  write icw2
+  if fld.sngl == 0x0:
+    accum icw3 = 0x0 | fld.slaves
+    write icw3
+  if fld.ic4 == 0x1:
+    accum icw4 = 0x0 | fld.sfnm | fld.buf | fld.aeoi | fld.microprocessor
+    mask &0x1f |0x0
+    write icw4
+`,
+		},
+		{
+			// The IDE 16-bit PIO data block read.
+			src: specs.IDE,
+			plan: func(s *sema.Device, p *ir.Program) *ir.Plan {
+				return p.Vars[s.Variable("Ide_data").Index].BlockIn
+			},
+			o0: `
+plan Ide_data.blockin:
+  blockin Ide_data
+`,
+		},
 	}
-	c := &ir.Expr{Terms: []ir.Term{{Const: 0x20, Mask: 0x20}, {Const: 0x1, Mask: 0x1}}}
-	if v, isConst := c.IsConst(); !isConst || v != 0x21 {
-		t.Errorf("IsConst = %#x, %v", v, isConst)
+	for _, c := range cases {
+		spec := core.MustCompile(c.src)
+		for _, level := range []ir.OptLevel{ir.O0, ir.O1} {
+			prog, err := ir.Lower(spec, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := c.plan(spec, prog)
+			if !p.Spanned() || p.Span(spec.Name) != spec.Name+"."+p.Name() {
+				t.Errorf("%s span = %q", p.Name(), p.Span(spec.Name))
+			}
+			want := c.o0
+			if level == ir.O1 && c.o1 != "" {
+				want = c.o1
+			}
+			golden(t, spec.Name+" "+level.String(), p, want)
+		}
+	}
+}
+
+// TestLowerRejects: the lowering is the one place that rejects the shapes
+// neither back end implements, and it names the access.
+func TestLowerRejects(t *testing.T) {
+	for _, c := range []struct{ name, src, want string }{
+		{"guarded variable", `
+device g (base : bit[8] port @ {0..1})
+{
+    private variable mode : bool;
+    register lo = base @ 0 : bit[8];
+    register hi = base @ 1 : bit[8];
+    variable x = hi # lo : int(16)
+        serialized as {lo; if (mode == true) hi};
+}
+`, "x.get: guarded variable reads are not supported"},
+		{"top-level reference", `
+device r (base : bit[8] port @ {0..2})
+{
+    register a = base @ 0 : bit[8];
+    variable va = a : int(8);
+    register c = base @ 2 : bit[8];
+    variable vc = c : int(8);
+    register b = base @ 1, pre {va = vc} : bit[8];
+    variable vb = b : int(8);
+}
+`, "cannot compile reference to variable vc"},
+	} {
+		spec, err := core.Compile([]byte(c.src))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := ir.Lower(spec, ir.O1); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package ir
 
+import "repro/internal/devil/sema"
+
 // Optimize applies the enabled passes to the plan, in the fixed order
 // coalesce → constfold → elide-rmw → batch-index, and returns the
 // transformed plan. Plans are transformed in place and returned for
@@ -21,54 +23,82 @@ func Optimize(p *Plan, passes Passes) *Plan {
 }
 
 // Coalesce merges adjacent writes of the same register into one Out: a
-// context-selector call identical to the previous one, with no port
+// context-selector call equal to the previous one, with no port
 // operation or state change in between, selects a window that is already
-// selected and is dropped. (The run-time guards of ElideRMW/BatchIndex
-// subsume this dynamically; Coalesce removes the statically provable
-// duplicates even at levels where the run-time guards are off.)
+// selected and is dropped. Two calls are equal when they write the same
+// target with the same value (compared structurally). (The run-time guards
+// of ElideRMW/BatchIndex subsume this dynamically; Coalesce removes the
+// statically provable duplicates even at levels where the run-time guards
+// are off.)
 func Coalesce(p *Plan) *Plan {
-	var out []*Step
+	out := p.Steps[:0]
 	var lastCtx *Step
 	for _, s := range p.Steps {
 		switch s.Kind {
 		case SCtxCall:
-			if lastCtx != nil && lastCtx.Text == s.Text && lastCtx.Reg == s.Reg {
+			if lastCtx != nil && lastCtx.Reg == s.Reg && lastCtx.Var == s.Var && sameAction(lastCtx.Act, s.Act) {
 				continue // the window is already selected
 			}
-			lastCtx = s
-		case SCompose, SMask:
-			// Pure out-variable arithmetic; the selected window is
-			// untouched.
+		case SCompose, SAccum, SMask:
+			// Pure out-value arithmetic; the selected window is untouched.
 		default:
 			// Port operations, actions and cache updates may change or
 			// depend on the selected window: forget it.
 			lastCtx = nil
 		}
 		out = append(out, s)
+		if s.Kind == SCtxCall {
+			lastCtx = &out[len(out)-1]
+		}
 	}
 	p.Steps = out
 	return p
 }
 
+// sameAction reports whether two actions write the same target with the
+// same value.
+func sameAction(a, b *sema.Action) bool {
+	return a.TargetVar == b.TargetVar && a.TargetStruct == b.TargetStruct && sameValue(a.Value, b.Value)
+}
+
+func sameValue(a, b sema.Value) bool {
+	if a.Kind != b.Kind || a.Const != b.Const || a.Var != b.Var || len(a.Fields) != len(b.Fields) {
+		return false
+	}
+	for i := range a.Fields {
+		if a.Fields[i].Var != b.Fields[i].Var || !sameValue(a.Fields[i].Value, b.Fields[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
 // ConstFold folds constants: composition terms that cannot contribute
 // bits are dropped, constant terms are merged, and forced-bit mask
 // adjustments that cannot change the composed value (And covers the whole
-// register, Or forces nothing) are removed.
+// register, Or forces nothing) are removed, inside serialization guards
+// too.
 func ConstFold(p *Plan) *Plan {
-	var out []*Step
-	for _, s := range p.Steps {
+	p.Steps = constFold(p.Steps)
+	return p
+}
+
+func constFold(steps []Step) []Step {
+	out := steps[:0]
+	for _, s := range steps {
 		switch s.Kind {
 		case SCompose:
 			s.Expr.fold()
 		case SMask:
-			if s.And&s.Full == s.Full && s.Or == 0 {
+			if full := fullMask(s.Reg.Write.Port.Width); s.And&full == full && s.Or == 0 {
 				continue // a no-op adjustment
 			}
+		case SIf:
+			s.Body = constFold(s.Body)
 		}
 		out = append(out, s)
 	}
-	p.Steps = out
-	return p
+	return out
 }
 
 // ElideRMW guards the write plans of data-class elidable variables: when
@@ -77,7 +107,7 @@ func ConstFold(p *Plan) *Plan {
 // the whole interaction — context selection, port write, cache updates —
 // is skipped at run time.
 func ElideRMW(p *Plan) *Plan {
-	if p.Elide == nil || p.Ctx {
+	if p.Elide == nil || p.Elide.Ctx {
 		return p
 	}
 	return guardPlan(p)
@@ -90,20 +120,23 @@ func ElideRMW(p *Plan) *Plan {
 // holds the value. Every access path benefits — the pre actions of data
 // registers keep calling the selector's setter and hit the guard there.
 func BatchIndex(p *Plan) *Plan {
-	if p.Elide == nil || !p.Ctx {
+	if p.Elide == nil || !p.Elide.Ctx {
 		return p
 	}
 	return guardPlan(p)
 }
 
 // guardPlan wraps everything from the first effectful step (context call
-// or port operation) onward in the plan's elision guard. Composition and
-// mask steps stay outside: the guard condition compares the composed out
-// value against the shadow.
+// or port operation) onward in the plan's elision guard. Composition,
+// mask and flush-cache steps stay outside: the guard condition compares
+// the composed out value against the shadow, and the cache records the
+// written value whether or not the write is skipped. Elidable variables
+// have no variable-level set actions, so nothing follows the register
+// interaction.
 func guardPlan(p *Plan) *Plan {
 	split := len(p.Steps)
 	for i, s := range p.Steps {
-		if s.Kind != SCompose && s.Kind != SMask {
+		if s.Kind != SCompose && s.Kind != SMask && s.Kind != SVCache {
 			split = i
 			break
 		}
@@ -111,11 +144,7 @@ func guardPlan(p *Plan) *Plan {
 	if split == len(p.Steps) {
 		return p
 	}
-	guard := &Step{
-		Kind: SGuard,
-		Cond: p.Elide.Cond(),
-		Body: p.Steps[split:],
-	}
-	p.Steps = append(p.Steps[:split:split], guard)
+	body := p.Steps[split:len(p.Steps):len(p.Steps)]
+	p.Steps = append(p.Steps[:split:split], Step{Kind: SGuard, Elide: p.Elide, Body: body})
 	return p
 }

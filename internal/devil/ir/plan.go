@@ -8,32 +8,59 @@ import (
 )
 
 // Expr is a register composition: the bitwise OR of terms, each of which
-// can only set bits inside its mask. The generator renders non-constant
-// contributions (scatter expressions, shadow keeps) as Go text; constant
-// contributions (trigger neutrals) stay symbolic so passes can fold them.
+// can only set bits inside its mask.
 type Expr struct {
 	Terms []Term
 }
 
+// TermKind discriminates composition terms.
+type TermKind uint8
+
+const (
+	// TConst is a constant contribution (a trigger neutral).
+	TConst TermKind = iota
+	// TRaw places the raw value being written (the plan's variable) onto
+	// the register.
+	TRaw
+	// TShadow keeps the register shadow's bits under Mask: the co-tenants
+	// as last written.
+	TShadow
+	// TVar places Var's stored value onto the register: its memory cell,
+	// its staged structure field, or its flush cache, by Var's shape (see
+	// Slot).
+	TVar
+	// TStaged places Var's staged structure field when it was staged since
+	// the last flush, and Var's trigger neutral (Const) otherwise.
+	TStaged
+)
+
 // Term is one composition contribution.
 type Term struct {
-	// Text is the rendered Go expression of a non-constant term; empty
-	// for constant terms.
-	Text string
-	// Const is the value of a constant term (Text == "").
+	Kind TermKind
+	// Var is the variable of TRaw, TVar and TStaged terms.
+	Var *sema.Variable
+	// Const is the value of a TConst term, and the neutral of a TStaged
+	// term, already placed on the register.
 	Const uint64
 	// Mask is the set of register bits the term can contribute.
 	Mask uint64
 }
 
-// Render emits the composition as a Go expression.
+// Render lists the composition in the plan listing syntax.
 func (e *Expr) Render() string {
 	var parts []string
 	for _, t := range e.Terms {
-		if t.Text != "" {
-			parts = append(parts, t.Text)
-		} else {
+		switch t.Kind {
+		case TConst:
 			parts = append(parts, fmt.Sprintf("%#x", t.Const))
+		case TRaw:
+			parts = append(parts, "raw")
+		case TShadow:
+			parts = append(parts, fmt.Sprintf("shadow&%#x", t.Mask))
+		case TVar:
+			parts = append(parts, slotName(t.Var))
+		case TStaged:
+			parts = append(parts, fmt.Sprintf("stg.%s?fld.%s:%#x", t.Var.Name, t.Var.Name, t.Const))
 		}
 	}
 	if len(parts) == 0 {
@@ -42,169 +69,255 @@ func (e *Expr) Render() string {
 	return strings.Join(parts, " | ")
 }
 
-// IsConst reports whether the whole composition is a compile-time
-// constant, and returns its value.
-func (e *Expr) IsConst() (uint64, bool) {
-	var v uint64
-	for _, t := range e.Terms {
-		if t.Text != "" {
-			return 0, false
-		}
-		v |= t.Const
-	}
-	return v, true
-}
-
 // fold drops terms that cannot contribute bits and merges constant terms.
 func (e *Expr) fold() {
 	var kept []Term
 	var c uint64
-	hasConst := false
 	for _, t := range e.Terms {
 		if t.Mask == 0 {
 			continue
 		}
-		if t.Text == "" {
-			if t.Const&t.Mask == 0 {
-				continue
-			}
+		if t.Kind == TConst {
 			c |= t.Const & t.Mask
-			hasConst = true
 			continue
 		}
 		kept = append(kept, t)
 	}
-	if hasConst && c != 0 {
-		kept = append(kept, Term{Const: c, Mask: c})
+	if c != 0 {
+		kept = append(kept, Term{Kind: TConst, Const: c, Mask: c})
 	}
 	e.Terms = kept
 }
 
-// StepKind discriminates plan steps.
-type StepKind int
+// Slot names the state slot a variable's stored value lives in.
+type Slot uint8
 
 const (
-	// SCompose assigns the register composition to the plan's out
-	// variable: "out := <expr>" (or "out = ..." on later steps).
+	// SlotNone: the variable has no stored value a plan may read.
+	SlotNone Slot = iota
+	// SlotCell: a private memory cell.
+	SlotCell
+	// SlotField: the staged field of a writable structure.
+	SlotField
+	// SlotCache: the flush cache of a top-level variable that co-tenants
+	// a register some structure flushes (StateLayout.VCached).
+	SlotCache
+)
+
+// SlotOf returns where v's stored value lives: the slot an action value,
+// a serialization guard, or a flush composition reads for v.
+func SlotOf(v *sema.Variable) Slot {
+	switch {
+	case v.Cell:
+		return SlotCell
+	case v.Struct != nil && StructWritable(v.Struct):
+		return SlotField
+	case v.Struct == nil:
+		return SlotCache
+	}
+	return SlotNone
+}
+
+func slotName(v *sema.Variable) string {
+	switch SlotOf(v) {
+	case SlotCell:
+		return "cell." + v.Name
+	case SlotField:
+		return "fld." + v.Name
+	}
+	return "vc." + v.Name
+}
+
+// StepKind discriminates plan steps.
+type StepKind uint8
+
+const (
+	// SCompose assigns the register composition Expr to the plan's out
+	// value.
 	SCompose StepKind = iota
-	// SMask applies the register's forced mask bits: "out = out&A | O".
+	// SAccum is the structure-flush composition: out starts from the
+	// forced bits Or and accumulates each term in turn. ConstFold leaves
+	// it alone.
+	SAccum
+	// SMask applies the register's forced mask bits: out = out&And | Or.
 	SMask
-	// SCtxCall establishes a register's access context by calling another
-	// variable's setter (a compiled pre action): "d.SetIA(uint8(0x9))".
+	// SCtxCall establishes a register's access context by writing another
+	// device variable (a pre action whose target is not a memory cell).
 	SCtxCall
-	// SAction is any other compiled action statement (cell assignments,
-	// struct flush calls); opaque to the passes.
+	// SAction is any other action (cell assignments, structure literals,
+	// set and post actions).
 	SAction
-	// SWrite is the port write of a register.
+	// SWrite writes out to the register's write port.
 	SWrite
-	// SRead is a port read (present in synthetic plans; generated read
-	// paths do not flow through the planner).
+	// SRead reads the register's read port into the plan's next read
+	// source.
 	SRead
-	// SShadow stores out into the register's shadow field.
+	// SGather assembles Var's raw value from the plan's read sources.
+	SGather
+	// SSnap reads the register into its structure snapshot slot.
+	SSnap
+	// SValid marks the plan's structure snapshot valid.
+	SValid
+	// SDecode assembles Var's raw value from the structure snapshot slots.
+	SDecode
+	// SVCache stores the raw value into Var's flush cache.
+	SVCache
+	// SStage stores the raw value into Var's staged structure field (and
+	// sets its staged flag when Var is a trigger).
+	SStage
+	// SUnstage clears Var's staged flag after a flush.
+	SUnstage
+	// SShadow stores out into the register's shadow.
 	SShadow
 	// SOkFlag marks the register's shadow as authoritative for elision.
 	SOkFlag
-	// SCellSet assigns a constant to a private memory cell (a compiled
-	// constant set action); participates in elision guards.
-	SCellSet
-	// SGuard wraps its body in a run-time elision guard:
-	// "if !(<cond>) { <body> }".
+	// SBlockIn and SBlockOut move the caller's buffer through Var's block
+	// register in one bus operation.
+	SBlockIn
+	SBlockOut
+	// SGuard runs Body unless the elision condition Elide holds: the
+	// register shadow is authoritative, equals out, and every constant
+	// cell assignment of the write already holds.
 	SGuard
+	// SIf runs Body when the serialization guard Cond holds.
+	SIf
 )
 
-// Step is one element of an access plan. Text carries the rendered Go of
-// the step's payload where emission needs it verbatim (calls, port
-// operations, cache stores); the structural fields carry what the passes
-// reason about.
+// Step is one element of an access plan. Every operand is typed: the
+// register, variable and action the step touches, never rendered code.
 type Step struct {
 	Kind StepKind
 	// Reg is the register the step touches (composition target, port
-	// operation, shadow store, or the context register selected by a
-	// context call).
+	// operation, shadow store, or the context register an action serves).
 	Reg *sema.Register
-	// Expr is the composition of an SCompose step.
-	Expr *Expr
-	// And, Or, Full describe an SMask step: out = out&And | Or over a
-	// register whose full bit mask is Full.
-	And, Or, Full uint64
-	// Text is the rendered payload statement (may span lines for
-	// SAction).
-	Text string
-	// Cell and Val identify an SCellSet assignment for guard analysis.
-	Cell *sema.Variable
-	Val  uint64
-	// Cond and Body belong to an SGuard step.
-	Cond string
-	Body []*Step
+	// Var is the variable of SGather, SDecode, SVCache, SStage, SUnstage
+	// and block steps; on action steps it is the variable whose raw value
+	// is in scope for the action's value (nil when none is).
+	Var *sema.Variable
+	// Act is the action of SCtxCall and SAction steps.
+	Act *sema.Action
+	// Expr is the composition of SCompose and SAccum steps.
+	Expr Expr
+	// And and Or describe an SMask step, out = out&And | Or; Or is also
+	// the starting value of an SAccum step.
+	And, Or uint64
+	// Elide is the condition of an SGuard step.
+	Elide *Elision
+	// Cond is the condition of an SIf step.
+	Cond *sema.Guard
+	// Body is the guarded region of SGuard and SIf steps.
+	Body []Step
 }
 
-// Guard carries the rendered spelling of a plan's elision guard: the
-// names the generator chose for the ok flag and shadow field of the
-// register, plus any memory-cell equality conditions implied by the
-// register's constant set actions.
-type Guard struct {
-	Ok     string   // e.g. "d.okI9"
-	Shadow string   // e.g. "d.shadowI9"
-	Cells  []string // e.g. "d.cellXm == 0x0"
-}
+// PlanKind discriminates plans.
+type PlanKind uint8
 
-// Cond renders the complete elision condition: the write is skippable
-// when the shadow is authoritative, already holds the composed value, and
-// every constant cell assignment the write would perform already holds.
-func (g *Guard) Cond() string {
-	parts := []string{g.Ok, g.Shadow + " == out"}
-	parts = append(parts, g.Cells...)
-	return strings.Join(parts, " && ")
-}
+const (
+	// PGet reads a top-level variable.
+	PGet PlanKind = iota
+	// PSet writes a top-level variable.
+	PSet
+	// PFieldGet decodes a structure field from the structure snapshot.
+	PFieldGet
+	// PFieldSet stages a structure field for the next flush.
+	PFieldSet
+	// PRead reads a structure's registers into its snapshot.
+	PRead
+	// PWrite flushes a structure's staged fields.
+	PWrite
+	// PBlockIn and PBlockOut are block transfers of a block variable.
+	PBlockIn
+	PBlockOut
+)
 
-// Plan is the port-access plan of one generated write method.
+var planOps = [...]string{"get", "set", "get", "set", "read", "write", "blockin", "blockout"}
+
+// Plan is the lowered access plan of one device access.
 type Plan struct {
-	// Method names the generated method, for diagnostics and golden
-	// listings.
-	Method string
-	// Elide is non-nil when the planned variable passed the eligibility
-	// analysis; Ctx distinguishes the context-selector class (guarded by
-	// BatchIndex) from the data class (guarded by ElideRMW).
-	Elide *Guard
-	Ctx   bool
-	Steps []*Step
+	Kind PlanKind
+	// Var is the accessed variable (variable plans); Struct the accessed
+	// structure (structure plans).
+	Var    *sema.Variable
+	Struct *sema.Structure
+	// Elide is non-nil when the pass set guards this write plan; its Ctx
+	// field tells the context-selector class (guarded by BatchIndex) from
+	// the data class (guarded by ElideRMW).
+	Elide *Elision
+	Steps []Step
+}
+
+// Name is the Devil-level access, "<variable or structure>.<op>".
+func (p *Plan) Name() string { return p.subject() + "." + planOps[p.Kind] }
+
+// Spanned reports whether the access runs under an attribution span:
+// every plan but structure-field decode and staging, which touch no port.
+func (p *Plan) Spanned() bool { return p.Kind != PFieldGet && p.Kind != PFieldSet }
+
+// Span is the attribution span name of the access on the named device,
+// "<device>.<Name>".
+func (p *Plan) Span(device string) string {
+	return device + "." + p.subject() + "." + planOps[p.Kind]
+}
+
+func (p *Plan) subject() string {
+	if p.Struct != nil {
+		return p.Struct.Name
+	}
+	return p.Var.Name
 }
 
 // String renders the plan as a stable textual listing, the format the
-// golden pass tests compare.
+// golden tests compare.
 func (p *Plan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan %s:\n", p.Method)
+	fmt.Fprintf(&b, "plan %s:\n", p.Name())
 	writeSteps(&b, p.Steps, "  ")
 	return b.String()
 }
 
-func writeSteps(b *strings.Builder, steps []*Step, indent string) {
-	for _, s := range steps {
+func writeSteps(b *strings.Builder, steps []Step, indent string) {
+	for i := range steps {
+		s := &steps[i]
 		switch s.Kind {
 		case SCompose:
 			fmt.Fprintf(b, "%scompose %s = %s\n", indent, regName(s.Reg), s.Expr.Render())
+		case SAccum:
+			fmt.Fprintf(b, "%saccum %s = %#x | %s\n", indent, regName(s.Reg), s.Or, s.Expr.Render())
 		case SMask:
 			fmt.Fprintf(b, "%smask &%#x |%#x\n", indent, s.And, s.Or)
 		case SCtxCall:
-			fmt.Fprintf(b, "%sctx %s -> %s\n", indent, s.Text, regName(s.Reg))
+			fmt.Fprintf(b, "%sctx %s -> %s\n", indent, formatAction(s.Act, s.Var), regName(s.Reg))
 		case SAction:
-			fmt.Fprintf(b, "%saction %s\n", indent, strings.ReplaceAll(s.Text, "\n", "; "))
-		case SWrite:
-			fmt.Fprintf(b, "%swrite %s\n", indent, regName(s.Reg))
-		case SRead:
-			fmt.Fprintf(b, "%sread %s\n", indent, regName(s.Reg))
-		case SShadow:
-			fmt.Fprintf(b, "%sshadow %s\n", indent, regName(s.Reg))
-		case SOkFlag:
-			fmt.Fprintf(b, "%sok %s\n", indent, regName(s.Reg))
-		case SCellSet:
-			fmt.Fprintf(b, "%scell %s\n", indent, s.Text)
+			fmt.Fprintf(b, "%saction %s\n", indent, formatAction(s.Act, s.Var))
 		case SGuard:
-			fmt.Fprintf(b, "%sguard unless %s:\n", indent, s.Cond)
+			fmt.Fprintf(b, "%sguard unless %s:\n", indent, s.Elide)
 			writeSteps(b, s.Body, indent+"  ")
+		case SValid:
+			fmt.Fprintf(b, "%svalid\n", indent)
+		case SIf:
+			op := "=="
+			if s.Cond.Neg {
+				op = "!="
+			}
+			fmt.Fprintf(b, "%sif %s %s %#x:\n", indent, slotName(s.Cond.Var), op, s.Cond.Value)
+			writeSteps(b, s.Body, indent+"  ")
+		default:
+			fmt.Fprintf(b, "%s%s %s\n", indent, stepOps[s.Kind], operand(s))
 		}
 	}
+}
+
+var stepOps = [...]string{
+	SWrite: "write", SRead: "read", SGather: "gather", SSnap: "snap",
+	SDecode: "decode", SVCache: "vcache", SStage: "stage", SUnstage: "unstage",
+	SShadow: "shadow", SOkFlag: "ok", SBlockIn: "blockin", SBlockOut: "blockout",
+}
+
+func operand(s *Step) string {
+	if s.Var != nil {
+		return s.Var.Name
+	}
+	return regName(s.Reg)
 }
 
 func regName(r *sema.Register) string {
@@ -212,4 +325,44 @@ func regName(r *sema.Register) string {
 		return "?"
 	}
 	return r.Name
+}
+
+// String renders the elision condition in the listing syntax.
+func (el *Elision) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "ok.%s && shadow.%s == out", el.Reg.Name, el.Reg.Name)
+	for _, c := range el.Cells {
+		fmt.Fprintf(&b, " && cell.%s == %#x", c.Cell.Name, c.Val)
+	}
+	return b.String()
+}
+
+// formatAction renders an action in Devil-like listing syntax; cur is the
+// variable whose raw value is in scope ("raw"), or nil.
+func formatAction(a *sema.Action, cur *sema.Variable) string {
+	if a.TargetStruct != nil {
+		fields := make([]string, len(a.Value.Fields))
+		for i, f := range a.Value.Fields {
+			fields[i] = f.Var.Name + " = " + formatValue(f.Value, cur)
+		}
+		return a.TargetStruct.Name + " = {" + strings.Join(fields, ", ") + "}"
+	}
+	return a.TargetVar.Name + " = " + formatValue(a.Value, cur)
+}
+
+func formatValue(v sema.Value, cur *sema.Variable) string {
+	switch v.Kind {
+	case sema.ValConst:
+		return fmt.Sprintf("%#x", v.Const)
+	case sema.ValAny:
+		return "*"
+	case sema.ValParamRef:
+		return "arg"
+	case sema.ValVarRef:
+		if v.Var == cur {
+			return "raw"
+		}
+		return slotName(v.Var)
+	}
+	return "?"
 }

@@ -2,13 +2,14 @@ package ir
 
 import "repro/internal/devil/sema"
 
-// StateLayout is the canonical serialization layout of a device's
-// spec-derived driver state: the private memory cells, variable caches,
-// register shadows, elision flags, and structure staging the generated
-// stubs keep in struct fields and the exec interpreter keeps in maps.
-// Both paths marshal exactly these slots in exactly this order, so a
-// snapshot taken through one path restores through the other and
-// cross-path snapshots compare byte for byte.
+// StateLayout is the canonical layout of a device's spec-derived driver
+// state: the private memory cells, variable caches, register shadows,
+// elision flags, and structure staging that the access plans read and
+// write. The generated stubs hold these slots as struct fields and the
+// exec interpreter as slices indexed by sema Index. Both paths marshal
+// exactly these slots in exactly this order, so a snapshot taken through
+// one path restores through the other and cross-path snapshots compare
+// byte for byte.
 //
 // The wire order (every list in declaration order, i.e. sema Index order):
 //
@@ -37,7 +38,6 @@ type StateLayout struct {
 	// The same classifications as sets, for membership tests.
 	RMWShadowed map[*sema.Register]bool // needs a shadow for read-modify-write
 	GuardedSet  map[*sema.Register]bool
-	SnappedSet  map[*sema.Register]bool
 	VCachedSet  map[*sema.Variable]bool
 }
 
@@ -51,9 +51,9 @@ func NewStateLayout(spec *sema.Device, info *Info, p Passes) *StateLayout {
 	l := &StateLayout{
 		RMWShadowed: map[*sema.Register]bool{},
 		GuardedSet:  info.GuardedRegs(p),
-		SnappedSet:  map[*sema.Register]bool{},
 		VCachedSet:  map[*sema.Variable]bool{},
 	}
+	snapped := map[*sema.Register]bool{}
 
 	// A register needs a shadow when some variable write composes with
 	// cached co-tenant bits (KeepMask != 0 for some writer).
@@ -71,7 +71,7 @@ func NewStateLayout(spec *sema.Device, info *Info, p Passes) *StateLayout {
 		if StructReadable(s) {
 			l.Readable = append(l.Readable, s)
 			for _, step := range s.Order {
-				l.SnappedSet[step.Reg] = true
+				snapped[step.Reg] = true
 			}
 		}
 		// A structure flush composes non-member co-tenants from their
@@ -108,7 +108,7 @@ func NewStateLayout(spec *sema.Device, info *Info, p Passes) *StateLayout {
 		if l.GuardedSet[r] {
 			l.Guarded = append(l.Guarded, r)
 		}
-		if l.SnappedSet[r] {
+		if snapped[r] {
 			l.Snapped = append(l.Snapped, r)
 		}
 	}
@@ -204,6 +204,25 @@ func PlaceValue(reg *sema.Register, v *sema.Variable, raw uint64) uint64 {
 			valBit := pos + len(ch.Bits) - 1 - i
 			if raw&(1<<uint(valBit)) != 0 {
 				out |= 1 << uint(b)
+			}
+		}
+	}
+	return out
+}
+
+// ExtractValue gathers the bits v owns on reg out of the register value
+// regRaw into their positions in v's value: the inverse of PlaceValue.
+func ExtractValue(reg *sema.Register, v *sema.Variable, regRaw uint64) uint64 {
+	var out uint64
+	pos := v.Width
+	for _, ch := range v.Chunks {
+		pos -= len(ch.Bits)
+		if ch.Reg != reg {
+			continue
+		}
+		for i, b := range ch.Bits {
+			if regRaw&(1<<uint(b)) != 0 {
+				out |= 1 << uint(pos+len(ch.Bits)-1-i)
 			}
 		}
 	}

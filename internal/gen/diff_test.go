@@ -967,3 +967,66 @@ func TestDifferentialCS4236(t *testing.T) {
 		}
 	}
 }
+
+// csWindow is an index/data register file in the CS4236B layout: offset 0
+// selects one of 32 indirect registers, offset 1 reads or writes the
+// selected one. Tests change regs directly to model the device updating a
+// register behind the driver.
+type csWindow struct {
+	index uint8
+	regs  [32]uint8
+}
+
+func (w *csWindow) BusRead(off uint32, width int) uint32 {
+	if off == 0 {
+		return uint32(w.index)
+	}
+	return uint32(w.regs[w.index&0x1f])
+}
+
+func (w *csWindow) BusWrite(off uint32, width int, v uint32) {
+	if off == 0 {
+		w.index = uint8(v)
+		return
+	}
+	w.regs[w.index&0x1f] = uint8(v)
+}
+
+// TestCoTenantComposesFromShadow pins where a read-modify-write takes its
+// co-tenant bits from: pen and sdc share I9, and a pen write composes sdc
+// from the register shadow, i.e. the value last written, not the value
+// last read. The device sets sdc behind the driver and the driver reads
+// it; the following pen write still carries the shadow's sdc (0), in the
+// stub and in the interpreter alike.
+func TestCoTenantComposesFromShadow(t *testing.T) {
+	spec := core.MustCompile(specs.CS4236)
+	newWindowRig := func() (*rig, *csWindow) {
+		var clk bus.Clock
+		space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
+		w := &csWindow{}
+		space.MustMapNamed("cs4236", 0x530, 2, w)
+		return newRig(space), w
+	}
+	genRig, genWin := newWindowRig()
+	execRig, execWin := newWindowRig()
+	genDev := gencs.New(genRig.space, 0x530)
+	execDev, err := core.Link(spec, execRig.space, map[string]uint32{"base": 0x530}, execOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	get, set := execAccessors(t, 0, execDev)
+
+	genDev.SetPen(true)
+	set("pen", 1)
+	genWin.regs[9] |= 0x4 // the device sets sdc (I9 bit 2)
+	execWin.regs[9] |= 0x4
+	genRig.record(b2i(genDev.Sdc()))
+	execRig.record(get("sdc"))
+	genDev.SetPen(false)
+	set("pen", 0)
+
+	compareRigs(t, 0, genRig, execRig)
+	if last := genRig.ops[len(genRig.ops)-1]; last.Kind != obs.KindPortWrite || last.Value != 0 {
+		t.Errorf("final I9 write = %s, want out8[1329]=0x0", last)
+	}
+}
