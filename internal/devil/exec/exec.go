@@ -259,13 +259,7 @@ func (d *Device) Peek(name string) (value int64, ok bool) {
 	if v == nil {
 		return 0, false
 	}
-	switch ir.SlotOf(v) {
-	case ir.SlotCell, ir.SlotField:
-	case ir.SlotCache:
-		if !d.prog.Layout.VCachedSet[v] {
-			return 0, false
-		}
-	default:
+	if s := ir.SlotOf(v); s == ir.SlotNone || s == ir.SlotCache && !d.prog.Layout.VCachedSet[v] {
 		return 0, false
 	}
 	return v.Type.Decode(uint64(d.stored(v))), true
@@ -315,15 +309,12 @@ func (d *Device) block(name string, width int, read bool, f frame) error {
 	if v.Width != width {
 		return fmt.Errorf("devil: block variable %s is %d bits wide, not %d", name, v.Width, width)
 	}
-	p := d.prog.Vars[v.Index].BlockOut
+	p, dir := d.prog.Vars[v.Index].BlockOut, "writable"
 	if read {
-		p = d.prog.Vars[v.Index].BlockIn
-	}
-	if p == nil && read {
-		return fmt.Errorf("devil: variable %s is not readable", name)
+		p, dir = d.prog.Vars[v.Index].BlockIn, "readable"
 	}
 	if p == nil {
-		return fmt.Errorf("devil: variable %s is not writable", name)
+		return fmt.Errorf("devil: variable %s is not %s", name, dir)
 	}
 	_, err := d.run(p, f)
 	return err
