@@ -17,7 +17,8 @@
 //     hand-crafted baseline drivers opt in per file with //devil:rawport.
 //   - spanpair: a span push's pop closure must be deferred or called,
 //     never discarded.
-//   - snapdecode: UnmarshalState decodes through snap.Reader /
+//   - snapdecode: UnmarshalState and every snapshot walk (a function
+//     taking *snap.Codec) decode through snap.Codec /
 //     snap.UnmarshalParts, never raw payload indexing or encoding/binary.
 //   - nodeprecated: no new calls to functions documented "Deprecated:".
 package main

@@ -28,8 +28,8 @@ func TestLoad(t *testing.T) {
 	if len(p.Syntax) == 0 || p.Types == nil || p.TypesInfo == nil {
 		t.Fatal("package not fully loaded")
 	}
-	if p.Types.Scope().Lookup("Reader") == nil {
-		t.Error("type information missing snap.Reader")
+	if p.Types.Scope().Lookup("Codec") == nil {
+		t.Error("type information missing snap.Codec")
 	}
 	for _, f := range p.Syntax {
 		if f.Comments == nil {

@@ -1,5 +1,5 @@
-// Package a exercises the snapdecode analyzer: UnmarshalState bodies
-// that bypass the snap readers.
+// Package a exercises the snapdecode analyzer: UnmarshalState bodies and
+// snapshot walks that bypass the snap decoder.
 package a
 
 import (
@@ -8,21 +8,30 @@ import (
 	"repro/internal/snap"
 )
 
-type good struct{ v uint32 }
+type good struct {
+	v   uint32
+	raw []byte
+}
+
+// snapState is a clean walk: every field goes through the Codec.
+func (g *good) snapState(c *snap.Codec) {
+	c.U32(&g.v)
+	c.Bytes(&g.raw)
+}
 
 func (g *good) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "good")
-	dst = snap.AppendU32(dst, g.v)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "good")
+	g.snapState(&c)
+	return c.Finish()
 }
 
 func (g *good) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "good")
+	c, err := snap.NewDecoder(data, "good")
 	if err != nil {
 		return err
 	}
-	g.v = r.U32()
-	return r.Close()
+	g.snapState(&c)
+	return c.Close()
 }
 
 type bad struct {
@@ -37,8 +46,23 @@ func (b *bad) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// decode is not an UnmarshalState body: raw decoding elsewhere is the
-// wire-format implementation's business, not this analyzer's.
+// rawWalk decodes a length-prefixed payload and then picks its fields out
+// by hand instead of walking them.
+type rawWalk struct {
+	payload []byte
+	v       uint32
+	b       byte
+}
+
+func (w *rawWalk) snapState(c *snap.Codec) {
+	c.Bytes(&w.payload)
+	w.b = w.payload[0]                          // want `snapshot walk snapState indexes raw payload bytes`
+	w.v = binary.LittleEndian.Uint32(w.payload) // want `snapshot walk snapState decodes with encoding/binary`
+}
+
+// decode is neither an UnmarshalState body nor a snapshot walk: raw
+// decoding elsewhere is the wire-format implementation's business, not
+// this analyzer's.
 func decode(data []byte) uint32 {
 	return binary.LittleEndian.Uint32(data)
 }

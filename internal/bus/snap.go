@@ -1,66 +1,68 @@
 package bus
 
-import (
-	"fmt"
-
-	"repro/internal/snap"
-)
+import "repro/internal/snap"
 
 // The bus primitives implement snap.Snapshotter for the host
 // checkpoint/restore path (internal/farm): a suspended host serializes
 // its clock, per-space operation counters, memory contents, and latched
 // interrupts alongside the device simulators and driver stubs, and a
-// freshly wired host restores them. Wiring (mappings, cost models,
-// observers, span stacks) is reconstruction-time configuration and never
-// travels in a blob.
+// freshly wired host restores them. Each primitive lists its fields once,
+// in a snapState walk over a snap.Codec that both directions run. Space
+// and IRQLine walk a local copy and commit it under their lock only after
+// a clean decode, so a rejected blob leaves them untouched. Wiring
+// (mappings, cost models, observers, span stacks) is reconstruction-time
+// configuration and never travels in a blob.
 
-// MarshalState implements snap.Snapshotter: the current virtual time.
+// snapState walks the current virtual time.
+func (c *Clock) snapState(sc *snap.Codec) { sc.U64(&c.ns) }
+
+// MarshalState implements snap.Snapshotter.
 func (c *Clock) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "clock")
-	dst = snap.AppendU64(dst, c.ns)
-	return snap.FinishHeader(dst, patch), nil
+	sc := snap.NewEncoder(dst, "clock")
+	c.snapState(&sc)
+	return sc.Finish()
 }
 
 // UnmarshalState implements snap.Snapshotter.
 func (c *Clock) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "clock")
+	sc, err := snap.NewDecoder(data, "clock")
 	if err != nil {
 		return err
 	}
-	c.ns = r.U64()
-	return r.Close()
+	c.snapState(&sc)
+	return sc.Close()
 }
 
-// MarshalState implements snap.Snapshotter: the operation counters. The
-// mappings, cost model, and observer are wiring.
+// snapState walks the operation counters. The mappings, cost model, and
+// observer are wiring.
+func (st *Stats) snapState(c *snap.Codec) {
+	c.U64(&st.In)
+	c.U64(&st.Out)
+	c.U64(&st.BlockIn)
+	c.U64(&st.BlockOut)
+	c.U64(&st.BlockUnits)
+	c.U64(&st.Faults)
+}
+
+// MarshalState implements snap.Snapshotter.
 func (s *Space) MarshalState(dst []byte) ([]byte, error) {
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
-	dst, patch := snap.AppendHeader(dst, "space")
-	dst = snap.AppendU64(dst, st.In)
-	dst = snap.AppendU64(dst, st.Out)
-	dst = snap.AppendU64(dst, st.BlockIn)
-	dst = snap.AppendU64(dst, st.BlockOut)
-	dst = snap.AppendU64(dst, st.BlockUnits)
-	dst = snap.AppendU64(dst, st.Faults)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "space")
+	st.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState implements snap.Snapshotter.
 func (s *Space) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "space")
+	c, err := snap.NewDecoder(data, "space")
 	if err != nil {
 		return err
 	}
 	var st Stats
-	st.In = r.U64()
-	st.Out = r.U64()
-	st.BlockIn = r.U64()
-	st.BlockOut = r.U64()
-	st.BlockUnits = r.U64()
-	st.Faults = r.U64()
-	if err := r.Close(); err != nil {
+	st.snapState(&c)
+	if err := c.Close(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -69,55 +71,63 @@ func (s *Space) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// MarshalState implements snap.Snapshotter: the latched and lifetime
+// irqState is the IRQLine's snapshot state: the latched and lifetime
 // interrupt counts.
+type irqState struct{ pending, total uint64 }
+
+func (q *irqState) snapState(c *snap.Codec) {
+	c.U64(&q.pending)
+	c.U64(&q.total)
+}
+
+// MarshalState implements snap.Snapshotter.
 func (l *IRQLine) MarshalState(dst []byte) ([]byte, error) {
 	l.mu.Lock()
-	pending, total := l.pending, l.total
+	q := irqState{l.pending, l.total}
 	l.mu.Unlock()
-	dst, patch := snap.AppendHeader(dst, "irq")
-	dst = snap.AppendU64(dst, pending)
-	dst = snap.AppendU64(dst, total)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "irq")
+	q.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState implements snap.Snapshotter.
 func (l *IRQLine) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "irq")
+	c, err := snap.NewDecoder(data, "irq")
 	if err != nil {
 		return err
 	}
-	pending, total := r.U64(), r.U64()
-	if err := r.Close(); err != nil {
+	var q irqState
+	q.snapState(&c)
+	if err := c.Close(); err != nil {
 		return err
 	}
 	l.mu.Lock()
-	l.pending, l.total = pending, total
+	l.pending, l.total = q.pending, q.total
 	l.mu.Unlock()
 	return nil
 }
 
-// MarshalState implements snap.Snapshotter: the memory contents and the
-// fault counter. The Strict flag is wiring.
-func (r *RAM) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "ram")
-	dst = snap.AppendBytes(dst, r.Data)
-	dst = snap.AppendU64(dst, r.Faults)
-	return snap.FinishHeader(dst, patch), nil
+// snapState walks the memory contents and the fault counter. The Strict
+// flag is wiring; the receiver must have been allocated at the size the
+// blob was taken at.
+func (r *RAM) snapState(c *snap.Codec) {
+	c.Buffer(r.Data)
+	c.U64(&r.Faults)
 }
 
-// UnmarshalState implements snap.Snapshotter. The receiver must have been
-// allocated at the size the blob was taken at.
+// MarshalState implements snap.Snapshotter.
+func (r *RAM) MarshalState(dst []byte) ([]byte, error) {
+	c := snap.NewEncoder(dst, "ram")
+	r.snapState(&c)
+	return c.Finish()
+}
+
+// UnmarshalState implements snap.Snapshotter.
 func (r *RAM) UnmarshalState(data []byte) error {
-	rd, err := snap.NewReader(data, "ram")
+	c, err := snap.NewDecoder(data, "ram")
 	if err != nil {
 		return err
 	}
-	b := rd.Bytes()
-	if rd.Err() == nil && len(b) != len(r.Data) {
-		return fmt.Errorf("snap: ram: blob holds %d bytes, RAM is %d", len(b), len(r.Data))
-	}
-	copy(r.Data, b)
-	r.Faults = rd.U64()
-	return rd.Close()
+	r.snapState(&c)
+	return c.Close()
 }

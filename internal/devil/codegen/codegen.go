@@ -298,61 +298,59 @@ func (g *generator) emitBody() {
 // wire order of ir.StateLayout — the same order the exec interpreter
 // walks dynamically, so snapshots from the two paths are byte-identical.
 func (g *generator) emitSnapshot() {
-	// The field accesses, in wire order, as (append-call, read-expr) pairs.
-	type slot struct{ field, kind string }
-	var slots []slot
-	for _, v := range g.prog.Layout.Cells {
-		slots = append(slots, slot{g.cellField(v), "U32"})
-	}
-	for _, v := range g.prog.Layout.VCached {
-		slots = append(slots, slot{g.vcField(v), "U32"})
-	}
-	for _, r := range g.prog.Layout.Shadows {
-		slots = append(slots, slot{g.shadowField(r), "U32"})
-	}
-	for _, r := range g.prog.Layout.Guarded {
-		slots = append(slots, slot{g.okField(r), "Bool"})
-	}
-	for _, r := range g.prog.Layout.Snapped {
-		slots = append(slots, slot{g.snapField(r), "U32"})
-	}
-	for _, s := range g.prog.Layout.Readable {
-		slots = append(slots, slot{"valid" + goName(s.Name, true), "Bool"})
-	}
-	for _, s := range g.prog.Layout.Writable {
-		for _, f := range s.Fields {
-			slots = append(slots, slot{g.fldField(f), "U32"})
-			if f.Trigger != nil {
-				slots = append(slots, slot{g.stgField(f), "Bool"})
-			}
-		}
-	}
-
 	g.p("// MarshalState appends the stub's spec-derived driver state — memory")
 	g.p("// cells, structure-flush caches, register shadows, elision flags,")
 	g.p("// structure snapshots, and staged fields — as one snap blob. The")
 	g.p("// layout is the canonical ir.StateLayout order, shared with the exec")
 	g.p("// interpreter, so cross-path snapshots compare byte for byte.")
 	g.p("func (d *Device) MarshalState(dst []byte) ([]byte, error) {")
-	g.p("\tdst, patch := snap.AppendHeader(dst, %q)", g.spec.Name)
-	for _, s := range slots {
-		g.p("\tdst = snap.Append%s(dst, d.%s)", s.kind, s.field)
-	}
-	g.p("\treturn snap.FinishHeader(dst, patch), nil")
+	g.p("\tc := snap.NewEncoder(dst, %q)", g.spec.Name)
+	g.p("\td.snapState(&c)")
+	g.p("\treturn c.Finish()")
 	g.p("}")
 	g.p("")
 	g.p("// UnmarshalState restores the state appended by MarshalState. A blob")
 	g.p("// for another device, another optimization level, or a corrupted or")
 	g.p("// truncated input is rejected with an error; the method never panics.")
 	g.p("func (d *Device) UnmarshalState(data []byte) error {")
-	g.p("\tr, err := snap.NewReader(data, %q)", g.spec.Name)
+	g.p("\tc, err := snap.NewDecoder(data, %q)", g.spec.Name)
 	g.p("\tif err != nil {")
 	g.p("\t\treturn err")
 	g.p("\t}")
-	for _, s := range slots {
-		g.p("\td.%s = r.%s()", s.field, s.kind)
+	g.p("\td.snapState(&c)")
+	g.p("\treturn c.Close()")
+	g.p("}")
+	g.p("")
+	g.p("// snapState walks the snapshot slots in wire order, for both")
+	g.p("// MarshalState and UnmarshalState.")
+	g.p("func (d *Device) snapState(c *snap.Codec) {")
+	l := g.prog.Layout
+	for _, v := range l.Cells {
+		g.p("\tc.U32(&d.%s)", g.cellField(v))
 	}
-	g.p("\treturn r.Close()")
+	for _, v := range l.VCached {
+		g.p("\tc.U32(&d.%s)", g.vcField(v))
+	}
+	for _, r := range l.Shadows {
+		g.p("\tc.U32(&d.%s)", g.shadowField(r))
+	}
+	for _, r := range l.Guarded {
+		g.p("\tc.Bool(&d.%s)", g.okField(r))
+	}
+	for _, r := range l.Snapped {
+		g.p("\tc.U32(&d.%s)", g.snapField(r))
+	}
+	for _, s := range l.Readable {
+		g.p("\tc.Bool(&d.valid%s)", goName(s.Name, true))
+	}
+	for _, s := range l.Writable {
+		for _, f := range s.Fields {
+			g.p("\tc.U32(&d.%s)", g.fldField(f))
+			if f.Trigger != nil {
+				g.p("\tc.Bool(&d.%s)", g.stgField(f))
+			}
+		}
+	}
 	g.p("}")
 	g.p("")
 }

@@ -59,17 +59,17 @@ func (d *Hand) Name() string { return "standard" }
 // MarshalState implements snap.Snapshotter. The hand driver keeps no
 // device state in host memory, so its blob is a named empty payload.
 func (d *Hand) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "ide-hand")
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "ide-hand")
+	return c.Finish()
 }
 
 // UnmarshalState implements snap.Snapshotter.
 func (d *Hand) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "ide-hand")
+	c, err := snap.NewDecoder(data, "ide-hand")
 	if err != nil {
 		return err
 	}
-	return r.Close()
+	return c.Close()
 }
 
 // Init implements Driver.

@@ -39,21 +39,23 @@ func (d *Devil) UnmarshalState(data []byte) error {
 // raw tail bytes (the shape mismatch is then caught by the part framing).
 type bppState struct{ d *Devil }
 
+func (b bppState) snapState(c *snap.Codec) { c.Int(&b.d.bpp) }
+
 // MarshalState implements snap.Snapshotter.
 func (b bppState) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "permedia2-devil-bpp")
-	dst = snap.AppendU32(dst, uint32(b.d.bpp))
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "permedia2-devil-bpp")
+	b.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState implements snap.Snapshotter.
 func (b bppState) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "permedia2-devil-bpp")
+	c, err := snap.NewDecoder(data, "permedia2-devil-bpp")
 	if err != nil {
 		return err
 	}
-	b.d.bpp = int(r.U32())
-	return r.Close()
+	b.snapState(&c)
+	return c.Close()
 }
 
 // Init implements Driver.

@@ -47,22 +47,25 @@ func NewHand(p Ports) *Hand { return &Hand{p: p} }
 // Name implements Driver.
 func (d *Hand) Name() string { return "standard" }
 
-// MarshalState implements snap.Snapshotter: the configured pixel depth is
-// the hand driver's only host-side state.
+// snapState walks the configured pixel depth, the hand driver's only
+// host-side state.
+func (d *Hand) snapState(c *snap.Codec) { c.Int(&d.bpp) }
+
+// MarshalState implements snap.Snapshotter.
 func (d *Hand) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "permedia2-hand")
-	dst = snap.AppendU32(dst, uint32(d.bpp))
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "permedia2-hand")
+	d.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState implements snap.Snapshotter.
 func (d *Hand) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "permedia2-hand")
+	c, err := snap.NewDecoder(data, "permedia2-hand")
 	if err != nil {
 		return err
 	}
-	d.bpp = int(r.U32())
-	return r.Close()
+	d.snapState(&c)
+	return c.Close()
 }
 
 // Init implements Driver.

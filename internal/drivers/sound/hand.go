@@ -188,15 +188,15 @@ func (d *Hand) Play(clip []byte) error {
 // device state in host memory — every latched value lives in the chips —
 // so its blob is a named empty payload.
 func (d *Hand) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "sound-hand")
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "sound-hand")
+	return c.Finish()
 }
 
 // UnmarshalState implements snap.Snapshotter.
 func (d *Hand) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "sound-hand")
+	c, err := snap.NewDecoder(data, "sound-hand")
 	if err != nil {
 		return err
 	}
-	return r.Close()
+	return c.Close()
 }

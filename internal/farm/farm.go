@@ -384,69 +384,66 @@ func (h *Host) Run() Result {
 // arbitrary allocation.
 const specCap = 1 << 16
 
-// appendSpec serializes the spec fields. The observer is wiring.
-func appendSpec(dst []byte, s WorkloadSpec) []byte {
-	dst = snap.AppendU8(dst, uint8(s.Kind))
-	dst = snap.AppendU8(dst, uint8(s.Variant))
-	dst = snap.AppendU32(dst, uint32(s.Sectors))
-	dst = snap.AppendU32(dst, uint32(s.Size))
-	dst = snap.AppendU32(dst, uint32(s.Rects))
-	dst = snap.AppendU32(dst, uint32(s.Sound.Rate))
-	dst = snap.AppendBool(dst, s.Sound.Stereo)
-	dst = snap.AppendBool(dst, s.Sound.Bits16)
-	dst = snap.AppendU32(dst, uint32(s.Sound.RingBytes))
-	dst = snap.AppendU32(dst, uint32(s.Revs))
-	return dst
+// hostMeta is the "host-meta" part of a host snapshot: the name, the
+// workload spec (its observer is wiring), the step cursor, and the byte
+// and time accounting.
+type hostMeta struct {
+	name         string
+	spec         WorkloadSpec
+	pos          int
+	moved, start uint64
 }
 
-// readSpec decodes and validates the spec fields.
-func readSpec(r *snap.Reader) (WorkloadSpec, error) {
-	var s WorkloadSpec
-	s.Kind = WorkloadKind(r.U8())
-	s.Variant = Variant(r.U8())
-	s.Sectors = int(r.U32())
-	s.Size = int(r.U32())
-	s.Rects = int(r.U32())
-	s.Sound.Rate = int(r.U32())
-	s.Sound.Stereo = r.Bool()
-	s.Sound.Bits16 = r.Bool()
-	s.Sound.RingBytes = int(r.U32())
-	s.Revs = int(r.U32())
-	if err := r.Err(); err != nil {
-		return s, err
-	}
+func (m *hostMeta) snapState(c *snap.Codec) {
+	c.String(&m.name)
+	snap.Byte(c, &m.spec.Kind)
+	snap.Byte(c, &m.spec.Variant)
+	c.Int(&m.spec.Sectors)
+	c.Int(&m.spec.Size)
+	c.Int(&m.spec.Rects)
+	c.Int(&m.spec.Sound.Rate)
+	c.Bool(&m.spec.Sound.Stereo)
+	c.Bool(&m.spec.Sound.Bits16)
+	c.Int(&m.spec.Sound.RingBytes)
+	c.Int(&m.spec.Revs)
+	c.Int(&m.pos)
+	c.U64(&m.moved)
+	c.U64(&m.start)
+}
+
+// validate checks a spec decoded from a snapshot: a known kind and
+// variant, and workload sizes under specCap.
+func (s WorkloadSpec) validate() error {
 	if s.Kind < IDE || s.Kind > Sound {
-		return s, fmt.Errorf("farm: snapshot names unknown workload kind %d", int(s.Kind))
+		return fmt.Errorf("farm: snapshot names unknown workload kind %d", int(s.Kind))
 	}
 	if s.Variant != Hand && s.Variant != Devil {
-		return s, fmt.Errorf("farm: snapshot names unknown variant %d", int(s.Variant))
+		return fmt.Errorf("farm: snapshot names unknown variant %d", int(s.Variant))
 	}
 	for _, v := range []int{s.Sectors, s.Size, s.Rects, s.Sound.RingBytes, s.Revs} {
 		if v > specCap {
-			return s, fmt.Errorf("farm: snapshot workload size %d exceeds the %d cap (corrupt blob)", v, specCap)
+			return fmt.Errorf("farm: snapshot workload size %d exceeds the %d cap (corrupt blob)", v, specCap)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Snapshot serializes the whole host: a "host" container blob holding a
-// "host-meta" part (name, workload spec, step cursor, byte and time
-// accounting) followed by one part blob per stateful component, in the
-// canonical order New wires them. Snapshot at a step boundary; state
+// "host-meta" part followed by one part blob per stateful component, in
+// the canonical order New wires them. Snapshot at a step boundary; state
 // internal to a running step is not captured.
 func (h *Host) Snapshot() ([]byte, error) {
 	if h.failed != nil {
 		return nil, fmt.Errorf("farm: host %s failed (%v); snapshot would not resume", h.Name, h.failed)
 	}
 	dst, patch := snap.AppendHeader(nil, "host")
-	dst, meta := snap.AppendHeader(dst, "host-meta")
-	dst = snap.AppendString(dst, h.Name)
-	dst = appendSpec(dst, h.spec)
-	dst = snap.AppendU32(dst, uint32(h.pos))
-	dst = snap.AppendU64(dst, h.moved)
-	dst = snap.AppendU64(dst, h.start)
-	dst = snap.FinishHeader(dst, meta)
-	var err error
+	m := hostMeta{h.Name, h.spec, h.pos, h.moved, h.start}
+	c := snap.NewEncoder(dst, "host-meta")
+	m.snapState(&c)
+	dst, err := c.Finish()
+	if err != nil {
+		return nil, err
+	}
 	for _, p := range h.parts {
 		if dst, err = p.MarshalState(dst); err != nil {
 			return nil, err
@@ -472,24 +469,21 @@ func RestoreHost(data []byte) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := snap.NewReader(meta, "host-meta")
+	c, err := snap.NewDecoder(meta, "host-meta")
 	if err != nil {
 		return nil, err
 	}
-	name := r.String()
-	spec, specErr := readSpec(r)
-	pos := int(r.U32())
-	moved := r.U64()
-	start := r.U64()
-	if err := r.Close(); err != nil {
+	var m hostMeta
+	m.snapState(&c)
+	if err := c.Close(); err != nil {
 		return nil, err
 	}
-	if specErr != nil {
-		return nil, specErr
+	if err := m.spec.validate(); err != nil {
+		return nil, err
 	}
-	h := New(name, spec)
-	if pos > len(h.steps) {
-		return nil, fmt.Errorf("farm: snapshot cursor at step %d, workload has %d", pos, len(h.steps))
+	h := New(m.name, m.spec)
+	if m.pos > len(h.steps) {
+		return nil, fmt.Errorf("farm: snapshot cursor at step %d, workload has %d", m.pos, len(h.steps))
 	}
 	for _, p := range h.parts {
 		blob, next, err := snap.Part(rest)
@@ -504,7 +498,7 @@ func RestoreHost(data []byte) (*Host, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("farm: %d trailing bytes after host parts (state shape mismatch)", len(rest))
 	}
-	h.pos, h.moved, h.start = pos, moved, start
+	h.pos, h.moved, h.start = m.pos, m.moved, m.start
 	return h, nil
 }
 

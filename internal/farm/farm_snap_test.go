@@ -2,6 +2,8 @@ package farm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -192,5 +194,38 @@ func TestRestoreHostRejectsOversizedSpec(t *testing.T) {
 	}
 	if _, err := RestoreHost(blob); err == nil {
 		t.Error("RestoreHost accepted a spec beyond the size cap")
+	}
+}
+
+// hostGolden pins the host wire format: the SHA-256 of each DefaultFleet
+// workload family's snapshot, per variant, suspended halfway through its
+// steps. Round trips only compare a host with itself; these values fail
+// on any changed byte.
+var hostGolden = map[string]string{
+	"ide-hand-0":  "326908d70434249e56b0b27a3977fb224c089175faba51efe7f29331857a9887",
+	"gfx-hand-1":  "cb42836bb0df93300414fe3de1475c4d5c7c67eb0e4b5c4176703e4039ebb918",
+	"snd-hand-2":  "b82cad88b93ad61e58826fd9d97a86a865136dcb491a30d7b67c4d13a7b40608",
+	"ide-devil-0": "9434264586bbbc00256b4214e49a73d7b8361e76af9d0bb67413dffa714aaa72",
+	"gfx-devil-1": "fe8d1fd35837c10da3dba13d4c2c8eb310e04e6a0ce0b443303c72f908959163",
+	"snd-devil-2": "a7f46f8507dd28a49851758d4b3fb4fbac1a3fc8d75dba0773df84b95d550fe8",
+}
+
+func TestHostSnapshotGolden(t *testing.T) {
+	for _, v := range []Variant{Hand, Devil} {
+		for _, h := range DefaultFleet(3, v) {
+			for h.Pos() < h.Steps()/2 {
+				if _, err := h.StepOnce(); err != nil {
+					t.Fatalf("%s: step %s: %v", h.Name, h.StepName(h.Pos()), err)
+				}
+			}
+			blob, err := h.Snapshot()
+			if err != nil {
+				t.Fatalf("%s: snapshot: %v", h.Name, err)
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:]); hostGolden[h.Name] != got {
+				t.Errorf("%s: snapshot sha256 %s, want %s: the wire format changed", h.Name, got, hostGolden[h.Name])
+			}
+		}
 	}
 }

@@ -192,27 +192,29 @@ func (d *Device) ReadMouseState() {
 // layout is the canonical ir.StateLayout order, shared with the exec
 // interpreter, so cross-path snapshots compare byte for byte.
 func (d *Device) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "logitech_busmouse")
-	dst = snap.AppendU32(dst, d.snapXLow)
-	dst = snap.AppendU32(dst, d.snapXHigh)
-	dst = snap.AppendU32(dst, d.snapYLow)
-	dst = snap.AppendU32(dst, d.snapYHigh)
-	dst = snap.AppendBool(dst, d.validMouseState)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "logitech_busmouse")
+	d.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState restores the state appended by MarshalState. A blob
 // for another device, another optimization level, or a corrupted or
 // truncated input is rejected with an error; the method never panics.
 func (d *Device) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "logitech_busmouse")
+	c, err := snap.NewDecoder(data, "logitech_busmouse")
 	if err != nil {
 		return err
 	}
-	d.snapXLow = r.U32()
-	d.snapXHigh = r.U32()
-	d.snapYLow = r.U32()
-	d.snapYHigh = r.U32()
-	d.validMouseState = r.Bool()
-	return r.Close()
+	d.snapState(&c)
+	return c.Close()
+}
+
+// snapState walks the snapshot slots in wire order, for both
+// MarshalState and UnmarshalState.
+func (d *Device) snapState(c *snap.Codec) {
+	c.U32(&d.snapXLow)
+	c.U32(&d.snapXHigh)
+	c.U32(&d.snapYLow)
+	c.U32(&d.snapYHigh)
+	c.Bool(&d.validMouseState)
 }

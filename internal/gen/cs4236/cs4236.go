@@ -453,57 +453,44 @@ func (d *Device) WritePfmt() {
 // layout is the canonical ir.StateLayout order, shared with the exec
 // interpreter, so cross-path snapshots compare byte for byte.
 func (d *Device) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "cs4236")
-	dst = snap.AppendU32(dst, d.cellXm)
-	dst = snap.AppendU32(dst, d.vcACF)
-	dst = snap.AppendU32(dst, d.shadowControl)
-	dst = snap.AppendU32(dst, d.shadowI16)
-	dst = snap.AppendU32(dst, d.shadowI23)
-	dst = snap.AppendU32(dst, d.shadowI9)
-	dst = snap.AppendBool(dst, d.okControl)
-	dst = snap.AppendBool(dst, d.okI16)
-	dst = snap.AppendBool(dst, d.okI23)
-	dst = snap.AppendBool(dst, d.okI9)
-	dst = snap.AppendU32(dst, d.snapI23)
-	dst = snap.AppendU32(dst, d.snapI8)
-	dst = snap.AppendBool(dst, d.validXS)
-	dst = snap.AppendBool(dst, d.validPfmt)
-	dst = snap.AppendU32(dst, d.fldXA)
-	dst = snap.AppendU32(dst, d.fldXRAE)
-	dst = snap.AppendBool(dst, d.stgXRAE)
-	dst = snap.AppendU32(dst, d.fldRate)
-	dst = snap.AppendU32(dst, d.fldStereo)
-	dst = snap.AppendU32(dst, d.fldFmt)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "cs4236")
+	d.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState restores the state appended by MarshalState. A blob
 // for another device, another optimization level, or a corrupted or
 // truncated input is rejected with an error; the method never panics.
 func (d *Device) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "cs4236")
+	c, err := snap.NewDecoder(data, "cs4236")
 	if err != nil {
 		return err
 	}
-	d.cellXm = r.U32()
-	d.vcACF = r.U32()
-	d.shadowControl = r.U32()
-	d.shadowI16 = r.U32()
-	d.shadowI23 = r.U32()
-	d.shadowI9 = r.U32()
-	d.okControl = r.Bool()
-	d.okI16 = r.Bool()
-	d.okI23 = r.Bool()
-	d.okI9 = r.Bool()
-	d.snapI23 = r.U32()
-	d.snapI8 = r.U32()
-	d.validXS = r.Bool()
-	d.validPfmt = r.Bool()
-	d.fldXA = r.U32()
-	d.fldXRAE = r.U32()
-	d.stgXRAE = r.Bool()
-	d.fldRate = r.U32()
-	d.fldStereo = r.U32()
-	d.fldFmt = r.U32()
-	return r.Close()
+	d.snapState(&c)
+	return c.Close()
+}
+
+// snapState walks the snapshot slots in wire order, for both
+// MarshalState and UnmarshalState.
+func (d *Device) snapState(c *snap.Codec) {
+	c.U32(&d.cellXm)
+	c.U32(&d.vcACF)
+	c.U32(&d.shadowControl)
+	c.U32(&d.shadowI16)
+	c.U32(&d.shadowI23)
+	c.U32(&d.shadowI9)
+	c.Bool(&d.okControl)
+	c.Bool(&d.okI16)
+	c.Bool(&d.okI23)
+	c.Bool(&d.okI9)
+	c.U32(&d.snapI23)
+	c.U32(&d.snapI8)
+	c.Bool(&d.validXS)
+	c.Bool(&d.validPfmt)
+	c.U32(&d.fldXA)
+	c.U32(&d.fldXRAE)
+	c.Bool(&d.stgXRAE)
+	c.U32(&d.fldRate)
+	c.U32(&d.fldStereo)
+	c.U32(&d.fldFmt)
 }

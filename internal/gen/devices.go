@@ -2,7 +2,6 @@ package gen
 
 import (
 	"repro/internal/bus"
-	"repro/internal/sim"
 	simbm "repro/internal/sim/busmouse"
 	simcs "repro/internal/sim/cs4236"
 	simdma "repro/internal/sim/dma8237"
@@ -10,6 +9,7 @@ import (
 	simne "repro/internal/sim/ne2000"
 	simpm "repro/internal/sim/permedia2"
 	simpic "repro/internal/sim/pic8259"
+	"repro/internal/snap"
 	"repro/internal/specs"
 )
 
@@ -38,7 +38,7 @@ type Device struct {
 	MMIO bool
 	// NewSim builds the simulator and maps it into space at the canonical
 	// windows.
-	NewSim func(clk *bus.Clock, space *bus.Space) sim.Device
+	NewSim func(clk *bus.Clock, space *bus.Space) snap.Snapshotter
 }
 
 // Devices registers every library device, in Library order. The ide and
@@ -51,7 +51,7 @@ var Devices = []Device{
 		Spec:    specs.Busmouse,
 		Ports:   map[string]uint32{"base": 0x23c},
 		Windows: []Window{{0x23c, 4}},
-		NewSim: func(clk *bus.Clock, space *bus.Space) sim.Device {
+		NewSim: func(clk *bus.Clock, space *bus.Space) snap.Snapshotter {
 			m := simbm.New()
 			space.MustMap(0x23c, 4, m)
 			return m
@@ -62,7 +62,7 @@ var Devices = []Device{
 		Spec:    specs.IDE,
 		Ports:   map[string]uint32{"data": 0x1f0, "data32": 0x1f0, "base": 0x1f0, "ctl": 0x3f6},
 		Windows: []Window{{0x1f0, 8}, {0x3f6, 1}},
-		NewSim: func(clk *bus.Clock, space *bus.Space) sim.Device {
+		NewSim: func(clk *bus.Clock, space *bus.Space) snap.Snapshotter {
 			disk := simide.New(clk, 64, bus.NewRAM(1<<16))
 			space.MustMap(0x1f0, 8, disk.TaskFile())
 			space.MustMap(0x3f6, 1, disk.Control())
@@ -74,7 +74,7 @@ var Devices = []Device{
 		Spec:    specs.PIIX4,
 		Ports:   map[string]uint32{"bm": 0xc000, "prd": 0xc004},
 		Windows: []Window{{0xc000, 8}},
-		NewSim: func(clk *bus.Clock, space *bus.Space) sim.Device {
+		NewSim: func(clk *bus.Clock, space *bus.Space) snap.Snapshotter {
 			disk := simide.New(clk, 64, bus.NewRAM(1<<16))
 			space.MustMap(0xc000, 8, disk.Busmaster())
 			return disk
@@ -85,7 +85,7 @@ var Devices = []Device{
 		Spec:    specs.NE2000,
 		Ports:   map[string]uint32{"base": 0x300, "dma": 0x310, "rst": 0x31f},
 		Windows: []Window{{0x300, 0x20}},
-		NewSim: func(clk *bus.Clock, space *bus.Space) sim.Device {
+		NewSim: func(clk *bus.Clock, space *bus.Space) snap.Snapshotter {
 			n := simne.New()
 			space.MustMap(0x300, 0x20, n)
 			return n
@@ -97,7 +97,7 @@ var Devices = []Device{
 		Ports:   map[string]uint32{"reg": 0xf0000000},
 		Windows: []Window{{0xf0000000, 0x100}},
 		MMIO:    true,
-		NewSim: func(clk *bus.Clock, space *bus.Space) sim.Device {
+		NewSim: func(clk *bus.Clock, space *bus.Space) snap.Snapshotter {
 			p := simpm.New(clk, 640, 480)
 			space.MustMap(0xf0000000, 0x100, p)
 			return p
@@ -108,7 +108,7 @@ var Devices = []Device{
 		Spec:    specs.PIC8259,
 		Ports:   map[string]uint32{"base": 0x20},
 		Windows: []Window{{0x20, 2}},
-		NewSim: func(clk *bus.Clock, space *bus.Space) sim.Device {
+		NewSim: func(clk *bus.Clock, space *bus.Space) snap.Snapshotter {
 			p := simpic.New()
 			space.MustMap(0x20, 2, p)
 			return p
@@ -119,7 +119,7 @@ var Devices = []Device{
 		Spec:    specs.DMA8237,
 		Ports:   map[string]uint32{"io": 0x00},
 		Windows: []Window{{0x00, 13}},
-		NewSim: func(clk *bus.Clock, space *bus.Space) sim.Device {
+		NewSim: func(clk *bus.Clock, space *bus.Space) snap.Snapshotter {
 			d := simdma.New()
 			space.MustMap(0x00, 13, d)
 			return d
@@ -130,7 +130,7 @@ var Devices = []Device{
 		Spec:    specs.CS4236,
 		Ports:   map[string]uint32{"base": 0x530},
 		Windows: []Window{{0x530, 2}},
-		NewSim: func(clk *bus.Clock, space *bus.Space) sim.Device {
+		NewSim: func(clk *bus.Clock, space *bus.Space) snap.Snapshotter {
 			c := simcs.New()
 			space.MustMap(0x530, 2, c)
 			return c

@@ -281,35 +281,33 @@ func (d *Device) WriteMode() {
 // layout is the canonical ir.StateLayout order, shared with the exec
 // interpreter, so cross-path snapshots compare byte for byte.
 func (d *Device) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "dma8237")
-	dst = snap.AppendU32(dst, d.snapStatusReg)
-	dst = snap.AppendBool(dst, d.validDmaStatus)
-	dst = snap.AppendU32(dst, d.fldMaskChan)
-	dst = snap.AppendU32(dst, d.fldMaskOn)
-	dst = snap.AppendU32(dst, d.fldChan)
-	dst = snap.AppendU32(dst, d.fldXfer)
-	dst = snap.AppendU32(dst, d.fldAutoInit)
-	dst = snap.AppendU32(dst, d.fldDown)
-	dst = snap.AppendU32(dst, d.fldMmode)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "dma8237")
+	d.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState restores the state appended by MarshalState. A blob
 // for another device, another optimization level, or a corrupted or
 // truncated input is rejected with an error; the method never panics.
 func (d *Device) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "dma8237")
+	c, err := snap.NewDecoder(data, "dma8237")
 	if err != nil {
 		return err
 	}
-	d.snapStatusReg = r.U32()
-	d.validDmaStatus = r.Bool()
-	d.fldMaskChan = r.U32()
-	d.fldMaskOn = r.U32()
-	d.fldChan = r.U32()
-	d.fldXfer = r.U32()
-	d.fldAutoInit = r.U32()
-	d.fldDown = r.U32()
-	d.fldMmode = r.U32()
-	return r.Close()
+	d.snapState(&c)
+	return c.Close()
+}
+
+// snapState walks the snapshot slots in wire order, for both
+// MarshalState and UnmarshalState.
+func (d *Device) snapState(c *snap.Codec) {
+	c.U32(&d.snapStatusReg)
+	c.Bool(&d.validDmaStatus)
+	c.U32(&d.fldMaskChan)
+	c.U32(&d.fldMaskOn)
+	c.U32(&d.fldChan)
+	c.U32(&d.fldXfer)
+	c.U32(&d.fldAutoInit)
+	c.U32(&d.fldDown)
+	c.U32(&d.fldMmode)
 }

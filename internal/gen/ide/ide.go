@@ -542,39 +542,35 @@ func (d *Device) ReadIdeStatus() {
 // layout is the canonical ir.StateLayout order, shared with the exec
 // interpreter, so cross-path snapshots compare byte for byte.
 func (d *Device) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "ide_disk")
-	dst = snap.AppendU32(dst, d.shadowLbaLowReg)
-	dst = snap.AppendU32(dst, d.shadowLbaMidReg)
-	dst = snap.AppendU32(dst, d.shadowLbaHighReg)
-	dst = snap.AppendU32(dst, d.shadowDevheadReg)
-	dst = snap.AppendU32(dst, d.shadowCtlReg)
-	dst = snap.AppendBool(dst, d.okLbaLowReg)
-	dst = snap.AppendBool(dst, d.okLbaMidReg)
-	dst = snap.AppendBool(dst, d.okLbaHighReg)
-	dst = snap.AppendBool(dst, d.okDevheadReg)
-	dst = snap.AppendU32(dst, d.snapStatusReg)
-	dst = snap.AppendBool(dst, d.validIdeStatus)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "ide_disk")
+	d.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState restores the state appended by MarshalState. A blob
 // for another device, another optimization level, or a corrupted or
 // truncated input is rejected with an error; the method never panics.
 func (d *Device) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "ide_disk")
+	c, err := snap.NewDecoder(data, "ide_disk")
 	if err != nil {
 		return err
 	}
-	d.shadowLbaLowReg = r.U32()
-	d.shadowLbaMidReg = r.U32()
-	d.shadowLbaHighReg = r.U32()
-	d.shadowDevheadReg = r.U32()
-	d.shadowCtlReg = r.U32()
-	d.okLbaLowReg = r.Bool()
-	d.okLbaMidReg = r.Bool()
-	d.okLbaHighReg = r.Bool()
-	d.okDevheadReg = r.Bool()
-	d.snapStatusReg = r.U32()
-	d.validIdeStatus = r.Bool()
-	return r.Close()
+	d.snapState(&c)
+	return c.Close()
+}
+
+// snapState walks the snapshot slots in wire order, for both
+// MarshalState and UnmarshalState.
+func (d *Device) snapState(c *snap.Codec) {
+	c.U32(&d.shadowLbaLowReg)
+	c.U32(&d.shadowLbaMidReg)
+	c.U32(&d.shadowLbaHighReg)
+	c.U32(&d.shadowDevheadReg)
+	c.U32(&d.shadowCtlReg)
+	c.Bool(&d.okLbaLowReg)
+	c.Bool(&d.okLbaMidReg)
+	c.Bool(&d.okLbaHighReg)
+	c.Bool(&d.okDevheadReg)
+	c.U32(&d.snapStatusReg)
+	c.Bool(&d.validIdeStatus)
 }

@@ -1065,81 +1065,56 @@ func (d *Device) ReadIsr() {
 // layout is the canonical ir.StateLayout order, shared with the exec
 // interpreter, so cross-path snapshots compare byte for byte.
 func (d *Device) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "ne2000")
-	dst = snap.AppendU32(dst, d.shadowCr)
-	dst = snap.AppendU32(dst, d.shadowPar0Reg)
-	dst = snap.AppendU32(dst, d.shadowPar1Reg)
-	dst = snap.AppendU32(dst, d.shadowPar2Reg)
-	dst = snap.AppendU32(dst, d.shadowPar3Reg)
-	dst = snap.AppendU32(dst, d.shadowPar4Reg)
-	dst = snap.AppendU32(dst, d.shadowPar5Reg)
-	dst = snap.AppendU32(dst, d.shadowMar0Reg)
-	dst = snap.AppendU32(dst, d.shadowMar1Reg)
-	dst = snap.AppendU32(dst, d.shadowMar2Reg)
-	dst = snap.AppendU32(dst, d.shadowMar3Reg)
-	dst = snap.AppendU32(dst, d.shadowMar4Reg)
-	dst = snap.AppendU32(dst, d.shadowMar5Reg)
-	dst = snap.AppendU32(dst, d.shadowMar6Reg)
-	dst = snap.AppendU32(dst, d.shadowMar7Reg)
-	dst = snap.AppendBool(dst, d.okCr)
-	dst = snap.AppendBool(dst, d.okPar0Reg)
-	dst = snap.AppendBool(dst, d.okPar1Reg)
-	dst = snap.AppendBool(dst, d.okPar2Reg)
-	dst = snap.AppendBool(dst, d.okPar3Reg)
-	dst = snap.AppendBool(dst, d.okPar4Reg)
-	dst = snap.AppendBool(dst, d.okPar5Reg)
-	dst = snap.AppendBool(dst, d.okMar0Reg)
-	dst = snap.AppendBool(dst, d.okMar1Reg)
-	dst = snap.AppendBool(dst, d.okMar2Reg)
-	dst = snap.AppendBool(dst, d.okMar3Reg)
-	dst = snap.AppendBool(dst, d.okMar4Reg)
-	dst = snap.AppendBool(dst, d.okMar5Reg)
-	dst = snap.AppendBool(dst, d.okMar6Reg)
-	dst = snap.AppendBool(dst, d.okMar7Reg)
-	dst = snap.AppendU32(dst, d.snapIsrR)
-	dst = snap.AppendBool(dst, d.validIsr)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "ne2000")
+	d.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState restores the state appended by MarshalState. A blob
 // for another device, another optimization level, or a corrupted or
 // truncated input is rejected with an error; the method never panics.
 func (d *Device) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "ne2000")
+	c, err := snap.NewDecoder(data, "ne2000")
 	if err != nil {
 		return err
 	}
-	d.shadowCr = r.U32()
-	d.shadowPar0Reg = r.U32()
-	d.shadowPar1Reg = r.U32()
-	d.shadowPar2Reg = r.U32()
-	d.shadowPar3Reg = r.U32()
-	d.shadowPar4Reg = r.U32()
-	d.shadowPar5Reg = r.U32()
-	d.shadowMar0Reg = r.U32()
-	d.shadowMar1Reg = r.U32()
-	d.shadowMar2Reg = r.U32()
-	d.shadowMar3Reg = r.U32()
-	d.shadowMar4Reg = r.U32()
-	d.shadowMar5Reg = r.U32()
-	d.shadowMar6Reg = r.U32()
-	d.shadowMar7Reg = r.U32()
-	d.okCr = r.Bool()
-	d.okPar0Reg = r.Bool()
-	d.okPar1Reg = r.Bool()
-	d.okPar2Reg = r.Bool()
-	d.okPar3Reg = r.Bool()
-	d.okPar4Reg = r.Bool()
-	d.okPar5Reg = r.Bool()
-	d.okMar0Reg = r.Bool()
-	d.okMar1Reg = r.Bool()
-	d.okMar2Reg = r.Bool()
-	d.okMar3Reg = r.Bool()
-	d.okMar4Reg = r.Bool()
-	d.okMar5Reg = r.Bool()
-	d.okMar6Reg = r.Bool()
-	d.okMar7Reg = r.Bool()
-	d.snapIsrR = r.U32()
-	d.validIsr = r.Bool()
-	return r.Close()
+	d.snapState(&c)
+	return c.Close()
+}
+
+// snapState walks the snapshot slots in wire order, for both
+// MarshalState and UnmarshalState.
+func (d *Device) snapState(c *snap.Codec) {
+	c.U32(&d.shadowCr)
+	c.U32(&d.shadowPar0Reg)
+	c.U32(&d.shadowPar1Reg)
+	c.U32(&d.shadowPar2Reg)
+	c.U32(&d.shadowPar3Reg)
+	c.U32(&d.shadowPar4Reg)
+	c.U32(&d.shadowPar5Reg)
+	c.U32(&d.shadowMar0Reg)
+	c.U32(&d.shadowMar1Reg)
+	c.U32(&d.shadowMar2Reg)
+	c.U32(&d.shadowMar3Reg)
+	c.U32(&d.shadowMar4Reg)
+	c.U32(&d.shadowMar5Reg)
+	c.U32(&d.shadowMar6Reg)
+	c.U32(&d.shadowMar7Reg)
+	c.Bool(&d.okCr)
+	c.Bool(&d.okPar0Reg)
+	c.Bool(&d.okPar1Reg)
+	c.Bool(&d.okPar2Reg)
+	c.Bool(&d.okPar3Reg)
+	c.Bool(&d.okPar4Reg)
+	c.Bool(&d.okPar5Reg)
+	c.Bool(&d.okMar0Reg)
+	c.Bool(&d.okMar1Reg)
+	c.Bool(&d.okMar2Reg)
+	c.Bool(&d.okMar3Reg)
+	c.Bool(&d.okMar4Reg)
+	c.Bool(&d.okMar5Reg)
+	c.Bool(&d.okMar6Reg)
+	c.Bool(&d.okMar7Reg)
+	c.U32(&d.snapIsrR)
+	c.Bool(&d.validIsr)
 }

@@ -301,21 +301,26 @@ func (d *Device) SetRender(v RenderVal) {
 // layout is the canonical ir.StateLayout order, shared with the exec
 // interpreter, so cross-path snapshots compare byte for byte.
 func (d *Device) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "permedia2")
-	dst = snap.AppendU32(dst, d.shadowLogicalOpMode)
-	dst = snap.AppendU32(dst, d.shadowFbWriteConfig)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "permedia2")
+	d.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState restores the state appended by MarshalState. A blob
 // for another device, another optimization level, or a corrupted or
 // truncated input is rejected with an error; the method never panics.
 func (d *Device) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "permedia2")
+	c, err := snap.NewDecoder(data, "permedia2")
 	if err != nil {
 		return err
 	}
-	d.shadowLogicalOpMode = r.U32()
-	d.shadowFbWriteConfig = r.U32()
-	return r.Close()
+	d.snapState(&c)
+	return c.Close()
+}
+
+// snapState walks the snapshot slots in wire order, for both
+// MarshalState and UnmarshalState.
+func (d *Device) snapState(c *snap.Codec) {
+	c.U32(&d.shadowLogicalOpMode)
+	c.U32(&d.shadowFbWriteConfig)
 }

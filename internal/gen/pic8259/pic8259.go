@@ -319,45 +319,38 @@ func (d *Device) WriteEoiCmd() {
 // layout is the canonical ir.StateLayout order, shared with the exec
 // interpreter, so cross-path snapshots compare byte for byte.
 func (d *Device) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "pic8259")
-	dst = snap.AppendU32(dst, d.cellInOperation)
-	dst = snap.AppendU32(dst, d.fldLirq)
-	dst = snap.AppendU32(dst, d.fldLtim)
-	dst = snap.AppendU32(dst, d.fldAdi)
-	dst = snap.AppendU32(dst, d.fldSngl)
-	dst = snap.AppendU32(dst, d.fldIc4)
-	dst = snap.AppendU32(dst, d.fldBaseVec)
-	dst = snap.AppendU32(dst, d.fldSlaves)
-	dst = snap.AppendU32(dst, d.fldSfnm)
-	dst = snap.AppendU32(dst, d.fldBuf)
-	dst = snap.AppendU32(dst, d.fldAeoi)
-	dst = snap.AppendU32(dst, d.fldMicroprocessor)
-	dst = snap.AppendU32(dst, d.fldEoi)
-	dst = snap.AppendU32(dst, d.fldEoiLevel)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "pic8259")
+	d.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState restores the state appended by MarshalState. A blob
 // for another device, another optimization level, or a corrupted or
 // truncated input is rejected with an error; the method never panics.
 func (d *Device) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "pic8259")
+	c, err := snap.NewDecoder(data, "pic8259")
 	if err != nil {
 		return err
 	}
-	d.cellInOperation = r.U32()
-	d.fldLirq = r.U32()
-	d.fldLtim = r.U32()
-	d.fldAdi = r.U32()
-	d.fldSngl = r.U32()
-	d.fldIc4 = r.U32()
-	d.fldBaseVec = r.U32()
-	d.fldSlaves = r.U32()
-	d.fldSfnm = r.U32()
-	d.fldBuf = r.U32()
-	d.fldAeoi = r.U32()
-	d.fldMicroprocessor = r.U32()
-	d.fldEoi = r.U32()
-	d.fldEoiLevel = r.U32()
-	return r.Close()
+	d.snapState(&c)
+	return c.Close()
+}
+
+// snapState walks the snapshot slots in wire order, for both
+// MarshalState and UnmarshalState.
+func (d *Device) snapState(c *snap.Codec) {
+	c.U32(&d.cellInOperation)
+	c.U32(&d.fldLirq)
+	c.U32(&d.fldLtim)
+	c.U32(&d.fldAdi)
+	c.U32(&d.fldSngl)
+	c.U32(&d.fldIc4)
+	c.U32(&d.fldBaseVec)
+	c.U32(&d.fldSlaves)
+	c.U32(&d.fldSfnm)
+	c.U32(&d.fldBuf)
+	c.U32(&d.fldAeoi)
+	c.U32(&d.fldMicroprocessor)
+	c.U32(&d.fldEoi)
+	c.U32(&d.fldEoiLevel)
 }

@@ -188,23 +188,27 @@ func (d *Device) ReadBmStatus() {
 // layout is the canonical ir.StateLayout order, shared with the exec
 // interpreter, so cross-path snapshots compare byte for byte.
 func (d *Device) MarshalState(dst []byte) ([]byte, error) {
-	dst, patch := snap.AppendHeader(dst, "piix4_busmaster")
-	dst = snap.AppendU32(dst, d.shadowBmic)
-	dst = snap.AppendU32(dst, d.snapBmisR)
-	dst = snap.AppendBool(dst, d.validBmStatus)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, "piix4_busmaster")
+	d.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState restores the state appended by MarshalState. A blob
 // for another device, another optimization level, or a corrupted or
 // truncated input is rejected with an error; the method never panics.
 func (d *Device) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, "piix4_busmaster")
+	c, err := snap.NewDecoder(data, "piix4_busmaster")
 	if err != nil {
 		return err
 	}
-	d.shadowBmic = r.U32()
-	d.snapBmisR = r.U32()
-	d.validBmStatus = r.Bool()
-	return r.Close()
+	d.snapState(&c)
+	return c.Close()
+}
+
+// snapState walks the snapshot slots in wire order, for both
+// MarshalState and UnmarshalState.
+func (d *Device) snapState(c *snap.Codec) {
+	c.U32(&d.shadowBmic)
+	c.U32(&d.snapBmisR)
+	c.Bool(&d.validBmStatus)
 }

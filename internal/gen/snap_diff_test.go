@@ -41,6 +41,7 @@ func checkCross(t *testing.T, genDev, execDev, freshGen snap.Snapshotter, freshE
 	if !bytes.Equal(gb, eb) {
 		t.Fatalf("cross-path snapshots differ:\ncompiled    %x\ninterpreted %x", gb, eb)
 	}
+	checkStubGolden(t, gb)
 	if err := freshExec.UnmarshalState(gb); err != nil {
 		t.Fatalf("interpreter restore of compiled blob: %v", err)
 	}

@@ -6,59 +6,37 @@ import "repro/internal/snap"
 // driver-state blobs the Devil stub produces).
 const snapName = "cs4236-sim"
 
-// Reset returns the codec to its power-on state: registers zeroed, index 0
-// selected, extended addressing disarmed, playback record cleared. Wiring
-// (Clock, DREQ, Halt, Obs) is preserved.
-func (s *Sim) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.control = 0
-	s.indexed = [32]uint8{}
-	s.ext = [32]uint8{}
-	s.xa = 0
-	s.xm = false
-	s.fifo = nil
-	s.played = nil
-	s.underrun = false
+// snapState walks the snapshot fields in wire order. The playback record
+// (FIFO contents, consumed samples, underrun latch) is state: a mid-clip
+// snapshot restores with the DAC exactly where it was.
+func (s *Sim) snapState(c *snap.Codec) {
+	c.U8(&s.control)
+	c.Array(s.indexed[:])
+	c.Array(s.ext[:])
+	c.U8(&s.xa)
+	c.Bool(&s.xm)
+	c.Bytes(&s.fifo)
+	c.Bytes(&s.played)
+	c.Bool(&s.underrun)
 }
 
-// MarshalState implements snap.Snapshotter. The playback record (FIFO
-// contents, consumed samples, underrun latch) is state: a mid-clip
-// snapshot restores with the DAC exactly where it was.
+// MarshalState implements snap.Snapshotter.
 func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dst, patch := snap.AppendHeader(dst, snapName)
-	dst = snap.AppendU8(dst, s.control)
-	dst = append(dst, s.indexed[:]...)
-	dst = append(dst, s.ext[:]...)
-	dst = snap.AppendU8(dst, s.xa)
-	dst = snap.AppendBool(dst, s.xm)
-	dst = snap.AppendBytes(dst, s.fifo)
-	dst = snap.AppendBytes(dst, s.played)
-	dst = snap.AppendBool(dst, s.underrun)
-	return snap.FinishHeader(dst, patch), nil
+	c := snap.NewEncoder(dst, snapName)
+	s.snapState(&c)
+	return c.Finish()
 }
 
 // UnmarshalState implements snap.Snapshotter.
 func (s *Sim) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, snapName)
+	c, err := snap.NewDecoder(data, snapName)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.control = r.U8()
-	for i := range s.indexed {
-		s.indexed[i] = r.U8()
-	}
-	for i := range s.ext {
-		s.ext[i] = r.U8()
-	}
-	s.xa = r.U8()
-	s.xm = r.Bool()
-	s.fifo = r.Bytes()
-	s.played = r.Bytes()
-	s.underrun = r.Bool()
-	return r.Close()
+	s.snapState(&c)
+	return c.Close()
 }

@@ -1,10 +1,6 @@
 package permedia2
 
-import (
-	"fmt"
-
-	"repro/internal/snap"
-)
+import "repro/internal/snap"
 
 // snapName identifies this simulator's blobs (distinct from the
 // "permedia2" driver-state blobs the Devil stub produces).
@@ -14,94 +10,64 @@ const snapName = "permedia2-sim"
 // anything the FIFO-depth-limited engine can queue.
 const maxBatches = 1 << 16
 
-// Reset returns the controller to its power-on state: registers zeroed,
-// framebuffer cleared, FIFO empty, engine idle. The clock wiring and
-// geometry are preserved.
-func (s *Sim) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.fb {
-		s.fb[i] = 0
-	}
-	s.windowBase, s.logicalOp, s.writeConfig, s.color = 0, 0, 0, 0
-	s.startXDom, s.startXSub, s.startY, s.dY, s.count = 0, 0, 0, 0, 0
-	s.rectOrigin, s.rectSize, s.scissorMin, s.scissorMax = 0, 0, 0, 0
-	s.readMode, s.sourceOff = 0, 0
-	s.busyUntil = 0
-	s.openEntries = 0
-	s.batches = nil
-	s.Fills, s.Copies, s.Stalls = 0, 0, 0
-}
-
-// MarshalState implements snap.Snapshotter. The framebuffer and the
-// pending FIFO batches travel in the blob, so a snapshot taken while the
-// engine is busy restores mid-drain.
-func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dst, patch := snap.AppendHeader(dst, snapName)
-	dst = snap.AppendU32(dst, uint32(s.Width))
-	dst = snap.AppendU32(dst, uint32(s.Height))
-	dst = snap.AppendBytes(dst, s.fb)
-	for _, v := range []uint32{
-		s.windowBase, s.logicalOp, s.writeConfig, s.color,
-		s.startXDom, s.startXSub, s.startY, s.dY, s.count,
-		s.rectOrigin, s.rectSize, s.scissorMin, s.scissorMax,
-		s.readMode, s.sourceOff,
-	} {
-		dst = snap.AppendU32(dst, v)
-	}
-	dst = snap.AppendU64(dst, s.busyUntil)
-	dst = snap.AppendU32(dst, uint32(s.openEntries))
-	dst = snap.AppendU32(dst, uint32(len(s.batches)))
-	for _, b := range s.batches {
-		dst = snap.AppendU64(dst, b.done)
-		dst = snap.AppendU32(dst, uint32(b.entries))
-	}
-	dst = snap.AppendU64(dst, s.Fills)
-	dst = snap.AppendU64(dst, s.Copies)
-	dst = snap.AppendU64(dst, s.Stalls)
-	return snap.FinishHeader(dst, patch), nil
-}
-
-// UnmarshalState implements snap.Snapshotter. The receiver must have been
+// snapState walks the snapshot fields in wire order. The framebuffer and
+// the pending FIFO batches travel in the blob, so a snapshot taken while
+// the engine is busy restores mid-drain. The receiver must have been
 // constructed with the geometry the blob was taken at.
-func (s *Sim) UnmarshalState(data []byte) error {
-	r, err := snap.NewReader(data, snapName)
-	if err != nil {
-		return err
+func (s *Sim) snapState(c *snap.Codec) {
+	w, h := s.Width, s.Height
+	c.Int(&w)
+	c.Int(&h)
+	if w != s.Width || h != s.Height {
+		c.Failf("blob geometry %dx%d, controller is %dx%d", w, h, s.Width, s.Height)
+		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w, h := int(r.U32()), int(r.U32())
-	if r.Err() == nil && (w != s.Width || h != s.Height) {
-		return fmt.Errorf("snap: %s: blob geometry %dx%d, controller is %dx%d", snapName, w, h, s.Width, s.Height)
-	}
-	fb := r.Bytes()
-	if r.Err() == nil && len(fb) != len(s.fb) {
-		return fmt.Errorf("snap: %s: framebuffer blob is %d bytes, want %d", snapName, len(fb), len(s.fb))
-	}
-	copy(s.fb, fb)
+	c.Buffer(s.fb)
 	for _, p := range []*uint32{
 		&s.windowBase, &s.logicalOp, &s.writeConfig, &s.color,
 		&s.startXDom, &s.startXSub, &s.startY, &s.dY, &s.count,
 		&s.rectOrigin, &s.rectSize, &s.scissorMin, &s.scissorMax,
 		&s.readMode, &s.sourceOff,
 	} {
-		*p = r.U32()
+		c.U32(p)
 	}
-	s.busyUntil = r.U64()
-	s.openEntries = int(r.U32())
-	n := r.U32()
-	if r.Err() == nil && n > maxBatches {
-		return fmt.Errorf("snap: %s: %d pending batches (corrupt blob)", snapName, n)
+	c.U64(&s.busyUntil)
+	c.Int(&s.openEntries)
+	n := len(s.batches)
+	c.Int(&n)
+	if n > maxBatches {
+		c.Failf("%d pending batches (corrupt blob)", n)
+		return
 	}
-	s.batches = nil
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		s.batches = append(s.batches, pendingBatch{done: r.U64(), entries: int(r.U32())})
+	if n != len(s.batches) {
+		s.batches = make([]pendingBatch, n)
 	}
-	s.Fills = r.U64()
-	s.Copies = r.U64()
-	s.Stalls = r.U64()
-	return r.Close()
+	for i := range s.batches {
+		c.U64(&s.batches[i].done)
+		c.Int(&s.batches[i].entries)
+	}
+	c.U64(&s.Fills)
+	c.U64(&s.Copies)
+	c.U64(&s.Stalls)
+}
+
+// MarshalState implements snap.Snapshotter.
+func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := snap.NewEncoder(dst, snapName)
+	s.snapState(&c)
+	return c.Finish()
+}
+
+// UnmarshalState implements snap.Snapshotter.
+func (s *Sim) UnmarshalState(data []byte) error {
+	c, err := snap.NewDecoder(data, snapName)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.snapState(&c)
+	return c.Close()
 }

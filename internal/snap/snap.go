@@ -26,9 +26,18 @@
 // ir.StateLayout, identical for the generated stubs and the interpreter,
 // so cross-path snapshots compare byte for byte.
 //
-// Decoding never panics: Reader accumulates the first error and turns
-// every later access into a zero-value no-op, so truncated or corrupted
-// input surfaces as an error from Close.
+// # Declaring state
+//
+// Each component lists its snapshot fields once, in wire order, as a walk
+// over a Codec (a method taking *Codec, conventionally named snapState).
+// MarshalState runs the walk through NewEncoder and UnmarshalState runs
+// the same walk through NewDecoder, so the two directions cannot drift
+// apart. Generated stubs get their walk from devilc; the interpreter
+// walks the same ir.StateLayout slots dynamically.
+//
+// Decoding never panics: the Codec latches the first error and turns
+// every later field into a no-op, so truncated or corrupted input
+// surfaces as an error from Close.
 package snap
 
 import (
@@ -88,65 +97,41 @@ func FinishHeader(dst []byte, patch int) []byte {
 	return dst
 }
 
-// AppendU8 appends one byte.
-func AppendU8(dst []byte, v uint8) []byte { return append(dst, v) }
-
-// AppendU16 appends a little-endian uint16.
-func AppendU16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
-
-// AppendU32 appends a little-endian uint32.
-func AppendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
-
-// AppendU64 appends a little-endian uint64.
-func AppendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-
-// AppendBool appends one byte, 1 for true.
-func AppendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// AppendBytes appends a uint32 length prefix followed by b.
-func AppendBytes(dst []byte, b []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-// AppendString appends a uint32 length prefix followed by s.
-func AppendString(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
 // ReadHeader decodes the header of the blob starting data, returning the
 // header, its payload, and the remainder of data after the blob — the next
 // part of a container. Corrupt or truncated input returns an error.
 func ReadHeader(data []byte) (Header, []byte, []byte, error) {
-	var h Header
+	name, payload, rest, err := readHeader(data)
+	if err != nil {
+		return Header{}, nil, nil, err
+	}
+	return Header{Version: Version, Name: string(name), PayloadLen: uint32(len(payload))}, payload, rest, nil
+}
+
+// readHeader is ReadHeader with the name left as bytes, so a decoder that
+// only compares it allocates nothing.
+func readHeader(data []byte) (name, payload, rest []byte, err error) {
 	if len(data) < headerFixed {
-		return h, nil, nil, ErrTruncated
+		return nil, nil, nil, ErrTruncated
 	}
 	if [4]byte(data[:4]) != magic {
-		return h, nil, nil, fmt.Errorf("snap: bad magic %q", data[:4])
+		return nil, nil, nil, fmt.Errorf("snap: bad magic %q", data[:4])
 	}
-	h.Version = binary.LittleEndian.Uint16(data[4:])
-	if h.Version != Version {
-		return h, nil, nil, fmt.Errorf("snap: unsupported format version %d", h.Version)
+	if v := binary.LittleEndian.Uint16(data[4:]); v != Version {
+		return nil, nil, nil, fmt.Errorf("snap: unsupported format version %d", v)
 	}
 	nameLen := int(binary.LittleEndian.Uint16(data[6:]))
 	if len(data) < headerFixed+nameLen {
-		return h, nil, nil, ErrTruncated
+		return nil, nil, nil, ErrTruncated
 	}
-	h.Name = string(data[8 : 8+nameLen])
-	h.PayloadLen = binary.LittleEndian.Uint32(data[8+nameLen:])
+	name = data[8 : 8+nameLen]
+	n := binary.LittleEndian.Uint32(data[8+nameLen:])
 	body := data[headerFixed+nameLen:]
-	if uint32(len(body)) < h.PayloadLen {
-		return h, nil, nil, fmt.Errorf("snap: %s: %w (declared %d payload bytes, have %d)",
-			h.Name, ErrTruncated, h.PayloadLen, len(body))
+	if uint32(len(body)) < n {
+		return nil, nil, nil, fmt.Errorf("snap: %s: %w (declared %d payload bytes, have %d)",
+			name, ErrTruncated, n, len(body))
 	}
-	return h, body[:h.PayloadLen], body[h.PayloadLen:], nil
+	return name, body[:n], body[n:], nil
 }
 
 // Part splits the first blob off a container's payload, returning the
@@ -162,172 +147,244 @@ func Part(data []byte) (blob, rest []byte, err error) {
 // MarshalParts appends a container blob named name whose payload is the
 // concatenation of the parts' blobs, in order.
 func MarshalParts(dst []byte, name string, parts ...Snapshotter) ([]byte, error) {
-	dst, patch := AppendHeader(dst, name)
+	c := NewEncoder(dst, name)
 	var err error
 	for _, p := range parts {
-		if dst, err = p.MarshalState(dst); err != nil {
+		if c.buf, err = p.MarshalState(c.buf); err != nil {
 			return nil, err
 		}
 	}
-	return FinishHeader(dst, patch), nil
+	return c.Finish()
 }
 
 // UnmarshalParts decodes a container blob named name whose payload is the
 // concatenation of the parts' blobs, in the same order they were
 // marshaled.
 func UnmarshalParts(data []byte, name string, parts ...Snapshotter) error {
-	h, payload, _, err := ReadHeader(data)
+	c, err := NewDecoder(data, name)
 	if err != nil {
 		return err
 	}
-	if h.Name != name {
-		return fmt.Errorf("snap: blob is %q, want %q", h.Name, name)
-	}
 	for _, p := range parts {
-		blob, rest, err := Part(payload)
+		blob, rest, err := Part(c.buf[c.off:])
 		if err != nil {
 			return fmt.Errorf("snap: %s: %w", name, err)
 		}
 		if err := p.UnmarshalState(blob); err != nil {
 			return err
 		}
-		payload = rest
+		c.off = len(c.buf) - len(rest)
 	}
-	if len(payload) != 0 {
-		return fmt.Errorf("snap: %s: %d trailing payload bytes (state shape mismatch)", name, len(payload))
-	}
-	return nil
+	return c.Close()
 }
 
-// Reader decodes one blob's payload. All accessors are total: after the
-// first error every call returns the zero value, and Close reports what
-// went wrong (including payload bytes left over), so decoding corrupt
-// input can never panic.
-type Reader struct {
+// Codec walks one component's state fields in wire order, in either
+// direction. A component lists its fields once, in a method such as
+//
+//	func (s *Sim) snapState(c *snap.Codec) {
+//		c.U8(&s.status)
+//		c.U32(&s.addr)
+//	}
+//
+// and MarshalState / UnmarshalState run that one walk through a Codec
+// from NewEncoder or NewDecoder. Encoding appends each field; decoding
+// reads each field back through the same pointer. Decoding is total: the
+// first error (truncation, a bad boolean byte, a failed check) latches,
+// every later field is left untouched, and Close reports it, so corrupt
+// input never panics. Call the walk as a concrete method so the Codec
+// stays on the caller's stack.
+type Codec struct {
 	name string
-	buf  []byte
-	off  int
+	buf  []byte // encoding: the blob so far; decoding: the payload
+	off  int    // encoding: the header patch mark; decoding: the read cursor
+	dec  bool
 	err  error
 }
 
-// NewReader checks the blob header against wantName and returns a reader
-// positioned at the start of the payload.
-func NewReader(data []byte, wantName string) (*Reader, error) {
-	h, payload, _, err := ReadHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	if h.Name != wantName {
-		return nil, fmt.Errorf("snap: blob is %q, want %q", h.Name, wantName)
-	}
-	return &Reader{name: wantName, buf: payload}, nil
+// NewEncoder starts a blob named name appended to dst.
+func NewEncoder(dst []byte, name string) Codec {
+	dst, patch := AppendHeader(dst, name)
+	return Codec{name: name, buf: dst, off: patch}
 }
 
-// fail latches the first error.
-func (r *Reader) fail(err error) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snap: %s: %w", r.name, err)
+// NewDecoder checks the blob header against name and returns a Codec
+// positioned at the start of the payload.
+func NewDecoder(data []byte, name string) (Codec, error) {
+	got, payload, _, err := readHeader(data)
+	if err != nil {
+		return Codec{}, err
+	}
+	if string(got) != name {
+		return Codec{}, fmt.Errorf("snap: blob is %q, want %q", got, name)
+	}
+	return Codec{name: name, buf: payload, dec: true}, nil
+}
+
+// Finish completes an encoding walk, returning the extended slice.
+func (c *Codec) Finish() ([]byte, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	return FinishHeader(c.buf, c.off), nil
+}
+
+// Close completes a decoding walk: it returns the first error, or an
+// error when payload bytes were left unconsumed (a payload-shape
+// mismatch, e.g. a snapshot taken at a different optimization level or
+// spec revision).
+func (c *Codec) Close() error {
+	if c.err == nil && c.off != len(c.buf) {
+		return fmt.Errorf("snap: %s: %d trailing payload bytes (state shape mismatch)", c.name, len(c.buf)-c.off)
+	}
+	return c.err
+}
+
+// Failf latches a walk-level check failure, such as a decoded size that
+// does not fit the receiver.
+func (c *Codec) Failf(format string, args ...any) {
+	c.fail(fmt.Errorf(format, args...))
+}
+
+func (c *Codec) fail(err error) {
+	if c.err == nil {
+		c.err = fmt.Errorf("snap: %s: %w", c.name, err)
 	}
 }
 
 // take returns the next n payload bytes, or nil after latching an error.
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.buf) {
-		r.fail(ErrTruncated)
+	if uint(n) > uint(len(c.buf)-c.off) {
+		c.fail(fmt.Errorf("%w (%d bytes wanted, %d left)", ErrTruncated, uint(n), len(c.buf)-c.off))
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
+	b := c.buf[c.off : c.off+n]
+	c.off += n
 	return b
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
+// U8 walks one byte.
+func (c *Codec) U8(p *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *p)
+	} else if b := c.take(1); b != nil {
+		*p = b[0]
 	}
-	return b[0]
 }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
+// U16 walks a little-endian uint16.
+func (c *Codec) U16(p *uint16) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *p)
+	} else if b := c.take(2); b != nil {
+		*p = binary.LittleEndian.Uint16(b)
 	}
-	return binary.LittleEndian.Uint16(b)
 }
 
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+// U32 walks a little-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *p)
+	} else if b := c.take(4); b != nil {
+		*p = binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
 }
 
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+// U64 walks a little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
+	} else if b := c.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
 }
 
-// Bool reads one byte and requires it to be 0 or 1.
-func (r *Reader) Bool() bool {
-	b := r.take(1)
-	if b == nil {
-		return false
+// Int walks an int as a uint32.
+func (c *Codec) Int(p *int) {
+	v := uint32(*p)
+	c.U32(&v)
+	if c.dec && c.err == nil {
+		*p = int(v)
 	}
-	if b[0] > 1 {
-		r.fail(fmt.Errorf("invalid boolean byte %#x", b[0]))
-		return false
-	}
-	return b[0] == 1
 }
 
-// Bytes reads a uint32 length prefix and returns a copy of that many bytes.
-func (r *Reader) Bytes() []byte {
-	n := r.U32()
-	if r.err != nil {
-		return nil
+// Bool walks one byte, 1 for true; decoding rejects any byte but 0 or 1.
+func (c *Codec) Bool(p *bool) {
+	if !c.dec {
+		v := uint8(0)
+		if *p {
+			v = 1
+		}
+		c.buf = append(c.buf, v)
+		return
 	}
-	if uint64(n) > uint64(len(r.buf)-r.off) {
-		r.fail(fmt.Errorf("%w (declared %d bytes)", ErrTruncated, n))
-		return nil
+	b := c.take(1)
+	switch {
+	case b == nil:
+	case b[0] > 1:
+		c.fail(fmt.Errorf("invalid boolean byte %#x", b[0]))
+	default:
+		*p = b[0] == 1
 	}
-	b := r.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }
 
-// String reads a uint32 length prefix and that many bytes as a string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// Err returns the first decoding error, if any, without the
-// fully-consumed check of Close.
-func (r *Reader) Err() error { return r.err }
-
-// Close finishes decoding: it returns the first error, or an error when
-// payload bytes were left unconsumed (a payload-shape mismatch, e.g. a
-// snapshot taken at a different optimization level or spec revision).
-func (r *Reader) Close() error {
-	if r.err != nil {
-		return r.err
+// Byte walks an int8 or a small int-kinded enumeration as one byte.
+func Byte[T ~int8 | ~int](c *Codec, p *T) {
+	v := uint8(*p)
+	c.U8(&v)
+	if c.dec && c.err == nil {
+		*p = T(v)
 	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("snap: %s: %d trailing payload bytes (state shape mismatch)", r.name, len(r.buf)-r.off)
+}
+
+// Array walks a fixed-size byte array with no length prefix.
+func (c *Codec) Array(b []byte) {
+	if !c.dec {
+		c.buf = append(c.buf, b...)
+	} else if src := c.take(len(b)); src != nil {
+		copy(b, src)
 	}
-	return nil
+}
+
+// Buffer walks a uint32 length prefix and the bytes of b, a buffer whose
+// size the receiver fixed at construction (a media image, RAM, a
+// framebuffer); decoding rejects a blob of any other length.
+func (c *Codec) Buffer(b []byte) {
+	n := uint32(len(b))
+	c.U32(&n)
+	if n != uint32(len(b)) {
+		c.Failf("blob holds a %d-byte buffer, receiver has %d", n, len(b))
+		return
+	}
+	c.Array(b)
+}
+
+// Bytes walks a uint32 length prefix and a variable-length byte slice;
+// decoding stores a copy.
+func (c *Codec) Bytes(p *[]byte) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*p)))
+		c.buf = append(c.buf, *p...)
+	} else if b := c.prefixed(); c.err == nil {
+		*p = append([]byte{}, b...)
+	}
+}
+
+// String walks a uint32 length prefix and a string.
+func (c *Codec) String(p *string) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*p)))
+		c.buf = append(c.buf, *p...)
+	} else if b := c.prefixed(); c.err == nil {
+		*p = string(b)
+	}
+}
+
+// prefixed decodes a uint32 length prefix and that many payload bytes.
+func (c *Codec) prefixed() []byte {
+	var n uint32
+	c.U32(&n)
+	return c.take(int(n))
 }
