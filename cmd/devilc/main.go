@@ -4,7 +4,7 @@
 // Usage:
 //
 //	devilc [-check] [-pkg name] [-debug] [-O level] [-o out.go] spec.dil
-//	devilc -update [-root dir] [-O level]
+//	devilc -update [-root dir] [-debug] [-O level]
 //	devilc vet [-json] [-Werror] [-Wall] [-suppress CODES] spec.dil...
 //	devilc vet -codes
 //
@@ -23,7 +23,8 @@
 // With -update devilc regenerates every checked-in stub package of the
 // specification library (gen.Library) under the repository root given by
 // -root, so the golden files in internal/gen never drift from their
-// internal/specs sources.
+// internal/specs sources. With -debug the stubs are regenerated with the
+// §3.2 run-time checks enabled, for a test run over debug stubs.
 package main
 
 import (
@@ -62,10 +63,10 @@ func main() {
 
 	if *update {
 		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: devilc -update [-root dir] [-O level]")
+			fmt.Fprintln(os.Stderr, "usage: devilc -update [-root dir] [-debug] [-O level]")
 			os.Exit(2)
 		}
-		if err := updateLibrary(*root, level); err != nil {
+		if err := updateLibrary(*root, level, *debug); err != nil {
 			fmt.Fprintln(os.Stderr, "devilc:", err)
 			os.Exit(1)
 		}
@@ -73,7 +74,7 @@ func main() {
 	}
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: devilc [-check] [-pkg name] [-debug] [-O level] [-o out.go] spec.dil | devilc -update [-root dir] [-O level]")
+		fmt.Fprintln(os.Stderr, "usage: devilc [-check] [-pkg name] [-debug] [-O level] [-o out.go] spec.dil | devilc -update [-root dir] [-debug] [-O level]")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -114,9 +115,10 @@ func main() {
 }
 
 // updateLibrary regenerates the checked-in stub files from the embedded
-// library specifications at the given optimization level.
-func updateLibrary(root string, level ir.OptLevel) error {
-	results, err := gen.UpdateLevel(root, gen.Library, level)
+// library specifications at the given optimization level, with the
+// run-time checks on when debug is set.
+func updateLibrary(root string, level ir.OptLevel, debug bool) error {
+	results, err := gen.UpdateLevel(root, gen.Library, level, debug)
 	for _, r := range results {
 		if r.Changed {
 			fmt.Printf("%s regenerated\n", r.Path)

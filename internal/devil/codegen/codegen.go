@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/devil/ast"
 	"repro/internal/devil/ir"
 	"repro/internal/devil/sema"
 )
@@ -20,18 +19,19 @@ type Options struct {
 	// BusImport is the import path of the bus package; it defaults to
 	// "repro/internal/bus".
 	BusImport string
-	// ObsImport is the import path of the observation package the span
-	// annotations come from; it defaults to "repro/internal/obs".
-	ObsImport string
-	// SnapImport is the import path of the snapshot wire-format package
-	// the generated MarshalState/UnmarshalState methods build on; it
-	// defaults to "repro/internal/snap".
-	SnapImport string
 	// Opt selects the optimization level applied to every method's
 	// access plan. The zero value is ir.O1, the default level; ir.O0
 	// disables all passes (devilc -O0).
 	Opt ir.OptLevel
 }
+
+// Import paths of the observation package the span annotations come from
+// and of the snapshot wire-format package MarshalState and UnmarshalState
+// build on.
+const (
+	obsImport  = "repro/internal/obs"
+	snapImport = "repro/internal/snap"
+)
 
 // Generate emits a Go stub package for the resolved device. The emitted
 // source is verified — parsed with go/parser and gofmt-formatted — before
@@ -43,12 +43,6 @@ func Generate(spec *sema.Device, opts Options) ([]byte, error) {
 	}
 	if opts.BusImport == "" {
 		opts.BusImport = "repro/internal/bus"
-	}
-	if opts.ObsImport == "" {
-		opts.ObsImport = "repro/internal/obs"
-	}
-	if opts.SnapImport == "" {
-		opts.SnapImport = "repro/internal/snap"
 	}
 	return generateVerified(spec, opts)
 }
@@ -107,9 +101,9 @@ func (g *generator) run() {
 	}
 	g.p("\t%q", g.opts.BusImport)
 	if g.needObs {
-		g.p("\t%q", g.opts.ObsImport)
+		g.p("\t%q", obsImport)
 	}
-	g.p("\t%q", g.opts.SnapImport)
+	g.p("\t%q", snapImport)
 	g.p(")")
 	g.p("")
 	g.p("// debug enables the specification-derived runtime checks (§3.2).")
@@ -376,7 +370,7 @@ func (g *generator) emitEnums() {
 		g.p("// Symbols of %s.", tn)
 		g.p("const (")
 		for _, s := range v.Type.Enum {
-			if s.CareMask == careAll(v.Type.Bits) {
+			if s.CareMask == v.Type.WidthMask() {
 				g.p("\t%s %s = %#x", symName(v.Name, s.Name), tn, s.Value)
 			}
 		}
@@ -395,13 +389,6 @@ func (g *generator) emitEnums() {
 		g.p("}")
 		g.p("")
 	}
-}
-
-func careAll(bits int) uint64 {
-	if bits >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(bits) - 1
 }
 
 func (g *generator) emitDeviceStruct() {
@@ -501,8 +488,8 @@ type planScope struct {
 	srcs        map[*sema.Register]string
 }
 
-// emitPlan prints one plan as a method: the signature, span, typed
-// conversions and §3.2 checks around the plan's steps.
+// emitPlan prints one plan as a method: the signature, span and typed
+// conversions around the plan's steps.
 func (g *generator) emitPlan(p *ir.Plan) {
 	v, sc := p.Var, &planScope{}
 	switch p.Kind {
@@ -515,7 +502,6 @@ func (g *generator) emitPlan(p *ir.Plan) {
 		g.p("// %s reads the %s device variable.", g.getterName(v), v.Name)
 		g.p("func (d *Device) %s(%s) %s {", g.getterName(v), arg, g.goType(v))
 		g.span(p.Span(g.spec.Name))
-		g.emitDomainCheck(v, sc.arg)
 	case ir.PSet:
 		arg := ""
 		if v.Param != "" {
@@ -525,20 +511,12 @@ func (g *generator) emitPlan(p *ir.Plan) {
 		g.p("// %s writes the %s device variable.", g.setterName(v), v.Name)
 		g.p("func (d *Device) %s(v %s%s) {", g.setterName(v), g.goType(v), arg)
 		g.span(p.Span(g.spec.Name))
-		g.emitDomainCheck(v, sc.arg)
-		g.p("\traw := %s", g.typedToRaw(v, "v"))
-		g.emitWriteCheck(v, "\t")
 	case ir.PFieldGet:
 		g.p("// %s returns the %s field from the last %s snapshot.", g.getterName(v), v.Name, v.Struct.Name)
 		g.p("func (d *Device) %s() %s {", g.getterName(v), g.goType(v))
-		g.p("\tif debug && !d.valid%s {", goName(v.Struct.Name, true))
-		g.p("\t\tpanic(%q)", fmt.Sprintf("devil: %s read before %s snapshot", v.Name, v.Struct.Name))
-		g.p("\t}")
 	case ir.PFieldSet:
 		g.p("// %s stages the %s field; %s flushes it to the device.", g.setterName(v), v.Name, g.structMethod("Write", v.Struct))
 		g.p("func (d *Device) %s(v %s) {", g.setterName(v), g.goType(v))
-		g.p("\traw := %s", g.typedToRaw(v, "v"))
-		g.emitWriteCheck(v, "\t")
 	case ir.PRead:
 		m := g.structMethod("Read", p.Struct)
 		g.p("// %s reads the registers of %s once, refreshing the snapshot the", m, p.Struct.Name)
@@ -602,7 +580,6 @@ func (g *generator) emitSteps(p *ir.Plan, steps []ir.Step, indent string, sc *pl
 			g.p("%s%s := uint32(d.bus.In%d(d.%s + %d))", indent, src, r.Port.Width, g.portField(r.Port), r.Offset)
 		case ir.SGather:
 			g.p("%sraw := %s", indent, gatherExpr(s.Var, sc.srcs))
-			g.emitReadCheck(s.Var, indent)
 		case ir.SSnap:
 			r := s.Reg.Read
 			g.p("%sd.%s = uint32(d.bus.In%d(d.%s + %d))", indent, g.snapField(s.Reg), r.Port.Width, g.portField(r.Port), r.Offset)
@@ -614,7 +591,6 @@ func (g *generator) emitSteps(p *ir.Plan, steps []ir.Step, indent string, sc *pl
 				srcs[ch.Reg] = "d." + g.snapField(ch.Reg)
 			}
 			g.p("%sraw := %s", indent, gatherExpr(s.Var, srcs))
-			g.emitReadCheck(s.Var, indent)
 		case ir.SVCache:
 			g.p("%sd.%s = raw", indent, g.vcField(s.Var))
 		case ir.SStage:
@@ -634,6 +610,8 @@ func (g *generator) emitSteps(p *ir.Plan, steps []ir.Step, indent string, sc *pl
 		case ir.SBlockOut:
 			w := s.Reg.Write
 			g.p("%sd.bus.OutBlock%d(d.%s+%d, buf)", indent, s.Var.Width, g.portField(w.Port), w.Offset)
+		case ir.SCheckDomain, ir.SCheckWrite, ir.SCheckRead, ir.SCheckValid:
+			g.emitCheck(s, sc.arg, indent)
 		case ir.SGuard:
 			g.p("%sif !(%s) {", indent, g.elisionCond(s.Elide))
 			g.emitSteps(p, s.Body, indent+"\t", sc)
@@ -736,16 +714,6 @@ func (g *generator) span(name string) {
 	g.p("\t}")
 }
 
-// emitDomainCheck emits the §3.2 family-argument domain check.
-func (g *generator) emitDomainCheck(v *sema.Variable, arg string) {
-	if arg == "" || v.Domain == nil {
-		return
-	}
-	g.p("\tif debug && !(%s) {", domainCond(arg, v.Domain))
-	g.p("\t\tpanic(%q)", fmt.Sprintf("devil: %s: argument out of domain %s", v.Name, v.Domain))
-	g.p("\t}")
-}
-
 // ---------------------------------------------------------------------------
 // Actions
 
@@ -844,76 +812,53 @@ func (g *generator) typedToRaw(v *sema.Variable, expr string) string {
 	return fmt.Sprintf("uint32(%s)", expr)
 }
 
-// emitWriteCheck emits the §3.2 write-range check under the debug constant.
-func (g *generator) emitWriteCheck(v *sema.Variable, indent string) {
-	t := v.Type
+// emitCheck prints a check step: under the debug constant, a broken rule
+// panics with the step's fault text. A write check first converts the
+// typed argument to raw, and tests nothing when the Go parameter type
+// admits only legal values (bool, and unsigned integers of 32 bits or
+// more).
+func (g *generator) emitCheck(s *ir.Step, arg, indent string) {
+	v, t := s.Var, s.Var.Type
 	var cond string
-	switch t.Kind {
-	case sema.TypeBool:
-		return // bool cannot be out of range
-	case sema.TypeUInt:
-		if t.Bits >= 32 {
+	switch s.Kind {
+	case ir.SCheckDomain:
+		cond = ruleCond(arg, sema.Rule{Range: v.Domain})
+	case ir.SCheckWrite:
+		g.p("%sraw := %s", indent, g.typedToRaw(v, "v"))
+		if t.Kind == sema.TypeBool || t.Kind == sema.TypeUInt && t.Bits >= 32 {
 			return
 		}
-		cond = fmt.Sprintf("uint32(v) > %s", maskLit(t.Bits))
-	case sema.TypeSInt:
-		min := -(int64(1) << uint(t.Bits-1))
-		max := int64(1)<<uint(t.Bits-1) - 1
-		cond = fmt.Sprintf("int64(v) < %d || int64(v) > %d", min, max)
-	case sema.TypeIntSet:
-		cond = fmt.Sprintf("!(%s)", domainCond("int(v)", t.Set))
-	case sema.TypeEnum:
-		var ors []string
-		for _, s := range t.Enum {
-			if s.Writable() {
-				ors = append(ors, fmt.Sprintf("uint64(v)&%#x == %#x", s.CareMask, s.Value))
-			}
-		}
-		if len(ors) == 0 {
-			return
-		}
-		cond = fmt.Sprintf("!(%s)", strings.Join(ors, " || "))
+		cond = ruleCond("int64(v)", t.WriteRule())
+	case ir.SCheckRead:
+		cond = ruleCond("int64(raw)", t.ReadRule())
+	case ir.SCheckValid:
+		cond = "!d.valid" + goName(v.Struct.Name, true)
 	}
-	g.p("%sif debug && (%s) {", indent, cond)
-	g.p("%s\tpanic(%q)", indent, fmt.Sprintf("devil: %s: written value out of range for %s", v.Name, t))
+	g.p("%sif debug && %s {", indent, cond)
+	g.p("%s\tpanic(%q)", indent, s.Fault())
 	g.p("%s}", indent)
 }
 
-// emitReadCheck emits the optional §3.2 read validation under debug.
-func (g *generator) emitReadCheck(v *sema.Variable, indent string) {
-	t := v.Type
-	var cond string
-	switch t.Kind {
-	case sema.TypeIntSet:
-		cond = fmt.Sprintf("!(%s)", domainCond("int(raw)", t.Set))
-	case sema.TypeEnum:
-		var ors []string
-		for _, s := range t.Enum {
-			if s.Readable() {
-				ors = append(ors, fmt.Sprintf("uint64(raw)&%#x == %#x", s.CareMask, s.Value))
-			}
-		}
-		if len(ors) == 0 {
-			return
-		}
-		cond = fmt.Sprintf("!(%s)", strings.Join(ors, " || "))
-	default:
-		return
-	}
-	g.p("%sif debug && (%s) {", indent, cond)
-	g.p("%s\tpanic(%q)", indent, fmt.Sprintf("devil: %s: device delivered a value outside %s", v.Name, t))
-	g.p("%s}", indent)
-}
-
-// domainCond renders an IntSet membership test over the expression e.
-func domainCond(e string, set *ast.IntSet) string {
-	var parts []string
-	for _, r := range set.Ranges {
-		if r.Lo == r.Hi {
-			parts = append(parts, fmt.Sprintf("%s == %d", e, r.Lo))
+// ruleCond renders the test that the expression e breaks the rule.
+func ruleCond(e string, r sema.Rule) string {
+	var in []string
+	for _, rg := range r.Range.Ranges {
+		if rg.Lo == rg.Hi {
+			in = append(in, fmt.Sprintf("%s == %d", e, rg.Lo))
 		} else {
-			parts = append(parts, fmt.Sprintf("%s >= %d && %s <= %d", e, r.Lo, e, r.Hi))
+			in = append(in, fmt.Sprintf("%s >= %d && %s <= %d", e, rg.Lo, e, rg.Hi))
 		}
 	}
-	return strings.Join(parts, " || ")
+	cond := "!(" + strings.Join(in, " || ") + ")"
+	if !r.Enum {
+		return cond
+	}
+	if len(r.Syms) == 0 {
+		return "true" // no symbol of the direction: every value breaks the rule
+	}
+	var match []string
+	for _, s := range r.Syms {
+		match = append(match, fmt.Sprintf("%s&%#x == %#x", e, s.CareMask, s.Value))
+	}
+	return "(" + cond + " || !(" + strings.Join(match, " || ") + "))"
 }

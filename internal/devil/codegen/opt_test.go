@@ -59,8 +59,7 @@ func TestGeneratePassSubsets(t *testing.T) {
 	spec := core.MustCompile(specs.CS4236)
 	gen := func(p ir.Passes) string {
 		t.Helper()
-		raw, err := generate(spec, Options{Package: "cs4236", BusImport: "repro/internal/bus",
-			ObsImport: "repro/internal/obs", SnapImport: "repro/internal/snap"}, p)
+		raw, err := generate(spec, Options{Package: "cs4236", BusImport: "repro/internal/bus"}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,5 +125,22 @@ func TestBisectPassesNamesCulprit(t *testing.T) {
 		// All passes are healthy, so bisection walks the full ladder
 		// without finding a breakage.
 		t.Errorf("bisect on healthy passes = %q", got)
+	}
+}
+
+// TestVerifySourceRejects: verification accepts only a complete,
+// well-formed file. gofmt alone would format a declaration list without a
+// package clause.
+func TestVerifySourceRejects(t *testing.T) {
+	for name, src := range map[string]string{
+		"syntax error": "package p\n\nfunc f() {\n\treturn (\n}\n",
+		"fragment":     "func f() {}\n",
+	} {
+		if _, err := verifySource([]byte(src)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := verifySource([]byte("package p\n\nfunc f() {}\n")); err != nil {
+		t.Errorf("complete file rejected: %v", err)
 	}
 }

@@ -31,9 +31,11 @@ func generateVerified(spec *sema.Device, opts Options) ([]byte, error) {
 }
 
 // verifySource checks that src parses as a Go source file and returns the
-// gofmt-formatted form.
+// gofmt-formatted form. The source is parsed in full once, by gofmt, which
+// rejects any syntax error; the package-clause parse before it only keeps
+// gofmt from accepting a fragment (gofmt formats partial source too).
 func verifySource(src []byte) ([]byte, error) {
-	if _, err := parser.ParseFile(token.NewFileSet(), "generated.go", src, parser.ParseComments); err != nil {
+	if _, err := parser.ParseFile(token.NewFileSet(), "generated.go", src, parser.PackageClauseOnly); err != nil {
 		return nil, fmt.Errorf("go/parser: %w", err)
 	}
 	out, err := format.Source(src)

@@ -16,13 +16,15 @@
 // register shadows and elision flags, structure snapshots and their
 // validity, staged fields and staged flags.
 //
-// Where a debug stub panics, the interpreter returns an error. Debug mode
-// adds the §3.2 write checks (written values are verified against the
-// variable type); ReadCheck verifies values read from the device against
-// the specification.
+// The §3.2 run-time checks are plan steps too, with the fault text of
+// package ir: where a debug stub panics, the interpreter returns that
+// text as an error. Family-argument domain and snapshot-validity checks
+// always run; write and read checks run in Debug mode, as they do in a
+// debug stub.
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bus"
@@ -33,13 +35,10 @@ import (
 
 // Options configures a linked device.
 type Options struct {
-	// Debug enables write-range checks, as generated by the compiler in
-	// debug mode.
+	// Debug enables the checks of written values against the variable
+	// type and of values read from the device against the specification
+	// (§3.2), as the compiler's debug mode does.
 	Debug bool
-	// ReadCheck additionally verifies values read from the device against
-	// the specification (§3.2: "run-time checks can optionally be generated
-	// after variable reads").
-	ReadCheck bool
 	// Opt selects the optimization level of the interpreted plans, as the
 	// code generator's does for the compiled ones, so the two back ends
 	// stay trace-identical at every level. The zero value is ir.O1, the
@@ -120,7 +119,7 @@ func Link(spec *sema.Device, b bus.Bus, bases map[string]uint32, opts Options) (
 
 // Get reads a device variable and returns its semantic value. Structure
 // fields are decoded from the structure's snapshot (read the structure
-// first); memory cells from their storage.
+// first).
 func (d *Device) Get(name string) (int64, error) { return d.get(name, 0, false) }
 
 // GetParam reads a parameterized variable at the given register-family
@@ -128,19 +127,13 @@ func (d *Device) Get(name string) (int64, error) { return d.get(name, 0, false) 
 func (d *Device) GetParam(name string, arg int) (int64, error) { return d.get(name, arg, true) }
 
 func (d *Device) get(name string, arg int, withArg bool) (int64, error) {
-	v, err := d.public(name, arg, withArg)
+	v, err := d.public(name, withArg)
 	if err != nil {
 		return 0, err
 	}
-	if v.Cell {
-		return v.Type.Decode(uint64(d.st.cell[v.Index])), nil
-	}
-	if !v.Readable {
-		return 0, fmt.Errorf("devil: variable %s is not readable", name)
-	}
 	p := d.prog.Vars[v.Index].Get
-	if v.Struct != nil && (p == nil || !d.st.valid[v.Struct.Index]) {
-		return 0, fmt.Errorf("devil: structure %s has not been read; call ReadStruct first", v.Struct.Name)
+	if p == nil {
+		return 0, fmt.Errorf("devil: variable %s is not readable", name)
 	}
 	raw, err := d.run(p, frame{arg: arg})
 	if err != nil {
@@ -170,8 +163,7 @@ func (d *Device) GetSym(name string) (string, error) {
 }
 
 // Set writes a device variable. Fields of a structure are staged for
-// WriteStruct; plain variables run their write plan immediately; memory
-// cells are stored.
+// WriteStruct; plain variables run their write plan immediately.
 func (d *Device) Set(name string, value int64) error { return d.set(name, value, 0, false) }
 
 // SetParam writes a parameterized variable at the given register-family
@@ -197,26 +189,15 @@ func (d *Device) SetSym(name, symbol string) error {
 }
 
 func (d *Device) set(name string, value int64, arg int, withArg bool) error {
-	v, err := d.public(name, arg, withArg)
+	v, err := d.public(name, withArg)
 	if err != nil {
 		return err
-	}
-	raw, err := d.encode(v, value)
-	if err != nil {
-		return err
-	}
-	if v.Cell {
-		d.st.cell[v.Index] = raw
-		return nil
-	}
-	if !v.Writable {
-		return fmt.Errorf("devil: variable %s is not writable", name)
 	}
 	p := d.prog.Vars[v.Index].Set
 	if p == nil {
-		return fmt.Errorf("devil: structure %s of %s is not writable", v.Struct.Name, name)
+		return fmt.Errorf("devil: variable %s is not writable", name)
 	}
-	_, err = d.run(p, frame{raw: raw, arg: arg})
+	_, err = d.run(p, frame{val: value, arg: arg})
 	return err
 }
 
@@ -323,9 +304,9 @@ func (d *Device) block(name string, width int, read bool, f frame) error {
 // ---------------------------------------------------------------------------
 // Plumbing
 
-// public resolves a variable of the device interface and checks its
-// register-family argument.
-func (d *Device) public(name string, arg int, withArg bool) (*sema.Variable, error) {
+// public resolves a variable of the device interface and checks that a
+// register-family argument is given exactly when it has one.
+func (d *Device) public(name string, withArg bool) (*sema.Variable, error) {
 	v := d.Spec.Variable(name)
 	if v == nil {
 		return nil, fmt.Errorf("devil: unknown variable %s", name)
@@ -342,51 +323,28 @@ func (d *Device) public(name string, arg int, withArg bool) (*sema.Variable, err
 	if !withArg {
 		return nil, fmt.Errorf("devil: variable %s needs a register-family argument", v.Name)
 	}
-	if v.Domain != nil && !v.Domain.Contains(arg) {
-		return nil, fmt.Errorf("devil: argument %d outside the domain %s of %s", arg, v.Domain, v.Name)
-	}
 	return v, nil
 }
 
-// encode converts a semantic value to raw bits, applying the §3.2 write
-// check in debug mode and plain truncation otherwise.
-func (d *Device) encode(v *sema.Variable, value int64) (uint32, error) {
-	if d.opts.Debug {
-		raw, err := v.Type.Encode(value)
-		if err != nil {
-			return 0, fmt.Errorf("devil: write check on %s: %w", v.Name, err)
-		}
-		return uint32(raw), nil
+// narrow converts an action value to the semantic value a generated
+// setter call passes: booleans test non-zero, everything else truncates to
+// the variable's width.
+func narrow(v *sema.Variable, val uint32) int64 {
+	if v.Type.Kind == sema.TypeBool && val != 0 {
+		return 1
 	}
-	if v.Type.Bits < 32 {
-		return uint32(value) & (1<<uint(v.Type.Bits) - 1), nil
-	}
-	return uint32(value), nil
-}
-
-// narrow converts an action value the way a generated setter call does:
-// booleans test non-zero, everything else truncates to the variable's
-// width.
-func narrow(v *sema.Variable, val uint32) uint32 {
-	switch {
-	case v.Type.Kind == sema.TypeBool:
-		if val != 0 {
-			return 1
-		}
-		return 0
-	case v.Type.Bits < 32:
-		return val & (1<<uint(v.Type.Bits) - 1)
-	}
-	return val
+	return v.Type.Decode(uint64(val))
 }
 
 // ---------------------------------------------------------------------------
 // The plan interpreter
 
-// frame is the scope of one running plan: the raw value being written (or
-// gathered by a read), the register-family argument, the register value
-// being composed, and the caller's block buffer.
+// frame is the scope of one running plan: the semantic value being
+// written, its raw value (or the value gathered by a read), the
+// register-family argument, the register value being composed, and the
+// caller's block buffer.
 type frame struct {
+	val      int64
 	raw, out uint32
 	arg      int
 	buf16    []uint16
@@ -428,12 +386,22 @@ func (d *Device) steps(p *ir.Plan, steps []ir.Step, f *frame) error {
 			for _, ch := range s.Var.Chunks {
 				f.raw |= uint32(ir.ExtractValue(ch.Reg, s.Var, uint64(d.st.snap[ch.Reg.Index])))
 			}
-			fallthrough
-		case ir.SGather:
-			if d.opts.ReadCheck {
-				if err := s.Var.Type.CheckRead(uint64(f.raw)); err != nil {
-					return fmt.Errorf("devil: read check on %s: %w", s.Var.Name, err)
-				}
+		case ir.SCheckDomain:
+			if !s.Var.Domain.Contains(f.arg) {
+				return errors.New(s.Fault())
+			}
+		case ir.SCheckWrite:
+			if d.opts.Debug && !s.Var.Type.WriteRule().Allows(f.val) {
+				return errors.New(s.Fault())
+			}
+			f.raw = uint32(uint64(f.val) & s.Var.Type.WidthMask())
+		case ir.SCheckRead:
+			if d.opts.Debug && !s.Var.Type.ReadRule().Allows(int64(f.raw)) {
+				return errors.New(s.Fault())
+			}
+		case ir.SCheckValid:
+			if !d.st.valid[s.Var.Struct.Index] {
+				return errors.New(s.Fault())
 			}
 		case ir.SSnap:
 			d.st.snap[s.Reg.Index] = d.in(s.Reg.Read)
@@ -538,7 +506,7 @@ func (d *Device) assign(v *sema.Variable, val uint32, arg int) error {
 	if p == nil {
 		return fmt.Errorf("devil: action writes %s, which is not writable", v.Name)
 	}
-	_, err := d.run(p, frame{raw: narrow(v, val), arg: arg})
+	_, err := d.run(p, frame{val: narrow(v, val), arg: arg})
 	return err
 }
 

@@ -98,7 +98,7 @@ func TestMouseStateLatch(t *testing.T) {
 
 func TestFieldGetBeforeSnapshotFails(t *testing.T) {
 	dev, _, _ := newBusmouse(t, exec.Options{Debug: true})
-	if _, err := dev.Get("dx"); err == nil || !strings.Contains(err.Error(), "ReadStruct") {
+	if _, err := dev.Get("dx"); err == nil || !strings.Contains(err.Error(), "before mouse_state snapshot") {
 		t.Errorf("err = %v, want structure-not-read", err)
 	}
 }
@@ -489,5 +489,32 @@ func TestParameterizedDomainEnforced(t *testing.T) {
 	}
 	if _, err := dev.GetParam("IA", 3); err == nil {
 		t.Error("expected not-parameterized error for IA with argument")
+	}
+}
+
+// TestReadCheckFollowsDebug: a value read from the device outside the
+// variable's int set is reported in Debug mode, as a debug stub reports
+// it, and returned as read otherwise.
+func TestReadCheckFollowsDebug(t *testing.T) {
+	spec, err := core.Compile([]byte(csSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, debug := range []bool{false, true} {
+		var clk bus.Clock
+		space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
+		space.MustMap(0x530, 2, bus.NewRAM(2))
+		space.Out8(0x530, 0x40) // IA is int{0..31}
+		dev, err := core.Link(spec, space, map[string]uint32{"base": 0x530}, exec.Options{Debug: debug})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dev.Get("IA")
+		switch {
+		case debug && (err == nil || err.Error() != "devil: IA: device delivered a value outside int{0..31}"):
+			t.Errorf("Debug: err = %v, want the read-check fault", err)
+		case !debug && (err != nil || got != 0x40):
+			t.Errorf("no Debug: IA = %#x, %v; want 0x40", got, err)
+		}
 	}
 }

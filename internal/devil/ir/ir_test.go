@@ -169,6 +169,39 @@ plan pen.set:
 	}
 }
 
+// TestChecksArePure: a check step neither ends a Coalesce window nor
+// enters an elision guard, since a check runs even when the write is
+// elided.
+func TestChecksArePure(t *testing.T) {
+	co := &ir.Plan{Kind: ir.PGet, Var: pen, Steps: []ir.Step{
+		selectI9(9),
+		{Kind: ir.SCheckRead, Var: pen},
+		selectI9(9), // only a check intervened: dropped
+	}}
+	golden(t, "coalesce", ir.Coalesce(co), `
+plan pen.get:
+  ctx IA = 0x9 -> I9
+  check read pen
+`)
+	want := `
+plan pen.set:
+  check domain pen
+  check write pen
+  compose I9 = raw
+  mask &0x5 |0x0
+  guard unless ok.I9 && shadow.I9 == out && cell.xm == 0x0:
+    ctx IA = 0x9 -> I9
+    write I9
+    shadow I9
+    ok I9
+`
+	for _, ctx := range []bool{false, true} {
+		p := elidablePlan(ctx)
+		p.Steps = append([]ir.Step{{Kind: ir.SCheckDomain, Var: pen}, {Kind: ir.SCheckWrite, Var: pen}}, p.Steps...)
+		golden(t, "guard", ir.Optimize(p, ir.O1.Passes()), want)
+	}
+}
+
 func TestExprRender(t *testing.T) {
 	e := &ir.Expr{}
 	if got := e.Render(); got != "0" {
@@ -186,7 +219,8 @@ func TestExprRender(t *testing.T) {
 
 // TestLowerGolden pins the lowered plans of the library shapes the pass
 // tests do not reach: a family getter whose context is a structure
-// flush, a flush with guarded serialization steps, and a block read.
+// flush, a family setter, a checked read, a structure-field decode, a
+// flush with guarded serialization steps, and a block read.
 // Each listing is pinned at both levels; an empty O1 listing means the
 // passes leave the plan unchanged.
 func TestLowerGolden(t *testing.T) {
@@ -204,9 +238,60 @@ func TestLowerGolden(t *testing.T) {
 			},
 			o0: `
 plan ext.get:
+  check domain ext
   action XS = {XA = arg, XRAE = 0x1}
   read X
   gather ext
+`,
+		},
+		{
+			// The ext(j) setter: the domain check, then the write check.
+			src: specs.CS4236,
+			plan: func(s *sema.Device, p *ir.Program) *ir.Plan {
+				return p.Vars[s.Variable("ext").Index].Set
+			},
+			o0: `
+plan ext.set:
+  check domain ext
+  check write ext
+  compose X = raw
+  mask &0xff |0x0
+  action XS = {XA = arg, XRAE = 0x1}
+  write X
+`,
+			o1: `
+plan ext.set:
+  check domain ext
+  check write ext
+  compose X = raw
+  action XS = {XA = arg, XRAE = 0x1}
+  write X
+`,
+		},
+		{
+			// The int-set index register: the value read is checked.
+			src: specs.CS4236,
+			plan: func(s *sema.Device, p *ir.Program) *ir.Plan {
+				return p.Vars[s.Variable("IA").Index].Get
+			},
+			o0: `
+plan IA.get:
+  read control
+  action xm = 0x0
+  gather IA
+  check read IA
+`,
+		},
+		{
+			// A structure field decodes from a snapshot that has been read.
+			src: specs.Busmouse,
+			plan: func(s *sema.Device, p *ir.Program) *ir.Plan {
+				return p.Vars[s.Variable("dx").Index].Get
+			},
+			o0: `
+plan dx.get:
+  check valid dx
+  decode dx
 `,
 		},
 		{
@@ -299,7 +384,8 @@ plan Ide_data.blockin:
 				t.Fatal(err)
 			}
 			p := c.plan(spec, prog)
-			if !p.Spanned() || p.Span(spec.Name) != spec.Name+"."+p.Name() {
+			field := p.Kind == ir.PFieldGet || p.Kind == ir.PFieldSet
+			if p.Spanned() == field || p.Span(spec.Name) != spec.Name+"."+p.Name() {
 				t.Errorf("%s span = %q", p.Name(), p.Span(spec.Name))
 			}
 			want := c.o0

@@ -193,6 +193,7 @@ func (l *lowerer) shadow(reg *sema.Register) {
 // cached for structure flushes, and the variable's set actions run.
 func (l *lowerer) get(v *sema.Variable) *Plan {
 	l.begin(PGet, v, nil)
+	l.domain(v)
 	for _, step := range v.Order {
 		reg := step.Reg
 		if step.Guard != nil {
@@ -207,6 +208,7 @@ func (l *lowerer) get(v *sema.Variable) *Plan {
 		l.actions(reg.Post, reg, nil, false)
 	}
 	l.emit(Step{Kind: SGather, Var: v})
+	l.readCheck(v)
 	if l.layout.VCachedSet[v] {
 		l.emit(Step{Kind: SVCache, Var: v})
 	}
@@ -222,6 +224,8 @@ func (l *lowerer) set(v *sema.Variable) *Plan {
 	l.begin(PSet, v, nil)
 	spec := l.spec
 	l.plan.Elide = l.info.Eligible(v, l.passes)
+	l.domain(v)
+	l.emit(Step{Kind: SCheckWrite, Var: v})
 	if l.layout.VCachedSet[v] {
 		l.emit(Step{Kind: SVCache, Var: v})
 	}
@@ -255,12 +259,34 @@ func (l *lowerer) set(v *sema.Variable) *Plan {
 	return l.end()
 }
 
-// field lowers a structure field's get (decode from the snapshot) or set
-// (stage for the next flush).
+// field lowers a structure field's get (decode from a snapshot that has
+// been read) or set (stage for the next flush).
 func (l *lowerer) field(kind PlanKind, op StepKind, v *sema.Variable) *Plan {
 	l.begin(kind, v, nil)
-	l.emit(Step{Kind: op, Var: v})
+	if kind == PFieldGet {
+		l.emit(Step{Kind: SCheckValid, Var: v})
+		l.emit(Step{Kind: op, Var: v})
+		l.readCheck(v)
+	} else {
+		l.emit(Step{Kind: SCheckWrite, Var: v})
+		l.emit(Step{Kind: op, Var: v})
+	}
 	return l.end()
+}
+
+// domain checks the argument of a register-family variable.
+func (l *lowerer) domain(v *sema.Variable) {
+	if v.Param != "" && v.Domain != nil {
+		l.emit(Step{Kind: SCheckDomain, Var: v})
+	}
+}
+
+// readCheck checks a value read from the device against the type, for the
+// types whose rule a value of the variable's width can break.
+func (l *lowerer) readCheck(v *sema.Variable) {
+	if k := v.Type.Kind; k == sema.TypeIntSet || k == sema.TypeEnum {
+		l.emit(Step{Kind: SCheckRead, Var: v})
+	}
 }
 
 // block lowers a block transfer through the variable's register.

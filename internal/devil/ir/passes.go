@@ -39,8 +39,9 @@ func Coalesce(p *Plan) *Plan {
 			if lastCtx != nil && lastCtx.Reg == s.Reg && lastCtx.Var == s.Var && sameAction(lastCtx.Act, s.Act) {
 				continue // the window is already selected
 			}
-		case SCompose, SAccum, SMask:
-			// Pure out-value arithmetic; the selected window is untouched.
+		case SCompose, SAccum, SMask, SCheckDomain, SCheckWrite, SCheckRead, SCheckValid:
+			// Pure out-value arithmetic and checks; the selected window is
+			// untouched.
 		default:
 			// Port operations, actions and cache updates may change or
 			// depend on the selected window: forget it.
@@ -127,16 +128,16 @@ func BatchIndex(p *Plan) *Plan {
 }
 
 // guardPlan wraps everything from the first effectful step (context call
-// or port operation) onward in the plan's elision guard. Composition,
-// mask and flush-cache steps stay outside: the guard condition compares
-// the composed out value against the shadow, and the cache records the
-// written value whether or not the write is skipped. Elidable variables
-// have no variable-level set actions, so nothing follows the register
-// interaction.
+// or port operation) onward in the plan's elision guard. Checks,
+// composition, mask and flush-cache steps stay outside: a check runs even
+// when the write is skipped, the guard condition compares the composed out
+// value against the shadow, and the cache records the written value
+// whether or not the write is skipped. Elidable variables have no
+// variable-level set actions, so nothing follows the register interaction.
 func guardPlan(p *Plan) *Plan {
 	split := len(p.Steps)
 	for i, s := range p.Steps {
-		if s.Kind != SCompose && s.Kind != SMask && s.Kind != SVCache {
+		if s.Kind != SCompose && s.Kind != SMask && s.Kind != SVCache && !s.Kind.IsCheck() {
 			split = i
 			break
 		}

@@ -181,7 +181,21 @@ const (
 	SGuard
 	// SIf runs Body when the serialization guard Cond holds.
 	SIf
+	// SCheckDomain, SCheckWrite, SCheckRead and SCheckValid are the §3.2
+	// run-time checks of Var: the register-family argument is in Var's
+	// domain; the written value obeys Var's WriteRule, and becomes the
+	// plan's raw value; the gathered or decoded value obeys its ReadRule;
+	// Var's structure snapshot has been read. A failed check faults with
+	// the step's Fault text: a debug stub panics, exec returns an error.
+	SCheckDomain
+	SCheckWrite
+	SCheckRead
+	SCheckValid
 )
+
+// IsCheck reports whether the step is a §3.2 check. Checks are pure: they
+// neither touch a port nor change driver state.
+func (k StepKind) IsCheck() bool { return k >= SCheckDomain }
 
 // Step is one element of an access plan. Every operand is typed: the
 // register, variable and action the step touches, never rendered code.
@@ -190,9 +204,9 @@ type Step struct {
 	// Reg is the register the step touches (composition target, port
 	// operation, shadow store, or the context register an action serves).
 	Reg *sema.Register
-	// Var is the variable of SGather, SDecode, SVCache, SStage, SUnstage
-	// and block steps; on action steps it is the variable whose raw value
-	// is in scope for the action's value (nil when none is).
+	// Var is the variable of SGather, SDecode, SVCache, SStage, SUnstage,
+	// check and block steps; on action steps it is the variable whose raw
+	// value is in scope for the action's value (nil when none is).
 	Var *sema.Variable
 	// Act is the action of SCtxCall and SAction steps.
 	Act *sema.Action
@@ -311,6 +325,25 @@ var stepOps = [...]string{
 	SWrite: "write", SRead: "read", SGather: "gather", SSnap: "snap",
 	SDecode: "decode", SVCache: "vcache", SStage: "stage", SUnstage: "unstage",
 	SShadow: "shadow", SOkFlag: "ok", SBlockIn: "blockin", SBlockOut: "blockout",
+	SCheckDomain: "check domain", SCheckWrite: "check write", SCheckRead: "check read",
+	SCheckValid: "check valid",
+}
+
+// Fault is the text a failed check step reports: the panic message of a
+// debug stub and the error of exec.
+func (s *Step) Fault() string {
+	v := s.Var
+	switch s.Kind {
+	case SCheckDomain:
+		return fmt.Sprintf("devil: %s: argument out of domain %s", v.Name, v.Domain)
+	case SCheckWrite:
+		return fmt.Sprintf("devil: %s: written value out of range for %s", v.Name, v.Type)
+	case SCheckRead:
+		return fmt.Sprintf("devil: %s: device delivered a value outside %s", v.Name, v.Type)
+	case SCheckValid:
+		return fmt.Sprintf("devil: %s read before %s snapshot", v.Name, v.Struct.Name)
+	}
+	return ""
 }
 
 func operand(s *Step) string {

@@ -492,7 +492,7 @@ func (r *resolver) resolveTrigger(av *ast.Variable, v *Variable) {
 		sym, ok := v.Type.Symbol(t.Except)
 		if !ok {
 			r.errorf("E102", t.AttrPos, "variable %s: neutral symbol %s is not part of the type", v.Name, t.Except)
-		} else if sym.CareMask != v.Type.widthMask() {
+		} else if sym.CareMask != v.Type.WidthMask() {
 			r.errorf("E107", t.AttrPos, "variable %s: neutral symbol %s has wildcard bits", v.Name, t.Except)
 		} else {
 			v.Trigger.HasNeutral = true
@@ -510,7 +510,7 @@ func (r *resolver) resolveTrigger(av *ast.Variable, v *Variable) {
 			// neutral; pick the complement bit pattern when possible.
 			if !v.Trigger.HasNeutral {
 				v.Trigger.HasNeutral = true
-				v.Trigger.Neutral = ^val.Const & v.Type.widthMask()
+				v.Trigger.Neutral = ^val.Const & v.Type.WidthMask()
 			}
 		}
 	}
@@ -581,7 +581,7 @@ func (r *resolver) resolveValue(e ast.Expr, target *Type, param, targetName stri
 				if !sym.Writable() {
 					r.errorf("E106", n.NamePos, "symbol %s of %s is read-only", n.Name, targetName)
 				}
-				if sym.CareMask != target.widthMask() {
+				if sym.CareMask != target.WidthMask() {
 					r.errorf("E107", n.NamePos, "symbol %s of %s has wildcard bits and cannot be written", n.Name, targetName)
 				}
 				return Value{Kind: ValConst, Const: sym.Value}

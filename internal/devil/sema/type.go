@@ -2,6 +2,7 @@ package sema
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/devil/ast"
@@ -69,8 +70,8 @@ func (t *Type) String() string {
 	return "?"
 }
 
-// widthMask returns a mask of t.Bits low bits.
-func (t *Type) widthMask() uint64 {
+// WidthMask returns a mask of t.Bits low bits: the raw values of the type.
+func (t *Type) WidthMask() uint64 {
 	if t.Bits >= 64 {
 		return ^uint64(0)
 	}
@@ -98,74 +99,86 @@ func (t *Type) SymbolFor(raw uint64) (EnumSymbol, bool) {
 	return EnumSymbol{}, false
 }
 
-// Encode converts a semantic value to its raw bit representation, checking
-// that the value is legal for the type (the §3.2 write check). For enums the
-// semantic value is the raw pattern value and must match a writable symbol.
-func (t *Type) Encode(v int64) (uint64, error) {
+// Rule is the set of legal values of a type in one access direction. It
+// is the one statement of the §3.2 type checks: Encode applies it to
+// constants at compile time, and the check steps of package ir apply it at
+// run time in both back ends. A value is legal when Range contains it and,
+// for an enum, it matches one of Syms.
+type Rule struct {
+	Range *ast.IntSet
+	// Enum marks the pattern constraint; Syms are the enum's symbols of
+	// the direction, possibly none.
+	Enum bool
+	Syms []EnumSymbol
+}
+
+// Allows reports whether v is legal under the rule.
+func (r Rule) Allows(v int64) bool {
+	if !r.Range.Contains(int(v)) {
+		return false
+	}
+	if !r.Enum {
+		return true
+	}
+	for _, s := range r.Syms {
+		if s.Matches(uint64(v)) {
+			return true
+		}
+	}
+	return false
+}
+
+// WriteRule is the rule of written values: the type's range (its members
+// for an int set, its width for an enum) and an enum's writable symbols.
+func (t *Type) WriteRule() Rule { return t.rule(EnumSymbol.Writable) }
+
+// ReadRule is the rule of values read from the device: the type's range
+// and an enum's readable symbols.
+func (t *Type) ReadRule() Rule { return t.rule(EnumSymbol.Readable) }
+
+func (t *Type) rule(dir func(EnumSymbol) bool) Rule {
+	r := Rule{Range: t.Set}
 	switch t.Kind {
-	case TypeBool:
-		if v != 0 && v != 1 {
-			return 0, fmt.Errorf("value %d out of range for bool", v)
-		}
-		return uint64(v), nil
-	case TypeUInt:
-		if v < 0 || uint64(v) > t.widthMask() {
-			return 0, fmt.Errorf("value %d out of range for %s", v, t)
-		}
-		return uint64(v), nil
-	case TypeSInt:
-		min := -(int64(1) << uint(t.Bits-1))
-		max := int64(1)<<uint(t.Bits-1) - 1
-		if v < min || v > max {
-			return 0, fmt.Errorf("value %d out of range for %s", v, t)
-		}
-		return uint64(v) & t.widthMask(), nil
 	case TypeIntSet:
-		if v < 0 || !t.Set.Contains(int(v)) {
-			return 0, fmt.Errorf("value %d not in %s", v, t)
-		}
-		return uint64(v), nil
+		return r
+	case TypeSInt:
+		r.Range = span(-(int64(1) << uint(t.Bits-1)), int64(1)<<uint(t.Bits-1)-1)
+		return r
 	case TypeEnum:
-		if v < 0 || uint64(v) > t.widthMask() {
-			return 0, fmt.Errorf("value %#x out of range for %s", v, t)
-		}
-		raw := uint64(v)
+		r.Enum = true
 		for _, s := range t.Enum {
-			if s.Writable() && s.Matches(raw) {
-				return raw, nil
+			if dir(s) {
+				r.Syms = append(r.Syms, s)
 			}
 		}
-		return 0, fmt.Errorf("value %#x matches no writable symbol of %s", v, t)
 	}
-	return 0, fmt.Errorf("cannot encode for unknown type")
+	r.Range = span(0, int64(min(t.WidthMask(), math.MaxInt64)))
+	return r
+}
+
+// span is the one-range set lo..hi.
+func span(lo, hi int64) *ast.IntSet {
+	return &ast.IntSet{Ranges: []ast.IntRange{{Lo: int(lo), Hi: int(hi)}}}
+}
+
+// Encode converts a semantic value to its raw bit representation, checking
+// that the value is legal for the type under WriteRule. For enums the
+// semantic value is the raw pattern value.
+func (t *Type) Encode(v int64) (uint64, error) {
+	if !t.WriteRule().Allows(v) {
+		return 0, fmt.Errorf("value %d out of range for %s", v, t)
+	}
+	return uint64(v) & t.WidthMask(), nil
 }
 
 // Decode converts raw bits read from the device into the semantic value,
 // sign-extending signed integers.
 func (t *Type) Decode(raw uint64) int64 {
-	raw &= t.widthMask()
+	raw &= t.WidthMask()
 	if t.Kind == TypeSInt && t.Bits < 64 && raw&(1<<uint(t.Bits-1)) != 0 {
-		return int64(raw | ^t.widthMask())
+		return int64(raw | ^t.WidthMask())
 	}
 	return int64(raw)
-}
-
-// CheckRead verifies that a raw value read from the device is legal for the
-// type (the optional §3.2 read check: the device behaves according to its
-// specification).
-func (t *Type) CheckRead(raw uint64) error {
-	raw &= t.widthMask()
-	switch t.Kind {
-	case TypeIntSet:
-		if !t.Set.Contains(int(raw)) {
-			return fmt.Errorf("device delivered %d, not in %s", raw, t)
-		}
-	case TypeEnum:
-		if _, ok := t.SymbolFor(raw); !ok {
-			return fmt.Errorf("device delivered %#x, matching no readable symbol of %s", raw, t)
-		}
-	}
-	return nil
 }
 
 // resolveType elaborates an AST type against the variable width. width is

@@ -79,11 +79,11 @@ func TestIntSetType(t *testing.T) {
 			t.Errorf("%d should be rejected", bad)
 		}
 	}
-	if err := ty.CheckRead(20); err == nil {
-		t.Error("read check should reject 20")
+	if ty.ReadRule().Allows(20) {
+		t.Error("read rule should reject 20")
 	}
-	if err := ty.CheckRead(25); err != nil {
-		t.Errorf("read check rejected 25: %v", err)
+	if !ty.ReadRule().Allows(25) {
+		t.Error("read rule rejected 25")
 	}
 }
 
@@ -106,8 +106,13 @@ func TestEnumEncodingAndWildcards(t *testing.T) {
 	if s, ok := ty.Symbol("RREAD"); !ok || !s.Writable() || s.Readable() {
 		t.Errorf("RREAD = %+v", s)
 	}
-	if err := ty.CheckRead(0b001); err == nil {
-		t.Error("001 should fail the read check (write-only symbol)")
+	if ty.ReadRule().Allows(0b001) {
+		t.Error("001 should fail the read rule (write-only symbol)")
+	}
+	// An enum's range is its width: 0b1100 matches HIGH's pattern in its
+	// low bits but is no 3-bit value.
+	if ty.ReadRule().Allows(0b1100) || ty.WriteRule().Allows(0b1100) {
+		t.Error("out-of-width value accepted")
 	}
 }
 

@@ -93,7 +93,7 @@ func (d *Device) SetSignature(v uint8) {
 		defer d.spans.Span("logitech_busmouse.signature.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: signature: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -106,7 +106,7 @@ func (d *Device) SetConfig(v ConfigVal) {
 		defer d.spans.Span("logitech_busmouse.config.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (!(uint64(v)&0x1 == 0x1 || uint64(v)&0x1 == 0x0)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 1) || !(int64(v)&0x1 == 0x1 || int64(v)&0x1 == 0x0)) {
 		panic("devil: config: written value out of range for {CONFIGURATION, DEFAULT_MODE}")
 	}
 	out := (raw & 0x1)
@@ -120,7 +120,7 @@ func (d *Device) SetInterrupt(v InterruptVal) {
 		defer d.spans.Span("logitech_busmouse.interrupt.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (!(uint64(v)&0x1 == 0x0 || uint64(v)&0x1 == 0x1)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 1) || !(int64(v)&0x1 == 0x0 || int64(v)&0x1 == 0x1)) {
 		panic("devil: interrupt: written value out of range for {ENABLE, DISABLE}")
 	}
 	out := (raw & 0x1) << 4
@@ -134,7 +134,7 @@ func (d *Device) setIndex(v uint8) {
 		defer d.spans.Span("logitech_busmouse.index.set")()
 	}
 	raw := uint32(v) & 0x3
-	if debug && (uint32(v) > 0x3) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 3) {
 		panic("devil: index: written value out of range for int(2)")
 	}
 	out := (raw & 0x3) << 5

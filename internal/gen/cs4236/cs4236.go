@@ -128,7 +128,7 @@ func (d *Device) IA() uint8 {
 	r0 := uint32(d.bus.In8(d.portBase + 0))
 	d.cellXm = 0x0
 	raw := (r0 & 0xff)
-	if debug && (!(int(raw) >= 0 && int(raw) <= 31)) {
+	if debug && !(int64(raw) >= 0 && int64(raw) <= 31) {
 		panic("devil: IA: device delivered a value outside int{0..31}")
 	}
 	return uint8(raw)
@@ -140,7 +140,7 @@ func (d *Device) SetIA(v uint8) {
 		defer d.spans.Span("cs4236.IA.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (!(int(v) >= 0 && int(v) <= 31)) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 31) {
 		panic("devil: IA: written value out of range for int{0..31}")
 	}
 	out := (raw & 0xff)
@@ -169,7 +169,7 @@ func (d *Device) SetAfe2(v uint8) {
 		defer d.spans.Span("cs4236.afe2.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: afe2: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -222,7 +222,7 @@ func (d *Device) XA() uint8 {
 // SetXA stages the XA field; WriteXS flushes it to the device.
 func (d *Device) SetXA(v uint8) {
 	raw := uint32(v) & 0x1f
-	if debug && (uint32(v) > 0x1f) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 31) {
 		panic("devil: XA: written value out of range for int(5)")
 	}
 	d.fldXA = raw
@@ -269,7 +269,7 @@ func (d *Device) SetExt(v uint8, j int) {
 		panic("devil: ext: argument out of domain {0..17, 25}")
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: ext: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -282,7 +282,7 @@ func (d *Device) SetExt(v uint8, j int) {
 // SetRate stages the rate field; WritePfmt flushes it to the device.
 func (d *Device) SetRate(v RateVal) {
 	raw := uint32(v) & 0xf
-	if debug && (!(uint64(v)&0xf == 0x0 || uint64(v)&0xf == 0x2 || uint64(v)&0xf == 0x3 || uint64(v)&0xf == 0x6 || uint64(v)&0xf == 0x7 || uint64(v)&0xf == 0xb || uint64(v)&0xf == 0xc)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 15) || !(int64(v)&0xf == 0x0 || int64(v)&0xf == 0x2 || int64(v)&0xf == 0x3 || int64(v)&0xf == 0x6 || int64(v)&0xf == 0x7 || int64(v)&0xf == 0xb || int64(v)&0xf == 0xc)) {
 		panic("devil: rate: written value out of range for {R8000, R16000, R11025, R32000, R22050, R44100, R48000}")
 	}
 	d.fldRate = raw
@@ -306,7 +306,7 @@ func (d *Device) SetStereo(v bool) {
 // SetFmt stages the fmt field; WritePfmt flushes it to the device.
 func (d *Device) SetFmt(v FmtVal) {
 	raw := uint32(v) & 0x3
-	if debug && (!(uint64(v)&0x3 == 0x0 || uint64(v)&0x3 == 0x1 || uint64(v)&0x3 == 0x2 || uint64(v)&0x3 == 0x3)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 3) || !(int64(v)&0x3 == 0x0 || int64(v)&0x3 == 0x1 || int64(v)&0x3 == 0x2 || int64(v)&0x3 == 0x3)) {
 		panic("devil: fmt: written value out of range for {PCM8, ULAW, PCM16, ADPCM}")
 	}
 	d.fldFmt = raw

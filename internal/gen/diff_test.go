@@ -37,16 +37,24 @@ import (
 // this is the executable statement that they share one semantics.
 
 // execOpts returns the interpreter options matching the optimization level
-// the checked-in stubs were generated at. The default is -O1 (the level
-// devilc -update uses); the CI -O0 leg regenerates the stubs with
-// "devilc -update -O 0" and runs these tests with DEVIL_STUBS_OPT=0 so
-// both back ends are compared with the optimizer off too.
+// and debug setting the checked-in stubs were generated at. The default is
+// -O1 without checks (what devilc -update writes); the CI -O0 leg
+// regenerates the stubs with "devilc -update -O 0" and runs these tests
+// with DEVIL_STUBS_OPT=0, and the debug leg regenerates them with
+// "devilc -update -debug" and runs them with DEVIL_STUBS_DEBUG=1, so both
+// back ends are compared with the optimizer off and with the §3.2 checks
+// on too.
 func execOpts() exec.Options {
+	opts := exec.Options{Debug: stubsDebug()}
 	if os.Getenv("DEVIL_STUBS_OPT") == "0" {
-		return exec.Options{Opt: ir.O0}
+		opts.Opt = ir.O0
 	}
-	return exec.Options{}
+	return opts
 }
+
+// stubsDebug reports whether the checked-in stubs were regenerated with
+// their run-time checks on (DEVIL_STUBS_DEBUG=1).
+func stubsDebug() bool { return os.Getenv("DEVIL_STUBS_DEBUG") == "1" }
 
 // rig is one device-under-test instance: a bus whose named windows over a
 // simulator report every port operation to one observer, plus the values
@@ -491,8 +499,8 @@ func TestDifferentialNE2000(t *testing.T) {
 				genDev.SetRbcr1(0)
 				set("rbcr1", 0)
 			case 9:
-				genDev.SetRcrMode(uint8(v & 0x3f))
-				set("rcr_mode", int64(v&0x3f))
+				genDev.SetRcrMode(uint8(v & 0x1f))
+				set("rcr_mode", int64(v&0x1f))
 				genDev.SetTcrMode(uint8(v & 0x1f))
 				set("tcr_mode", int64(v&0x1f))
 				genDev.SetDcrMode(uint8(v & 0x3f))

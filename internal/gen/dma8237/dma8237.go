@@ -103,7 +103,7 @@ func (d *Device) setFlipFlop(v uint8) {
 		defer d.spans.Span("dma8237.flip_flop.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (uint32(v) > 0x1) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 1) {
 		panic("devil: flip_flop: written value out of range for int(1)")
 	}
 	out := (raw & 0x1)
@@ -129,7 +129,7 @@ func (d *Device) SetAddr0(v uint16) {
 		defer d.spans.Span("dma8237.addr0.set")()
 	}
 	raw := uint32(v) & 0xffff
-	if debug && (uint32(v) > 0xffff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 65535) {
 		panic("devil: addr0: written value out of range for int(16)")
 	}
 	out := (raw & 0xff)
@@ -157,7 +157,7 @@ func (d *Device) SetCount0(v uint16) {
 		defer d.spans.Span("dma8237.count0.set")()
 	}
 	raw := uint32(v) & 0xffff
-	if debug && (uint32(v) > 0xffff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 65535) {
 		panic("devil: count0: written value out of range for int(16)")
 	}
 	out := (raw & 0xff)
@@ -188,7 +188,7 @@ func (d *Device) Requests() uint8 {
 // SetMaskChan stages the mask_chan field; WriteSingleMask flushes it to the device.
 func (d *Device) SetMaskChan(v uint8) {
 	raw := uint32(v) & 0x3
-	if debug && (uint32(v) > 0x3) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 3) {
 		panic("devil: mask_chan: written value out of range for int(2)")
 	}
 	d.fldMaskChan = raw
@@ -203,7 +203,7 @@ func (d *Device) SetMaskOn(v bool) {
 // SetChan stages the chan field; WriteMode flushes it to the device.
 func (d *Device) SetChan(v uint8) {
 	raw := uint32(v) & 0x3
-	if debug && (uint32(v) > 0x3) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 3) {
 		panic("devil: chan: written value out of range for int(2)")
 	}
 	d.fldChan = raw
@@ -212,7 +212,7 @@ func (d *Device) SetChan(v uint8) {
 // SetXfer stages the xfer field; WriteMode flushes it to the device.
 func (d *Device) SetXfer(v XferVal) {
 	raw := uint32(v) & 0x3
-	if debug && (!(uint64(v)&0x3 == 0x0 || uint64(v)&0x3 == 0x1 || uint64(v)&0x3 == 0x2)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 3) || !(int64(v)&0x3 == 0x0 || int64(v)&0x3 == 0x1 || int64(v)&0x3 == 0x2)) {
 		panic("devil: xfer: written value out of range for {VERIFY, WRITE_XFER, READ_XFER}")
 	}
 	d.fldXfer = raw
@@ -233,7 +233,7 @@ func (d *Device) SetDown(v bool) {
 // SetMmode stages the mmode field; WriteMode flushes it to the device.
 func (d *Device) SetMmode(v MmodeVal) {
 	raw := uint32(v) & 0x3
-	if debug && (!(uint64(v)&0x3 == 0x0 || uint64(v)&0x3 == 0x1 || uint64(v)&0x3 == 0x2 || uint64(v)&0x3 == 0x3)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 3) || !(int64(v)&0x3 == 0x0 || int64(v)&0x3 == 0x1 || int64(v)&0x3 == 0x2 || int64(v)&0x3 == 0x3)) {
 		panic("devil: mmode: written value out of range for {DEMAND, SINGLE, BLOCK, CASCADE}")
 	}
 	d.fldMmode = raw

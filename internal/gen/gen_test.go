@@ -69,9 +69,10 @@ func TestLibraryCoversAllSpecs(t *testing.T) {
 }
 
 func TestCheckedInStubsAreCurrent(t *testing.T) {
-	// The check follows DEVIL_STUBS_OPT the way the differential tests do,
-	// so the CI -O0 leg (which regenerates with devilc -update -O 0)
-	// verifies currency at that level instead of flagging every stub stale.
+	// The check follows DEVIL_STUBS_OPT and DEVIL_STUBS_DEBUG the way the
+	// differential tests do, so the CI -O0 and debug legs (which regenerate
+	// with devilc -update -O 0 and -debug) verify currency at their
+	// setting instead of flagging every stub stale.
 	level := ir.O1
 	if os.Getenv("DEVIL_STUBS_OPT") == "0" {
 		level = ir.O0
@@ -83,7 +84,7 @@ func TestCheckedInStubsAreCurrent(t *testing.T) {
 		t.Run(file, func(t *testing.T) {
 			spec := core.MustCompile(gv.Spec)
 			opts := gv.Opts
-			opts.Opt = level
+			opts.Opt, opts.Debug = level, stubsDebug()
 			want, err := codegen.Generate(spec, opts)
 			if err != nil {
 				t.Fatal(err)

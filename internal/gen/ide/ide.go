@@ -150,7 +150,7 @@ func (d *Device) SetIdeData(v uint16) {
 		defer d.spans.Span("ide_disk.Ide_data.set")()
 	}
 	raw := uint32(v) & 0xffff
-	if debug && (uint32(v) > 0xffff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 65535) {
 		panic("devil: Ide_data: written value out of range for int(16)")
 	}
 	out := (raw & 0xffff)
@@ -229,7 +229,7 @@ func (d *Device) SetFeatures(v uint8) {
 		defer d.spans.Span("ide_disk.features.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: features: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -252,7 +252,7 @@ func (d *Device) SetNsect(v uint8) {
 		defer d.spans.Span("ide_disk.nsect.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: nsect: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -275,7 +275,7 @@ func (d *Device) SetLbaLow(v uint8) {
 		defer d.spans.Span("ide_disk.lba_low.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: lba_low: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -302,7 +302,7 @@ func (d *Device) SetLbaMid(v uint8) {
 		defer d.spans.Span("ide_disk.lba_mid.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: lba_mid: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -329,7 +329,7 @@ func (d *Device) SetLbaHigh(v uint8) {
 		defer d.spans.Span("ide_disk.lba_high.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: lba_high: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -346,7 +346,7 @@ func (d *Device) SetLbaMode(v LbaModeVal) {
 		defer d.spans.Span("ide_disk.lba_mode.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (!(uint64(v)&0x1 == 0x1 || uint64(v)&0x1 == 0x0)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 1) || !(int64(v)&0x1 == 0x1 || int64(v)&0x1 == 0x0)) {
 		panic("devil: lba_mode: written value out of range for {LBA, CHS}")
 	}
 	out := (raw&0x1)<<6 | d.shadowDevheadReg&0x1f
@@ -374,7 +374,7 @@ func (d *Device) SetDrive(v uint8) {
 		defer d.spans.Span("ide_disk.drive.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (uint32(v) > 0x1) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 1) {
 		panic("devil: drive: written value out of range for int(1)")
 	}
 	out := (raw&0x1)<<4 | d.shadowDevheadReg&0x4f
@@ -402,7 +402,7 @@ func (d *Device) SetHead(v uint8) {
 		defer d.spans.Span("ide_disk.head.set")()
 	}
 	raw := uint32(v) & 0xf
-	if debug && (uint32(v) > 0xf) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 15) {
 		panic("devil: head: written value out of range for int(4)")
 	}
 	out := (raw & 0xf) | d.shadowDevheadReg&0x50
@@ -492,7 +492,7 @@ func (d *Device) SetCommand(v CommandVal) {
 		defer d.spans.Span("ide_disk.command.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (!(uint64(v)&0xff == 0x10 || uint64(v)&0xff == 0x20 || uint64(v)&0xff == 0x30 || uint64(v)&0xff == 0xc8 || uint64(v)&0xff == 0xca || uint64(v)&0xff == 0xc4 || uint64(v)&0xff == 0xc5 || uint64(v)&0xff == 0xc6 || uint64(v)&0xff == 0xec)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 255) || !(int64(v)&0xff == 0x10 || int64(v)&0xff == 0x20 || int64(v)&0xff == 0x30 || int64(v)&0xff == 0xc8 || int64(v)&0xff == 0xca || int64(v)&0xff == 0xc4 || int64(v)&0xff == 0xc5 || int64(v)&0xff == 0xc6 || int64(v)&0xff == 0xec)) {
 		panic("devil: command: written value out of range for {RECALIBRATE, READ_SECTORS, WRITE_SECTORS, READ_DMA, WRITE_DMA, READ_MULTIPLE, WRITE_MULTIPLE, SET_MULTIPLE, IDENTIFY}")
 	}
 	out := (raw & 0xff)
@@ -517,7 +517,7 @@ func (d *Device) SetNien(v NienVal) {
 		defer d.spans.Span("ide_disk.nien.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (!(uint64(v)&0x1 == 0x0 || uint64(v)&0x1 == 0x1)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 1) || !(int64(v)&0x1 == 0x0 || int64(v)&0x1 == 0x1)) {
 		panic("devil: nien: written value out of range for {INTR_ENABLE, INTR_DISABLE}")
 	}
 	out := (raw&0x1)<<1 | d.shadowCtlReg&0x4

@@ -152,7 +152,7 @@ func (d *Device) St() StVal {
 	}
 	r0 := uint32(d.bus.In8(d.portBase + 0))
 	raw := (r0 & 0x3)
-	if debug && (!(uint64(raw)&0x3 == 0x0 || uint64(raw)&0x3 == 0x1 || uint64(raw)&0x3 == 0x2 || uint64(raw)&0x3 == 0x3)) {
+	if debug && (!(int64(raw) >= 0 && int64(raw) <= 3) || !(int64(raw)&0x3 == 0x0 || int64(raw)&0x3 == 0x1 || int64(raw)&0x3 == 0x2 || int64(raw)&0x3 == 0x3)) {
 		panic("devil: st: device delivered a value outside {NEUTRAL, STOP, START, BOTH}")
 	}
 	return StVal(raw)
@@ -164,7 +164,7 @@ func (d *Device) SetSt(v StVal) {
 		defer d.spans.Span("ne2000.st.set")()
 	}
 	raw := uint32(v) & 0x3
-	if debug && (!(uint64(v)&0x3 == 0x0 || uint64(v)&0x3 == 0x1 || uint64(v)&0x3 == 0x2)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 3) || !(int64(v)&0x3 == 0x0 || int64(v)&0x3 == 0x1 || int64(v)&0x3 == 0x2)) {
 		panic("devil: st: written value out of range for {NEUTRAL, STOP, START, BOTH}")
 	}
 	out := (raw & 0x3) | d.shadowCr&0xc0 | 0x20
@@ -180,7 +180,7 @@ func (d *Device) Txp() TxpVal {
 	}
 	r0 := uint32(d.bus.In8(d.portBase + 0))
 	raw := ((r0 >> 2) & 0x1)
-	if debug && (!(uint64(raw)&0x1 == 0x0 || uint64(raw)&0x1 == 0x1)) {
+	if debug && (!(int64(raw) >= 0 && int64(raw) <= 1) || !(int64(raw)&0x1 == 0x0 || int64(raw)&0x1 == 0x1)) {
 		panic("devil: txp: device delivered a value outside {NOP, TRANSMIT}")
 	}
 	return TxpVal(raw)
@@ -192,7 +192,7 @@ func (d *Device) SetTxp(v TxpVal) {
 		defer d.spans.Span("ne2000.txp.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (!(uint64(v)&0x1 == 0x0 || uint64(v)&0x1 == 0x1)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 1) || !(int64(v)&0x1 == 0x0 || int64(v)&0x1 == 0x1)) {
 		panic("devil: txp: written value out of range for {NOP, TRANSMIT}")
 	}
 	out := (raw&0x1)<<2 | d.shadowCr&0xc0 | 0x20
@@ -208,7 +208,7 @@ func (d *Device) Rd() RdVal {
 	}
 	r0 := uint32(d.bus.In8(d.portBase + 0))
 	raw := ((r0 >> 3) & 0x7)
-	if debug && (!(uint64(raw)&0x7 == 0x4 || uint64(raw)&0x7 == 0x1 || uint64(raw)&0x7 == 0x2 || uint64(raw)&0x7 == 0x3 || uint64(raw)&0x7 == 0x0 || uint64(raw)&0x5 == 0x5 || uint64(raw)&0x6 == 0x6)) {
+	if debug && (!(int64(raw) >= 0 && int64(raw) <= 7) || !(int64(raw)&0x7 == 0x4 || int64(raw)&0x7 == 0x1 || int64(raw)&0x7 == 0x2 || int64(raw)&0x7 == 0x3 || int64(raw)&0x7 == 0x0 || int64(raw)&0x5 == 0x5 || int64(raw)&0x6 == 0x6)) {
 		panic("devil: rd: device delivered a value outside {NODMA, RREAD, RWRITE, SEND, IDLE, ABORTED, ABORTED2}")
 	}
 	return RdVal(raw)
@@ -220,7 +220,7 @@ func (d *Device) SetRd(v RdVal) {
 		defer d.spans.Span("ne2000.rd.set")()
 	}
 	raw := uint32(v) & 0x7
-	if debug && (!(uint64(v)&0x7 == 0x4 || uint64(v)&0x7 == 0x1 || uint64(v)&0x7 == 0x2 || uint64(v)&0x7 == 0x3)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 7) || !(int64(v)&0x7 == 0x4 || int64(v)&0x7 == 0x1 || int64(v)&0x7 == 0x2 || int64(v)&0x7 == 0x3)) {
 		panic("devil: rd: written value out of range for {NODMA, RREAD, RWRITE, SEND, IDLE, ABORTED, ABORTED2}")
 	}
 	out := (raw&0x7)<<3 | d.shadowCr&0xc0
@@ -245,7 +245,7 @@ func (d *Device) setPage(v uint8) {
 		defer d.spans.Span("ne2000.page.set")()
 	}
 	raw := uint32(v) & 0x3
-	if debug && (uint32(v) > 0x3) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 3) {
 		panic("devil: page: written value out of range for int(2)")
 	}
 	out := (raw&0x3)<<6 | 0x20
@@ -262,7 +262,7 @@ func (d *Device) SetPstart(v uint8) {
 		defer d.spans.Span("ne2000.pstart.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: pstart: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -276,7 +276,7 @@ func (d *Device) SetPstop(v uint8) {
 		defer d.spans.Span("ne2000.pstop.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: pstop: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -301,7 +301,7 @@ func (d *Device) SetBnry(v uint8) {
 		defer d.spans.Span("ne2000.bnry.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: bnry: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -315,7 +315,7 @@ func (d *Device) SetTpsr(v uint8) {
 		defer d.spans.Span("ne2000.tpsr.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: tpsr: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -329,7 +329,7 @@ func (d *Device) SetTbcr0(v uint8) {
 		defer d.spans.Span("ne2000.tbcr0.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: tbcr0: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -343,7 +343,7 @@ func (d *Device) SetTbcr1(v uint8) {
 		defer d.spans.Span("ne2000.tbcr1.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: tbcr1: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -429,7 +429,7 @@ func (d *Device) SetIsrAck(v uint8) {
 		defer d.spans.Span("ne2000.isr_ack.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: isr_ack: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -443,7 +443,7 @@ func (d *Device) SetRsar0(v uint8) {
 		defer d.spans.Span("ne2000.rsar0.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: rsar0: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -457,7 +457,7 @@ func (d *Device) SetRsar1(v uint8) {
 		defer d.spans.Span("ne2000.rsar1.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: rsar1: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -471,7 +471,7 @@ func (d *Device) SetRbcr0(v uint8) {
 		defer d.spans.Span("ne2000.rbcr0.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: rbcr0: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -485,7 +485,7 @@ func (d *Device) SetRbcr1(v uint8) {
 		defer d.spans.Span("ne2000.rbcr1.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: rbcr1: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -499,7 +499,7 @@ func (d *Device) SetRcrMode(v uint8) {
 		defer d.spans.Span("ne2000.rcr_mode.set")()
 	}
 	raw := uint32(v) & 0x1f
-	if debug && (uint32(v) > 0x1f) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 31) {
 		panic("devil: rcr_mode: written value out of range for int(5)")
 	}
 	out := (raw & 0x1f)
@@ -514,7 +514,7 @@ func (d *Device) SetTcrMode(v uint8) {
 		defer d.spans.Span("ne2000.tcr_mode.set")()
 	}
 	raw := uint32(v) & 0x1f
-	if debug && (uint32(v) > 0x1f) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 31) {
 		panic("devil: tcr_mode: written value out of range for int(5)")
 	}
 	out := (raw & 0x1f)
@@ -529,7 +529,7 @@ func (d *Device) SetDcrMode(v uint8) {
 		defer d.spans.Span("ne2000.dcr_mode.set")()
 	}
 	raw := uint32(v) & 0x3f
-	if debug && (uint32(v) > 0x3f) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 63) {
 		panic("devil: dcr_mode: written value out of range for int(6)")
 	}
 	out := (raw & 0x3f)
@@ -544,7 +544,7 @@ func (d *Device) SetImrMask(v uint8) {
 		defer d.spans.Span("ne2000.imr_mask.set")()
 	}
 	raw := uint32(v) & 0x7f
-	if debug && (uint32(v) > 0x7f) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 127) {
 		panic("devil: imr_mask: written value out of range for int(7)")
 	}
 	out := (raw & 0x7f)
@@ -570,7 +570,7 @@ func (d *Device) SetPar0(v uint8) {
 		defer d.spans.Span("ne2000.par0.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: par0: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -599,7 +599,7 @@ func (d *Device) SetPar1(v uint8) {
 		defer d.spans.Span("ne2000.par1.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: par1: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -628,7 +628,7 @@ func (d *Device) SetPar2(v uint8) {
 		defer d.spans.Span("ne2000.par2.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: par2: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -657,7 +657,7 @@ func (d *Device) SetPar3(v uint8) {
 		defer d.spans.Span("ne2000.par3.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: par3: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -686,7 +686,7 @@ func (d *Device) SetPar4(v uint8) {
 		defer d.spans.Span("ne2000.par4.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: par4: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -715,7 +715,7 @@ func (d *Device) SetPar5(v uint8) {
 		defer d.spans.Span("ne2000.par5.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: par5: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -744,7 +744,7 @@ func (d *Device) SetCurr(v uint8) {
 		defer d.spans.Span("ne2000.curr.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: curr: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -769,7 +769,7 @@ func (d *Device) SetMar0(v uint8) {
 		defer d.spans.Span("ne2000.mar0.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: mar0: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -798,7 +798,7 @@ func (d *Device) SetMar1(v uint8) {
 		defer d.spans.Span("ne2000.mar1.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: mar1: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -827,7 +827,7 @@ func (d *Device) SetMar2(v uint8) {
 		defer d.spans.Span("ne2000.mar2.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: mar2: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -856,7 +856,7 @@ func (d *Device) SetMar3(v uint8) {
 		defer d.spans.Span("ne2000.mar3.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: mar3: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -885,7 +885,7 @@ func (d *Device) SetMar4(v uint8) {
 		defer d.spans.Span("ne2000.mar4.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: mar4: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -914,7 +914,7 @@ func (d *Device) SetMar5(v uint8) {
 		defer d.spans.Span("ne2000.mar5.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: mar5: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -943,7 +943,7 @@ func (d *Device) SetMar6(v uint8) {
 		defer d.spans.Span("ne2000.mar6.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: mar6: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -972,7 +972,7 @@ func (d *Device) SetMar7(v uint8) {
 		defer d.spans.Span("ne2000.mar7.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: mar7: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -1000,7 +1000,7 @@ func (d *Device) SetRemoteData(v uint16) {
 		defer d.spans.Span("ne2000.remote_data.set")()
 	}
 	raw := uint32(v) & 0xffff
-	if debug && (uint32(v) > 0xffff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 65535) {
 		panic("devil: remote_data: written value out of range for int(16)")
 	}
 	out := (raw & 0xffff)
@@ -1041,7 +1041,7 @@ func (d *Device) SetResetPulse(v uint8) {
 		defer d.spans.Span("ne2000.reset_pulse.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: reset_pulse: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)

@@ -113,7 +113,7 @@ func (d *Device) SetLogicOp(v uint8) {
 		defer d.spans.Span("permedia2.logic_op.set")()
 	}
 	raw := uint32(v) & 0xf
-	if debug && (uint32(v) > 0xf) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 15) {
 		panic("devil: logic_op: written value out of range for int(4)")
 	}
 	out := (raw&0xf)<<1 | d.shadowLogicalOpMode&0x1
@@ -140,7 +140,7 @@ func (d *Device) SetFbDepth(v FbDepthVal) {
 		defer d.spans.Span("permedia2.fb_depth.set")()
 	}
 	raw := uint32(v) & 0x3
-	if debug && (!(uint64(v)&0x3 == 0x0 || uint64(v)&0x3 == 0x1 || uint64(v)&0x3 == 0x2 || uint64(v)&0x3 == 0x3)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 3) || !(int64(v)&0x3 == 0x0 || int64(v)&0x3 == 0x1 || int64(v)&0x3 == 0x2 || int64(v)&0x3 == 0x3)) {
 		panic("devil: fb_depth: written value out of range for {BPP8, BPP16, BPP32, BPP24}")
 	}
 	out := (raw & 0x3) | d.shadowFbWriteConfig&0x20
@@ -287,7 +287,7 @@ func (d *Device) SetRender(v RenderVal) {
 		defer d.spans.Span("permedia2.render.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (!(uint64(v)&0xff == 0x1 || uint64(v)&0xff == 0x81)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 255) || !(int64(v)&0xff == 0x1 || int64(v)&0xff == 0x81)) {
 		panic("devil: render: written value out of range for {FILL, COPY}")
 	}
 	out := (raw & 0xff)

@@ -119,7 +119,7 @@ func New(b bus.Bus, base uint32) *Device {
 // SetLirq stages the lirq field; WriteInit flushes it to the device.
 func (d *Device) SetLirq(v uint8) {
 	raw := uint32(v) & 0x7
-	if debug && (uint32(v) > 0x7) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 7) {
 		panic("devil: lirq: written value out of range for int(3)")
 	}
 	d.fldLirq = raw
@@ -140,7 +140,7 @@ func (d *Device) SetAdi(v bool) {
 // SetSngl stages the sngl field; WriteInit flushes it to the device.
 func (d *Device) SetSngl(v SnglVal) {
 	raw := uint32(v) & 0x1
-	if debug && (!(uint64(v)&0x1 == 0x1 || uint64(v)&0x1 == 0x0)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 1) || !(int64(v)&0x1 == 0x1 || int64(v)&0x1 == 0x0)) {
 		panic("devil: sngl: written value out of range for {SINGLE, CASCADED}")
 	}
 	d.fldSngl = raw
@@ -155,7 +155,7 @@ func (d *Device) SetIc4(v bool) {
 // SetBaseVec stages the base_vec field; WriteInit flushes it to the device.
 func (d *Device) SetBaseVec(v uint8) {
 	raw := uint32(v) & 0x1f
-	if debug && (uint32(v) > 0x1f) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 31) {
 		panic("devil: base_vec: written value out of range for int(5)")
 	}
 	d.fldBaseVec = raw
@@ -164,7 +164,7 @@ func (d *Device) SetBaseVec(v uint8) {
 // SetSlaves stages the slaves field; WriteInit flushes it to the device.
 func (d *Device) SetSlaves(v uint8) {
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: slaves: written value out of range for int(8)")
 	}
 	d.fldSlaves = raw
@@ -179,7 +179,7 @@ func (d *Device) SetSfnm(v bool) {
 // SetBuf stages the buf field; WriteInit flushes it to the device.
 func (d *Device) SetBuf(v uint8) {
 	raw := uint32(v) & 0x3
-	if debug && (uint32(v) > 0x3) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 3) {
 		panic("devil: buf: written value out of range for int(2)")
 	}
 	d.fldBuf = raw
@@ -194,7 +194,7 @@ func (d *Device) SetAeoi(v bool) {
 // SetMicroprocessor stages the microprocessor field; WriteInit flushes it to the device.
 func (d *Device) SetMicroprocessor(v MicroprocessorVal) {
 	raw := uint32(v) & 0x1
-	if debug && (!(uint64(v)&0x1 == 0x1 || uint64(v)&0x1 == 0x0)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 1) || !(int64(v)&0x1 == 0x1 || int64(v)&0x1 == 0x0)) {
 		panic("devil: microprocessor: written value out of range for {X8086, MCS80_85}")
 	}
 	d.fldMicroprocessor = raw
@@ -206,7 +206,7 @@ func (d *Device) SetIrqMask(v uint8) {
 		defer d.spans.Span("pic8259.irq_mask.set")()
 	}
 	raw := uint32(v) & 0xff
-	if debug && (uint32(v) > 0xff) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 255) {
 		panic("devil: irq_mask: written value out of range for int(8)")
 	}
 	out := (raw & 0xff)
@@ -217,7 +217,7 @@ func (d *Device) SetIrqMask(v uint8) {
 // SetEoi stages the eoi field; WriteEoiCmd flushes it to the device.
 func (d *Device) SetEoi(v EoiVal) {
 	raw := uint32(v) & 0x7
-	if debug && (!(uint64(v)&0x7 == 0x1 || uint64(v)&0x7 == 0x3 || uint64(v)&0x7 == 0x5)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 7) || !(int64(v)&0x7 == 0x1 || int64(v)&0x7 == 0x3 || int64(v)&0x7 == 0x5)) {
 		panic("devil: eoi: written value out of range for {NONSPECIFIC_EOI, SPECIFIC_EOI, ROTATE_NONSPECIFIC}")
 	}
 	d.fldEoi = raw
@@ -226,7 +226,7 @@ func (d *Device) SetEoi(v EoiVal) {
 // SetEoiLevel stages the eoi_level field; WriteEoiCmd flushes it to the device.
 func (d *Device) SetEoiLevel(v uint8) {
 	raw := uint32(v) & 0x7
-	if debug && (uint32(v) > 0x7) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 7) {
 		panic("devil: eoi_level: written value out of range for int(3)")
 	}
 	d.fldEoiLevel = raw
@@ -238,7 +238,7 @@ func (d *Device) setReadSel(v uint8) {
 		defer d.spans.Span("pic8259.read_sel.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (uint32(v) > 0x1) {
+	if debug && !(int64(v) >= 0 && int64(v) <= 1) {
 		panic("devil: read_sel: written value out of range for int(1)")
 	}
 	out := (raw & 0x1)

@@ -89,7 +89,7 @@ func (d *Device) SetBmDir(v BmDirVal) {
 		defer d.spans.Span("piix4_busmaster.bm_dir.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (!(uint64(v)&0x1 == 0x1 || uint64(v)&0x1 == 0x0)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 1) || !(int64(v)&0x1 == 0x1 || int64(v)&0x1 == 0x0)) {
 		panic("devil: bm_dir: written value out of range for {BM_READ, BM_WRITE}")
 	}
 	out := (raw&0x1)<<3 | d.shadowBmic&0x1
@@ -104,7 +104,7 @@ func (d *Device) SetBmStart(v BmStartVal) {
 		defer d.spans.Span("piix4_busmaster.bm_start.set")()
 	}
 	raw := uint32(v) & 0x1
-	if debug && (!(uint64(v)&0x1 == 0x1 || uint64(v)&0x1 == 0x0)) {
+	if debug && (!(int64(v) >= 0 && int64(v) <= 1) || !(int64(v)&0x1 == 0x1 || int64(v)&0x1 == 0x0)) {
 		panic("devil: bm_start: written value out of range for {START, STOP}")
 	}
 	out := (raw & 0x1) | d.shadowBmic&0x8

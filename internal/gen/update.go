@@ -24,15 +24,15 @@ type UpdateResult struct {
 // fails to compile or generate aborts the update with an error naming the
 // stub path.
 func Update(root string, lib []Stub) ([]UpdateResult, error) {
-	return UpdateLevel(root, lib, ir.O1)
+	return UpdateLevel(root, lib, ir.O1, false)
 }
 
-// UpdateLevel is Update with an explicit optimization level overriding each
-// stub's manifest options (devilc -update -O 0). Generation verifies the
-// emitted source — go/parser and gofmt — before anything is written, and a
-// verification failure names the optimization pass that produced the
-// invalid plan.
-func UpdateLevel(root string, lib []Stub, level ir.OptLevel) ([]UpdateResult, error) {
+// UpdateLevel is Update with an explicit optimization level and debug
+// setting overriding each stub's manifest options (devilc -update -O 0
+// -debug). Generation verifies the emitted source — go/parser and gofmt —
+// before anything is written, and a verification failure names the
+// optimization pass that produced the invalid plan.
+func UpdateLevel(root string, lib []Stub, level ir.OptLevel, debug bool) ([]UpdateResult, error) {
 	var results []UpdateResult
 	for _, s := range lib {
 		spec, err := core.Compile(s.Spec)
@@ -40,7 +40,7 @@ func UpdateLevel(root string, lib []Stub, level ir.OptLevel) ([]UpdateResult, er
 			return results, fmt.Errorf("%s: specification does not compile: %w", s.Path, err)
 		}
 		opts := s.Opts
-		opts.Opt = level
+		opts.Opt, opts.Debug = level, debug
 		code, err := codegen.Generate(spec, opts)
 		if err != nil {
 			return results, fmt.Errorf("%s: %w", s.Path, err)
