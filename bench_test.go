@@ -18,11 +18,7 @@ import (
 	"repro/internal/mutation"
 	"repro/internal/obs"
 	simbm "repro/internal/sim/busmouse"
-	simcs "repro/internal/sim/cs4236"
-	simdma "repro/internal/sim/dma8237"
 	simide "repro/internal/sim/ide"
-	simpm "repro/internal/sim/permedia2"
-	simpic "repro/internal/sim/pic8259"
 )
 
 // ---------------------------------------------------------------------------
@@ -249,17 +245,15 @@ func BenchmarkMicroHandMouseState(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Library-closure devices: one benchmark per device added by the 8/8
 // coverage work, driving the compiled stubs against the register-accurate
-// simulators. The virtual-clock metrics give CI a trajectory to guard.
+// simulators (the three sound chips in their snddrv rig). The virtual-clock
+// metrics give CI a trajectory to guard.
 
 func BenchmarkPIC8259StubInitAndEOI(b *testing.B) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	pic := simpic.New()
-	space.MustMap(0x20, 2, pic)
-	dev := genpic.New(space, 0x20)
+	rig := snddrv.NewRig()
+	dev := genpic.New(rig.Space, snddrv.PICBase)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		start := clk.Now()
+		start := rig.Clock.Now()
 		dev.SetSngl(genpic.SnglCASCADED)
 		dev.SetIc4(true)
 		dev.SetBaseVec(4)
@@ -267,25 +261,22 @@ func BenchmarkPIC8259StubInitAndEOI(b *testing.B) {
 		dev.SetMicroprocessor(genpic.MicroprocessorX8086)
 		dev.WriteInit()
 		dev.SetIrqMask(0xfb)
-		pic.Raise(2)
-		pic.Ack()
+		rig.PIC.Raise(2)
+		rig.PIC.Ack()
 		dev.SetEoi(genpic.EoiSPECIFICEOI)
 		dev.SetEoiLevel(2)
 		dev.WriteEoiCmd()
-		b.ReportMetric(float64(clk.Now()-start)/1e3, "virt-us/init")
+		b.ReportMetric(float64(rig.Clock.Now()-start)/1e3, "virt-us/init")
 	}
 }
 
 func BenchmarkDMA8237StubProgram(b *testing.B) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	dma := simdma.New()
-	space.MustMap(0x00, 13, dma)
-	dev := gendma.New(space, 0x00)
+	rig := snddrv.NewRig()
+	dev := gendma.New(rig.Space, snddrv.DMABase)
 	const words = 4096
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		start := clk.Now()
+		start := rig.Clock.Now()
 		dev.SetMaskChan(0)
 		dev.SetMaskOn(true)
 		dev.WriteSingleMask()
@@ -297,27 +288,25 @@ func BenchmarkDMA8237StubProgram(b *testing.B) {
 		dev.SetCount0(words - 1)
 		dev.SetMaskOn(false)
 		dev.WriteSingleMask()
-		dma.Transfer(words)
+		rig.DMA.Transfer(words)
 		dev.ReadDmaStatus()
-		virtSec := float64(clk.Now()-start) / 1e9
+		virtSec := float64(rig.Clock.Now()-start) / 1e9
 		b.ReportMetric(float64(words)/1e6/virtSec, "prog-MB/s")
+		rig.Codec.ResetPlayback() // the channel fed the codec FIFO; drain it
 	}
 }
 
 func BenchmarkCS4236StubExtAccess(b *testing.B) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	codec := simcs.New()
-	space.MustMap(0x530, 2, codec)
-	dev := gencs.New(space, 0x530)
+	rig := snddrv.NewRig()
+	dev := gencs.New(rig.Space, snddrv.WSSBase)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		start := clk.Now()
+		start := rig.Clock.Now()
 		// One full three-step extended-register walk plus an indexed
 		// access, the soundinit path.
 		dev.SetExt(uint8(i), 5)
 		dev.SetAfe2(uint8(i))
-		b.ReportMetric(float64(clk.Now()-start)/1e3, "virt-us/access")
+		b.ReportMetric(float64(rig.Clock.Now()-start)/1e3, "virt-us/access")
 	}
 }
 
@@ -336,17 +325,8 @@ func BenchmarkBusPortAccess(b *testing.B) {
 }
 
 func BenchmarkIDESimPIORead(b *testing.B) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	mem := bus.NewRAM(1 << 20)
-	disk := simide.New(&clk, 256, mem)
-	irq := &bus.IRQLine{}
-	disk.IRQ = irq.Raise
-	disk.Attach(space, 0x1f0, 0x3f6, 0xc000)
-	drv := idedrv.NewHand(idedrv.Ports{
-		Space: space, Clock: &clk, Mem: mem, IRQ: irq,
-		CmdBase: 0x1f0, CtlBase: 0x3f6, BMBase: 0xc000, DMAAddr: 0,
-	}, idedrv.Config{Mode: idedrv.PIO, Width: 32, SectorsPerIRQ: 16, Block: true})
+	rig := idedrv.NewRig(256, 64)
+	drv := idedrv.NewHand(rig.Ports(), idedrv.Config{Mode: idedrv.PIO, Width: 32, SectorsPerIRQ: 16, Block: true})
 	if err := drv.Init(); err != nil {
 		b.Fatal(err)
 	}
@@ -361,11 +341,7 @@ func BenchmarkIDESimPIORead(b *testing.B) {
 }
 
 func BenchmarkPermedia2Fill(b *testing.B) {
-	var clk bus.Clock
-	space := bus.NewSpace("mmio", &clk, bus.DefaultMemCosts())
-	chip := simpm.New(&clk, 1024, 768)
-	space.MustMap(0xf0000000, 0x100, chip)
-	drv := pmdrv.NewDevil(pmdrv.Ports{Space: space, Base: 0xf0000000})
+	drv := pmdrv.NewDevil(pmdrv.NewRig().Ports())
 	if err := drv.Init(8); err != nil {
 		b.Fatal(err)
 	}

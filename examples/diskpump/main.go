@@ -8,31 +8,13 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bus"
 	idedrv "repro/internal/drivers/ide"
 	simide "repro/internal/sim/ide"
 )
 
-const (
-	cmdBase = 0x1f0
-	ctlBase = 0x3f6
-	bmBase  = 0xc000
-	dmaAddr = 0x10000
-)
-
 func run(cfg idedrv.Config) {
-	var clk bus.Clock
-	io := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	mem := bus.NewRAM(dmaAddr + 256*simide.SectorSize)
-	disk := simide.New(&clk, 4096, mem)
-	irq := &bus.IRQLine{}
-	disk.IRQ = irq.Raise
-	disk.Attach(io, cmdBase, ctlBase, bmBase)
-
-	drv := idedrv.NewDevil(idedrv.Ports{
-		Space: io, Clock: &clk, Mem: mem, IRQ: irq,
-		CmdBase: cmdBase, CtlBase: ctlBase, BMBase: bmBase, DMAAddr: dmaAddr,
-	}, cfg)
+	rig := idedrv.NewRig(4096, 256)
+	drv := idedrv.NewDevil(rig.Ports(), cfg)
 	if err := drv.Init(); err != nil {
 		log.Fatal(err)
 	}
@@ -46,18 +28,18 @@ func run(cfg idedrv.Config) {
 		log.Fatal(cfg, ": write: ", err)
 	}
 	back := make([]byte, len(src))
-	start := clk.Now()
-	io.ResetStats()
+	start := rig.Clock.Now()
+	rig.Space.ResetStats()
 	if err := drv.ReadSectors(512, back); err != nil {
 		log.Fatal(cfg, ": read: ", err)
 	}
-	elapsed := clk.Now() - start
+	elapsed := rig.Clock.Now() - start
 	if !bytes.Equal(src, back) {
 		log.Fatal(cfg, ": data corruption")
 	}
 	mbs := float64(len(back)) / (float64(elapsed) / 1e9) / 1e6
 	fmt.Printf("%-28s %6d I/O ops  %6.2f MB/s  (%d irqs)\n",
-		cfg, io.Stats().Ops(), mbs, irq.Total())
+		cfg, rig.Space.Stats().Ops(), mbs, rig.IRQ.Total())
 }
 
 func main() {

@@ -96,3 +96,48 @@ const sectorSize = ide.SectorSize
 
 // maxPerCommand is the ATA limit of sectors per command (nsect = 0).
 const maxPerCommand = 256
+
+// ---------------------------------------------------------------------------
+// Rig: the disk machine
+
+// Conventional legacy wiring of the primary channel (the Rig uses these;
+// drivers take whatever their Ports carry).
+const (
+	cmdBase = 0x1f0   // task file
+	ctlBase = 0x3f6   // device control
+	bmBase  = 0xc000  // PIIX4 busmaster window
+	dmaAddr = 0x10000 // physical address of the DMA bounce buffer
+)
+
+// Rig wires one disk model to a port space and virtual clock: the drive's
+// task file, control port and busmaster window at the legacy addresses,
+// its interrupt output latching the CPU line the drivers consume, and main
+// memory holding the DMA bounce buffer.
+type Rig struct {
+	Clock *bus.Clock
+	Space *bus.Space
+	Mem   *bus.RAM
+	IRQ   *bus.IRQLine
+	Disk  *ide.Disk
+}
+
+// NewRig builds a machine with a disk of diskSectors sectors and room for
+// a bounce buffer of bufSectors sectors at the DMA address.
+func NewRig(diskSectors, bufSectors int) Rig {
+	clk := &bus.Clock{}
+	space := bus.NewSpace("io", clk, bus.DefaultPortCosts())
+	mem := bus.NewRAM(dmaAddr + bufSectors*sectorSize)
+	disk := ide.New(clk, diskSectors, mem)
+	irq := &bus.IRQLine{}
+	disk.IRQ = irq.Raise
+	disk.Attach(space, cmdBase, ctlBase, bmBase)
+	return Rig{Clock: clk, Space: space, Mem: mem, IRQ: irq, Disk: disk}
+}
+
+// Ports returns the driver-facing wiring of the rig.
+func (r Rig) Ports() Ports {
+	return Ports{
+		Space: r.Space, Clock: r.Clock, Mem: r.Mem, IRQ: r.IRQ,
+		CmdBase: cmdBase, CtlBase: ctlBase, BMBase: bmBase, DMAAddr: dmaAddr,
+	}
+}

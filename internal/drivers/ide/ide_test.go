@@ -5,32 +5,15 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bus"
 	simide "repro/internal/sim/ide"
-)
-
-const (
-	cmdBase = 0x1f0
-	ctlBase = 0x3f6
-	bmBase  = 0xc000
-	dmaAddr = 0x10000
 )
 
 // rig wires a fresh disk, memory, and IRQ line for one driver instance.
 func rig(t *testing.T, sectors int) (Ports, *simide.Disk) {
 	t.Helper()
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	space.StrictFaults = true
-	mem := bus.NewRAM(dmaAddr + 256*simide.SectorSize)
-	disk := simide.New(&clk, sectors, mem)
-	disk.Attach(space, cmdBase, ctlBase, bmBase)
-	irq := &bus.IRQLine{}
-	disk.IRQ = irq.Raise
-	return Ports{
-		Space: space, Clock: &clk, Mem: mem, IRQ: irq,
-		CmdBase: cmdBase, CtlBase: ctlBase, BMBase: bmBase, DMAAddr: dmaAddr,
-	}, disk
+	r := NewRig(sectors, 256)
+	r.Space.StrictFaults = true
+	return r.Ports(), r.Disk
 }
 
 func drivers(p Ports, cfg Config) []Driver {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/bus"
+	sim "repro/internal/sim/permedia2"
 	"repro/internal/snap"
 )
 
@@ -76,3 +77,29 @@ type Ports struct {
 // span pushes a driver phase onto the host's attribution stack (the one
 // anchored on the register window's clock) and returns the pop.
 func (p *Ports) span(name string) func() { return p.Space.Spans().Span(name) }
+
+// ---------------------------------------------------------------------------
+// Rig: the graphics machine
+
+// mmioBase is the conventional address of the chip's register window.
+const mmioBase = 0xf000_0000
+
+// Rig wires one 1024x768 Permedia2 model into a memory-mapped register
+// space on its own virtual clock.
+type Rig struct {
+	Clock *bus.Clock
+	Space *bus.Space
+	Chip  *sim.Sim
+}
+
+// NewRig builds the machine with the register window at mmioBase.
+func NewRig() Rig {
+	clk := &bus.Clock{}
+	space := bus.NewSpace("mmio", clk, bus.DefaultMemCosts())
+	chip := sim.New(clk, 1024, 768)
+	space.MustMap(mmioBase, 0x100, chip)
+	return Rig{Clock: clk, Space: space, Chip: chip}
+}
+
+// Ports returns the driver-facing wiring of the rig.
+func (r Rig) Ports() Ports { return Ports{Space: r.Space, Base: mmioBase} }

@@ -3,20 +3,14 @@ package permedia2
 import (
 	"testing"
 
-	"repro/internal/bus"
 	sim "repro/internal/sim/permedia2"
 )
 
-const mmioBase = 0xf000_0000
-
 func rig(t *testing.T) (Ports, *sim.Sim) {
 	t.Helper()
-	var clk bus.Clock
-	space := bus.NewSpace("mmio", &clk, bus.DefaultMemCosts())
-	space.StrictFaults = true
-	chip := sim.New(&clk, 1024, 768)
-	space.MustMap(mmioBase, 0x100, chip)
-	return Ports{Space: space, Base: mmioBase}, chip
+	r := NewRig()
+	r.Space.StrictFaults = true
+	return r.Ports(), r.Chip
 }
 
 func TestFillCorrectness(t *testing.T) {

@@ -175,21 +175,7 @@ func (d *Devil) Finish() error {
 }
 
 // Play implements Driver.
-func (d *Devil) Play(clip []byte) error {
-	buf, revs, err := prepare(d.cfg, &d.p, clip)
-	if err != nil || revs == 0 {
-		return err
-	}
-	if err := d.Start(buf); err != nil {
-		return err
-	}
-	for rev := 1; rev <= revs; rev++ {
-		if err := d.ServeRev(buf, rev, revs); err != nil {
-			return err
-		}
-	}
-	return d.Finish()
-}
+func (d *Devil) Play(clip []byte) error { return play(d, d.cfg, &d.p, clip) }
 
 // MarshalState implements snap.Snapshotter: the driver state of the three
 // generated stubs (codec, DMA, PIC) in wiring order — cached variable

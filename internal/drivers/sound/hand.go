@@ -168,21 +168,7 @@ func (d *Hand) Finish() error {
 }
 
 // Play implements Driver.
-func (d *Hand) Play(clip []byte) error {
-	buf, revs, err := prepare(d.cfg, &d.p, clip)
-	if err != nil || revs == 0 {
-		return err
-	}
-	if err := d.Start(buf); err != nil {
-		return err
-	}
-	for rev := 1; rev <= revs; rev++ {
-		if err := d.ServeRev(buf, rev, revs); err != nil {
-			return err
-		}
-	}
-	return d.Finish()
-}
+func (d *Hand) Play(clip []byte) error { return play(d, d.cfg, &d.p, clip) }
 
 // MarshalState implements snap.Snapshotter. The hand driver keeps no
 // device state in host memory — every latched value lives in the chips —

@@ -20,6 +20,7 @@
 package sound
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/bus"
@@ -208,14 +209,26 @@ func checkBuf(cfg Config, p *Ports, buf []byte) error {
 	return nil
 }
 
-// prepare validates the configuration and pads the clip to whole ring
-// revolutions. It returns the padded buffer and the revolution count.
-func prepare(cfg Config, p *Ports, clip []byte) ([]byte, int, error) {
+// play is Play for both drivers: the configuration checked, the clip
+// padded to whole ring revolutions, then Start, one ServeRev per
+// revolution, and Finish.
+func play(d Driver, cfg Config, p *Ports, clip []byte) error {
 	if err := checkRing(cfg, p); err != nil {
-		return nil, 0, err
+		return err
 	}
 	buf, revs := cfg.Pad(clip)
-	return buf, revs, nil
+	if revs == 0 {
+		return nil
+	}
+	if err := d.Start(buf); err != nil {
+		return err
+	}
+	for rev := 1; rev <= revs; rev++ {
+		if err := d.ServeRev(buf, rev, revs); err != nil {
+			return err
+		}
+	}
+	return d.Finish()
 }
 
 // rateCode maps a sample rate to the I8 divider encoding; the same table
@@ -299,4 +312,27 @@ func (r *Rig) Ports() Ports {
 		WSSBase: WSSBase, DMABase: DMABase, PICBase: PICBase,
 		RingAddr: RingAddr, IRQLine: IRQLine, VecBase: VecBase,
 	}
+}
+
+// Clip returns the n-byte clip the sound workloads play. The pattern
+// repeats only every 4 KiB, so a ring slice refilled from the wrong offset
+// shows up in the played bytes.
+func Clip(n int) []byte {
+	clip := make([]byte, n)
+	for i := range clip {
+		clip[i] = byte(i>>4) ^ byte(i*11)
+	}
+	return clip
+}
+
+// CheckPlayback verifies that the DAC consumed exactly clip and never
+// underran: a pipeline that is fast but wrong does not count as a run.
+func (r *Rig) CheckPlayback(clip []byte) error {
+	if played := r.Codec.Played(); !bytes.Equal(played, clip) {
+		return fmt.Errorf("sound: DAC consumed wrong data (%d of %d bytes)", len(played), len(clip))
+	}
+	if r.Codec.Underrun() {
+		return fmt.Errorf("sound: DAC underran")
+	}
+	return nil
 }

@@ -198,3 +198,39 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("no-op plays raised interrupts")
 	}
 }
+
+// TestCheckPlayback: the shared playback check accepts the clip the DAC
+// played, and rejects a different clip and a codec that underran.
+func TestCheckPlayback(t *testing.T) {
+	cfg := Config{Rate: 22050, Bits16: true, RingBytes: 512}
+	rig := NewRig()
+	drv := NewDevil(rig.Ports(), cfg)
+	if err := drv.Init(); err != nil {
+		t.Fatal(err)
+	}
+	c := Clip(cfg.RingBytes * 2)
+	if err := drv.Play(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.CheckPlayback(c); err != nil {
+		t.Fatalf("the played clip was rejected: %v", err)
+	}
+	other := append([]byte(nil), c...)
+	other[len(other)/2] ^= 0xff
+	if err := rig.CheckPlayback(other); err == nil {
+		t.Error("a clip the DAC did not play passed the check")
+	}
+
+	// Half a 16-bit frame in the FIFO, the DAC enabled, and the channel
+	// masked off after the final revolution: the codec starves mid-frame.
+	rig.Codec.FIFOPush(0)
+	rig.Space.Out8(WSSBase+hwWSSIndex, hwRegIface)
+	rig.Space.Out8(WSSBase+hwWSSData, hwPEN)
+	rig.Codec.Pump(1)
+	if !rig.Codec.Underrun() {
+		t.Fatal("setup: the codec did not underrun")
+	}
+	if err := rig.CheckPlayback(c); err == nil {
+		t.Error("a run whose DAC underran passed the check")
+	}
+}

@@ -7,19 +7,20 @@
 //	Table 4 — Permedia2 screen-copy throughput
 //	Table 5 — sound-DMA pipeline throughput (cs4236 + dma8237 + pic8259),
 //	          standard vs Devil
+//	Table 6 — device-farm scaling over fleets of those machines
 //
 // Each TableN function runs the experiment and returns both structured rows
-// and the paper-format text. Absolute numbers depend on the simulator cost
-// model (see package bus); the claims under test are the relative ones —
-// who wins, by what factor, where the overhead vanishes.
+// and the paper-format text. Every run builds its machine with the NewRig
+// of the driver package under test, so the tables, the farm and the driver
+// tests measure one wiring of each device. Absolute numbers depend on the
+// simulator cost model (see package bus); the claims under test are the
+// relative ones — who wins, by what factor, where the overhead vanishes.
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
-	"repro/internal/bus"
 	idedrv "repro/internal/drivers/ide"
 	pmdrv "repro/internal/drivers/permedia2"
 	snddrv "repro/internal/drivers/sound"
@@ -27,7 +28,6 @@ import (
 	"repro/internal/mutation"
 	"repro/internal/obs"
 	simide "repro/internal/sim/ide"
-	simpm "repro/internal/sim/permedia2"
 )
 
 // ---------------------------------------------------------------------------
@@ -56,55 +56,44 @@ type IDERow struct {
 	Ratio    float64 // Devil/standard throughput
 }
 
-// ideBases groups the conventional legacy addresses.
-const (
-	ideCmdBase = 0x1f0
-	ideCtlBase = 0x3f6
-	ideBMBase  = 0xc000
-	ideDMAAddr = 0x10000
-)
-
 // runIDE measures one driver over a whole transfer and returns (ops, MB/s).
 func runIDE(mkDriver func(idedrv.Ports) idedrv.Driver, sectors int) (uint64, float64, error) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	mem := bus.NewRAM(ideDMAAddr + 256*simide.SectorSize)
-	disk := simide.New(&clk, sectors+64, mem)
-	irq := &bus.IRQLine{}
-	disk.IRQ = irq.Raise
-	disk.Attach(space, ideCmdBase, ideCtlBase, ideBMBase)
-	p := idedrv.Ports{
-		Space: space, Clock: &clk, Mem: mem, IRQ: irq,
-		CmdBase: ideCmdBase, CtlBase: ideCtlBase, BMBase: ideBMBase, DMAAddr: ideDMAAddr,
-	}
-	drv := mkDriver(p)
+	rig := idedrv.NewRig(sectors+64, 256)
+	drv := mkDriver(rig.Ports())
 	if err := drv.Init(); err != nil {
 		return 0, 0, err
 	}
-	space.ResetStats()
-	start := clk.Now()
+	rig.Space.ResetStats()
+	start := rig.Clock.Now()
 	buf := make([]byte, sectors*simide.SectorSize)
 	if err := drv.ReadSectors(0, buf); err != nil {
 		return 0, 0, err
 	}
-	elapsed := clk.Now() - start
+	elapsed := rig.Clock.Now() - start
 	mbs := float64(len(buf)) / (float64(elapsed) / 1e9) / 1e6
-	return space.Stats().Ops(), mbs, nil
+	return rig.Space.Stats().Ops(), mbs, nil
 }
 
-// Table2Rows measures every Table 2 row over a transfer of the given number
-// of sectors (the paper used hdparm's sequential read).
-func Table2Rows(sectors int) ([]IDERow, error) {
-	configs := []idedrv.Config{{Mode: idedrv.DMA}}
+// pioConfigs lists the Table 2 PIO rows: sectors per interrupt 16, 8 and
+// 1, each at 32- and 16-bit width, with block-transfer stubs or without.
+func pioConfigs(block bool) []idedrv.Config {
+	var cfgs []idedrv.Config
 	for _, spi := range []int{16, 8, 1} {
 		for _, w := range []int{32, 16} {
-			configs = append(configs, idedrv.Config{Mode: idedrv.PIO, Width: w, SectorsPerIRQ: spi})
+			cfgs = append(cfgs, idedrv.Config{Mode: idedrv.PIO, Width: w, SectorsPerIRQ: spi, Block: block})
 		}
 	}
+	return cfgs
+}
+
+// ideRows measures each configuration with both drivers over a transfer
+// of the given number of sectors. The Devil driver runs the configuration
+// as given; the standard driver always moves data with rep insw/insl.
+func ideRows(configs []idedrv.Config, sectors int) ([]IDERow, error) {
 	var rows []IDERow
 	for _, cfg := range configs {
 		stdCfg := cfg
-		stdCfg.Block = true // the standard driver always uses rep insw/insl
+		stdCfg.Block = true
 		stdOps, stdMBs, err := runIDE(func(p idedrv.Ports) idedrv.Driver { return idedrv.NewHand(p, stdCfg) }, sectors)
 		if err != nil {
 			return nil, fmt.Errorf("standard %s: %w", cfg, err)
@@ -121,29 +110,17 @@ func Table2Rows(sectors int) ([]IDERow, error) {
 	return rows, nil
 }
 
+// Table2Rows measures every Table 2 row over a transfer of the given number
+// of sectors (the paper used hdparm's sequential read).
+func Table2Rows(sectors int) ([]IDERow, error) {
+	return ideRows(append([]idedrv.Config{{Mode: idedrv.DMA}}, pioConfigs(false)...), sectors)
+}
+
 // Table2BlockRows measures the Devil block-stub variants (§4.3: "when using
 // block transfer stubs that use a rep instruction, we did not observe an
 // impact on the available throughput").
 func Table2BlockRows(sectors int) ([]IDERow, error) {
-	var rows []IDERow
-	for _, spi := range []int{16, 8, 1} {
-		for _, w := range []int{32, 16} {
-			cfg := idedrv.Config{Mode: idedrv.PIO, Width: w, SectorsPerIRQ: spi, Block: true}
-			stdOps, stdMBs, err := runIDE(func(p idedrv.Ports) idedrv.Driver { return idedrv.NewHand(p, cfg) }, sectors)
-			if err != nil {
-				return nil, err
-			}
-			devOps, devMBs, err := runIDE(func(p idedrv.Ports) idedrv.Driver { return idedrv.NewDevil(p, cfg) }, sectors)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, IDERow{
-				Config: cfg, StdOps: stdOps, StdMBs: stdMBs,
-				DevilOps: devOps, DevilMBs: devMBs, Ratio: devMBs / stdMBs,
-			})
-		}
-	}
-	return rows, nil
+	return ideRows(pioConfigs(true), sectors)
 }
 
 // Table2 renders the IDE comparison in the paper's layout.
@@ -156,19 +133,22 @@ func Table2(sectors int) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	all := append(rows, blocks...)
+	w := len("Transfer mode") // the label column fits the longest label
+	for _, r := range all {
+		w = max(w, len(r.Config.String()))
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 2: IDE driver comparative performance (%d sectors = %.1f MiB read; Devil data loop in C)\n\n",
 		sectors, float64(sectors)/2048)
-	fmt.Fprintf(&b, "%-26s %12s %10s %12s %10s %8s\n",
-		"Transfer mode", "Std I/O ops", "Std MB/s", "Devil ops", "Dev MB/s", "Ratio")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-26s %12d %10.2f %12d %10.2f %7.0f%%\n",
-			r.Config, r.StdOps, r.StdMBs, r.DevilOps, r.DevilMBs, r.Ratio*100)
-	}
-	fmt.Fprintf(&b, "\nDevil block-transfer stubs (rep equivalent):\n")
-	for _, r := range blocks {
-		fmt.Fprintf(&b, "%-26s %12d %10.2f %12d %10.2f %7.0f%%\n",
-			r.Config, r.StdOps, r.StdMBs, r.DevilOps, r.DevilMBs, r.Ratio*100)
+	fmt.Fprintf(&b, "%-*s %12s %10s %12s %10s %8s\n",
+		w, "Transfer mode", "Std I/O ops", "Std MB/s", "Devil ops", "Dev MB/s", "Ratio")
+	for i, r := range all {
+		if i == len(rows) {
+			fmt.Fprintf(&b, "\nDevil block-transfer stubs (rep equivalent):\n")
+		}
+		fmt.Fprintf(&b, "%-*s %12d %10.2f %12d %10.2f %7.0f%%\n",
+			w, r.Config, r.StdOps, r.StdMBs, r.DevilOps, r.DevilMBs, r.Ratio*100)
 	}
 	return b.String(), nil
 }
@@ -186,8 +166,6 @@ type GfxRow struct {
 	Ratio       float64
 }
 
-const pmBase = 0xf000_0000
-
 // xServerOverheadNS is the simulated per-primitive cost of the X server's
 // software path (dispatch, clipping, state checks) charged identically to
 // both drivers, as in the paper's xbench runs.
@@ -195,27 +173,24 @@ const xServerOverheadNS = 400
 
 // runGfx measures one driver drawing n primitives of the given size.
 func runGfx(mk func(pmdrv.Ports) pmdrv.Driver, bpp, size, n int, copyTest bool) (uint64, float64, error) {
-	var clk bus.Clock
-	space := bus.NewSpace("mmio", &clk, bus.DefaultMemCosts())
-	chip := simpm.New(&clk, 1024, 768)
-	space.MustMap(pmBase, 0x100, chip)
-	drv := mk(pmdrv.Ports{Space: space, Base: pmBase})
+	rig := pmdrv.NewRig()
+	drv := mk(rig.Ports())
 	if err := drv.Init(bpp); err != nil {
 		return 0, 0, err
 	}
 
 	// Writes per primitive, measured on an idle engine.
-	space.ResetStats()
+	rig.Space.ResetStats()
 	if copyTest {
 		drv.CopyRect(0, 0, 500, 300, size, size)
 	} else {
 		drv.FillRect(0, 0, size, size, 0x55)
 	}
-	writes := space.Stats().Out
+	writes := rig.Space.Stats().Out
 
-	start := clk.Now()
+	start := rig.Clock.Now()
 	for i := 0; i < n; i++ {
-		clk.Advance(xServerOverheadNS)
+		rig.Clock.Advance(xServerOverheadNS)
 		if copyTest {
 			drv.CopyRect(0, 0, 500, 300, size, size)
 		} else {
@@ -226,7 +201,7 @@ func runGfx(mk func(pmdrv.Ports) pmdrv.Driver, bpp, size, n int, copyTest bool) 
 	// covers drawn primitives, not issued ones (otherwise the drivers'
 	// different FIFO pipelining depths skew short engine-bound runs).
 	drv.WaitIdle()
-	elapsed := clk.Now() - start
+	elapsed := rig.Clock.Now() - start
 	rate := float64(n) / (float64(elapsed) / 1e9)
 	return writes, rate, nil
 }
@@ -334,22 +309,15 @@ func runSound(mk func(snddrv.Ports) snddrv.Driver, cfg snddrv.Config, revs int) 
 	if err := drv.Init(); err != nil {
 		return 0, 0, err
 	}
-	clip := make([]byte, cfg.RingBytes*revs)
-	for i := range clip {
-		clip[i] = byte(i>>4) ^ byte(i*11)
-	}
+	clip := snddrv.Clip(cfg.RingBytes * revs)
 	rig.Space.ResetStats()
 	start := rig.Clock.Now()
 	if err := drv.Play(clip); err != nil {
 		return 0, 0, err
 	}
 	elapsed := rig.Clock.Now() - start
-	played := rig.Codec.Played()
-	if !bytes.Equal(played, clip) {
-		return 0, 0, fmt.Errorf("sound: DAC consumed wrong data (%d of %d bytes)", len(played), len(clip))
-	}
-	if rig.Codec.Underrun() {
-		return 0, 0, fmt.Errorf("sound: DAC underran")
+	if err := rig.CheckPlayback(clip); err != nil {
+		return 0, 0, err
 	}
 	mbs := float64(len(clip)) / (float64(elapsed) / 1e9) / 1e6
 	return rig.Space.Stats().Ops(), mbs, nil
@@ -391,13 +359,17 @@ func Table5(revs int) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	w := len("Configuration") // the label column fits the longest label
+	for _, r := range rows {
+		w = max(w, len(r.Config.String()))
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 5: Sound-DMA pipeline (CS4236B + i8237A + i8259A), %d ring revolutions per run\n\n", revs)
-	fmt.Fprintf(&b, "%-32s %12s %10s %12s %10s %8s\n",
-		"Configuration", "Std I/O ops", "Std MB/s", "Devil ops", "Dev MB/s", "Ratio")
+	fmt.Fprintf(&b, "%-*s %12s %10s %12s %10s %8s\n",
+		w, "Configuration", "Std I/O ops", "Std MB/s", "Devil ops", "Dev MB/s", "Ratio")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-32s %12d %10.4f %12d %10.4f %7.0f%%\n",
-			r.Config, r.StdOps, r.StdMBs, r.DevilOps, r.DevilMBs, r.Ratio*100)
+		fmt.Fprintf(&b, "%-*s %12d %10.4f %12d %10.4f %7.0f%%\n",
+			w, r.Config, r.StdOps, r.StdMBs, r.DevilOps, r.DevilMBs, r.Ratio*100)
 	}
 	return b.String(), nil
 }
@@ -483,7 +455,9 @@ func Table6(hosts int) (string, error) {
 // access stamped with virtual time and attributed to the driver phase (and,
 // for the Devil driver, the .dil variable the generated stub was accessing),
 // interleaved with the IRQ, DMA terminal-count, and clock-advance events of
-// the three chips. driver selects "standard" (or "hand") or "devil".
+// the three chips. driver selects "standard" (or "hand") or "devil". The
+// playback is checked as in Table 5: a run whose DAC played the wrong
+// bytes or underran returns an error, not a trace.
 func CaptureSound(driver string, cfg snddrv.Config, revs int) ([]obs.Event, error) {
 	rig := snddrv.NewRig()
 	var drv snddrv.Driver
@@ -501,11 +475,11 @@ func CaptureSound(driver string, cfg snddrv.Config, revs int) ([]obs.Event, erro
 	if err := drv.Init(); err != nil {
 		return nil, err
 	}
-	clip := make([]byte, cfg.RingBytes*revs)
-	for i := range clip {
-		clip[i] = byte(i>>4) ^ byte(i*11)
-	}
+	clip := snddrv.Clip(cfg.RingBytes * revs)
 	if err := drv.Play(clip); err != nil {
+		return nil, err
+	}
+	if err := rig.CheckPlayback(clip); err != nil {
 		return nil, err
 	}
 	if dropped := ring.Dropped(); dropped > 0 {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -86,6 +88,44 @@ func TestTable3And4Shape(t *testing.T) {
 	}
 }
 
+var (
+	headingRE = regexp.MustCompile(`\S+(?: \S+)*`) // words joined by single spaces
+	cellRE    = regexp.MustCompile(`\S+`)
+)
+
+// columnEnds returns the end offsets of the last n matches of re in line.
+func columnEnds(line string, re *regexp.Regexp, n int) []int {
+	locs := re.FindAllStringIndex(line, -1)
+	if len(locs) < n {
+		return nil
+	}
+	var ends []int
+	for _, l := range locs[len(locs)-n:] {
+		ends = append(ends, l[1])
+	}
+	return ends
+}
+
+// checkColumns requires the five right-aligned numeric columns of every
+// data row (a line ending in "%") of a standard-vs-Devil table to sit
+// exactly under the header's column titles, which a label wider than its
+// column would shift.
+func checkColumns(t *testing.T, out, label string) {
+	t.Helper()
+	const ncols = 5
+	var want []int
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, label):
+			want = columnEnds(line, headingRE, ncols)
+		case strings.HasSuffix(line, "%"):
+			if got := columnEnds(line, cellRE, ncols); want == nil || !slices.Equal(got, want) {
+				t.Errorf("row %q: columns end at %v, header at %v", line, got, want)
+			}
+		}
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	out, err := Table2(256)
 	if err != nil {
@@ -96,6 +136,7 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("Table 2 output missing %q", want)
 		}
 	}
+	checkColumns(t, out, "Transfer mode")
 	out, err = Table3(100)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +195,7 @@ func TestTable5Rendering(t *testing.T) {
 			t.Errorf("Table 5 output missing %q", want)
 		}
 	}
+	checkColumns(t, out, "Configuration")
 }
 
 func TestTable6Shape(t *testing.T) {

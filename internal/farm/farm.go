@@ -8,6 +8,11 @@
 // pool without synchronizing with each other, and an observer attached to
 // one host costs every other host nothing.
 //
+// A host's machine is the rig its driver package wires (NewRig in
+// internal/drivers/ide, permedia2 and sound), the same machine the
+// experiments measure; the farm adds the workload steps and the order in
+// which the machine's parts are snapshotted.
+//
 // A host's workload is a list of steps with a cursor, and the cursor's
 // step boundaries are checkpoint points: Snapshot serializes the whole
 // machine (clock, operation counters, memory, interrupt lines, device
@@ -31,7 +36,6 @@
 package farm
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -42,7 +46,6 @@ import (
 	snddrv "repro/internal/drivers/sound"
 	"repro/internal/obs"
 	simide "repro/internal/sim/ide"
-	simpm "repro/internal/sim/permedia2"
 	"repro/internal/snap"
 )
 
@@ -161,40 +164,20 @@ func New(name string, spec WorkloadSpec) *Host {
 	return h
 }
 
-// ideBases mirrors the conventional legacy addresses used by the
-// experiments package.
-const (
-	ideCmdBase = 0x1f0
-	ideCtlBase = 0x3f6
-	ideBMBase  = 0xc000
-	ideDMAAddr = 0x10000
-	pmBase     = 0xf000_0000
-)
-
 // buildIDE wires a host that DMA-reads Sectors sequential sectors from its
 // own disk model.
 func (h *Host) buildIDE() {
 	sectors := h.spec.Sectors
-	clk := &bus.Clock{}
-	space := bus.NewSpace("io", clk, bus.DefaultPortCosts())
-	mem := bus.NewRAM(ideDMAAddr + (sectors+4)*simide.SectorSize)
-	disk := simide.New(clk, sectors+64, mem)
-	irq := &bus.IRQLine{}
-	disk.IRQ = irq.Raise
-	disk.Attach(space, ideCmdBase, ideCtlBase, ideBMBase)
+	rig := idedrv.NewRig(sectors+64, sectors+4)
 	cfg := idedrv.Config{Mode: idedrv.DMA}
-	p := idedrv.Ports{
-		Space: space, Clock: clk, Mem: mem, IRQ: irq,
-		CmdBase: ideCmdBase, CtlBase: ideCtlBase, BMBase: ideBMBase, DMAAddr: ideDMAAddr,
-	}
 	var drv idedrv.Driver
 	if h.spec.Variant == Devil {
-		drv = idedrv.NewDevil(p, cfg)
+		drv = idedrv.NewDevil(rig.Ports(), cfg)
 	} else {
-		drv = idedrv.NewHand(p, cfg)
+		drv = idedrv.NewHand(rig.Ports(), cfg)
 	}
-	h.Clock, h.Space = clk, space
-	h.parts = []snap.Snapshotter{clk, space, mem, irq, disk, drv}
+	h.Clock, h.Space = rig.Clock, rig.Space
+	h.parts = []snap.Snapshotter{rig.Clock, rig.Space, rig.Mem, rig.IRQ, rig.Disk, drv}
 	h.steps = []step{
 		{name: "init", run: func() (uint64, error) { return 0, drv.Init() }},
 		{name: "read", run: func() (uint64, error) {
@@ -211,19 +194,15 @@ func (h *Host) buildIDE() {
 // Permedia2 model at 8 bpp and drains the engine FIFO.
 func (h *Host) buildGfx() {
 	size, n := h.spec.Size, h.spec.Rects
-	clk := &bus.Clock{}
-	space := bus.NewSpace("mmio", clk, bus.DefaultMemCosts())
-	chip := simpm.New(clk, 1024, 768)
-	space.MustMap(pmBase, 0x100, chip)
+	rig := pmdrv.NewRig()
 	var drv pmdrv.Driver
-	p := pmdrv.Ports{Space: space, Base: pmBase}
 	if h.spec.Variant == Devil {
-		drv = pmdrv.NewDevil(p)
+		drv = pmdrv.NewDevil(rig.Ports())
 	} else {
-		drv = pmdrv.NewHand(p)
+		drv = pmdrv.NewHand(rig.Ports())
 	}
-	h.Clock, h.Space = clk, space
-	h.parts = []snap.Snapshotter{clk, space, chip, drv}
+	h.Clock, h.Space = rig.Clock, rig.Space
+	h.parts = []snap.Snapshotter{rig.Clock, rig.Space, rig.Chip, drv}
 	h.steps = []step{
 		{name: "init", run: func() (uint64, error) { return 0, drv.Init(8) }},
 		{name: "draw", run: func() (uint64, error) {
@@ -237,10 +216,10 @@ func (h *Host) buildGfx() {
 	}
 }
 
-// buildSound wires a host that streams a generated clip of Revs ring
-// revolutions through its own codec+DMA+PIC rig, one step per revolution
-// — the suspension granularity Snapshot checkpoints at — and verifies the
-// DAC consumed exactly the clip.
+// buildSound wires a host that streams the sound test clip, Revs ring
+// revolutions long, through its own codec+DMA+PIC rig, one step per
+// revolution — the suspension granularity Snapshot checkpoints at — and
+// checks the playback.
 func (h *Host) buildSound() {
 	cfg := h.spec.Sound
 	rig := snddrv.NewRig()
@@ -250,10 +229,7 @@ func (h *Host) buildSound() {
 	} else {
 		drv = snddrv.NewHand(rig.Ports(), cfg)
 	}
-	clip := make([]byte, cfg.RingBytes*h.spec.Revs)
-	for i := range clip {
-		clip[i] = byte(i>>4) ^ byte(i*11)
-	}
+	clip := snddrv.Clip(cfg.RingBytes * h.spec.Revs)
 	buf, revs := cfg.Pad(clip)
 	h.Clock, h.Space = rig.Clock, rig.Space
 	h.parts = []snap.Snapshotter{rig.Clock, rig.Space, rig.Mem, rig.IRQ, rig.Codec, rig.DMA, rig.PIC, drv}
@@ -284,13 +260,7 @@ func (h *Host) buildSound() {
 		if err := drv.Finish(); err != nil {
 			return 0, err
 		}
-		if played := rig.Codec.Played(); !bytes.Equal(played, clip) {
-			return 0, fmt.Errorf("farm: DAC consumed wrong data (%d of %d bytes)", len(played), len(clip))
-		}
-		if rig.Codec.Underrun() {
-			return 0, fmt.Errorf("farm: DAC underran")
-		}
-		return 0, nil
+		return 0, rig.CheckPlayback(clip)
 	}})
 }
 
