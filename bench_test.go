@@ -163,6 +163,7 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	for _, workers := range experiments.Table6Workers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var perVariant [2]farm.FleetResult
 				for vi, v := range []farm.Variant{farm.Hand, farm.Devil} {
@@ -345,6 +346,7 @@ func BenchmarkPermedia2Fill(b *testing.B) {
 	if err := drv.Init(8); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		drv.FillRect(0, 0, 10, 10, uint32(i))
@@ -476,6 +478,7 @@ func BenchmarkSnapshotHostSave(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if blob, err = h.Snapshot(); err != nil {
@@ -491,6 +494,7 @@ func BenchmarkSnapshotHostRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := farm.RestoreHost(blob); err != nil {

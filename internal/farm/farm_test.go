@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"runtime"
 	"testing"
 
 	snddrv "repro/internal/drivers/sound"
@@ -122,5 +123,24 @@ func TestFleetScaling(t *testing.T) {
 	speedup := eight.MBPerSec() / base.MBPerSec()
 	if speedup < 4 {
 		t.Errorf("8-worker aggregate throughput %.1f× the 1-worker run, want > 4×", speedup)
+	}
+}
+
+// TestNewGfxHostAllocates pins what building a gfx host costs. The
+// Permedia2 framebuffer (3 MiB at 1024×768) is allocated a page at a time
+// as the host draws, so building the host allocates far less than one
+// framebuffer.
+func TestNewGfxHostAllocates(t *testing.T) {
+	for _, v := range []Variant{Hand, Devil} {
+		spec := WorkloadSpec{Kind: Gfx, Variant: v, Size: 64, Rects: 32}
+		New("warm", spec) // one-time package set-up is not the host's cost
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h := New("gfx", spec)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(h)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+			t.Errorf("%s: building a gfx host allocated %d bytes, want < 256 KiB", v, got)
+		}
 	}
 }

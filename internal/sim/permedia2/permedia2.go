@@ -8,11 +8,14 @@
 // during which further writes queue in the FIFO; when the FIFO fills the
 // write stalls the bus until the engine drains, exactly like the hardware.
 //
-// The framebuffer is an in-memory byte array so tests can verify fills and
-// copies pixel by pixel.
+// The framebuffer is kept in memory so tests can verify fills and copies
+// pixel by pixel. It is stored in 64 KiB pages, each allocated on its first
+// non-zero write, so a chip that draws on a corner of the screen holds a
+// page or two rather than the whole framebuffer.
 package permedia2
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"repro/internal/bus"
@@ -62,7 +65,7 @@ type Sim struct {
 	clock *bus.Clock
 
 	Width, Height int
-	fb            []byte // Width*Height*4 bytes, stride fixed at 32bpp max
+	fb            pages // Width*Height*4 bytes, stride fixed at 32bpp max
 
 	// Register state.
 	windowBase, logicalOp, writeConfig, color    uint32
@@ -90,7 +93,7 @@ type pendingBatch struct {
 
 // New creates a controller with a Width×Height framebuffer.
 func New(clock *bus.Clock, width, height int) *Sim {
-	return &Sim{clock: clock, Width: width, Height: height, fb: make([]byte, width*height*4)}
+	return &Sim{clock: clock, Width: width, Height: height, fb: newPages(width * height * 4)}
 }
 
 // BytesPerPixel decodes the framebuffer write configuration depth field.
@@ -112,12 +115,9 @@ func (s *Sim) Pixel(x, y int) uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	bpp := s.BytesPerPixel()
-	off := (y*s.Width + x) * bpp
-	var v uint32
-	for i := 0; i < bpp; i++ {
-		v |= uint32(s.fb[off+i]) << uint(8*i)
-	}
-	return v
+	var px [4]byte
+	s.fb.read(px[:bpp], (y*s.Width+x)*bpp)
+	return binary.LittleEndian.Uint32(px[:])
 }
 
 // free returns the current free FIFO entries after draining the batches the
@@ -236,52 +236,46 @@ func (s *Sim) render(cmd uint32) {
 }
 
 func (s *Sim) fillRect(x, y, w, h, bpp int) {
-	for yy := y; yy < y+h && yy < s.Height; yy++ {
-		if yy < 0 {
-			continue
-		}
-		for xx := x; xx < x+w && xx < s.Width; xx++ {
-			if xx < 0 {
-				continue
-			}
-			off := (yy*s.Width + xx) * bpp
-			for i := 0; i < bpp; i++ {
-				s.fb[off+i] = byte(s.color >> uint(8*i))
-			}
-		}
+	x0, x1 := clip(x, w, s.Width)
+	y0, y1 := clip(y, h, s.Height)
+	var pat [4]byte
+	binary.LittleEndian.PutUint32(pat[:], s.color)
+	for yy := y0; yy < y1; yy++ {
+		s.fb.fill((yy*s.Width+x0)*bpp, (x1-x0)*bpp, pat[:bpp])
 	}
 }
 
 // copyRect moves a w×h block; the source origin is the destination origin
-// displaced by the packed signed 16-bit deltas in fb_source_offset.
+// displaced by the packed signed 16-bit deltas in fb_source_offset. The
+// destination is clipped to the framebuffer first, and destination pixels
+// whose source lies off the framebuffer are cleared. Rows move through a
+// one-row buffer, walked away from the source so an overlapping copy
+// reads every row before overwriting it.
 func (s *Sim) copyRect(x, y, w, h, bpp int) {
 	dx := int(int16(s.sourceOff & 0xffff))
 	dy := int(int16(s.sourceOff >> 16))
-	src := make([]byte, w*h*bpp)
-	for yy := 0; yy < h; yy++ {
-		sy := y + dy + yy
-		if sy < 0 || sy >= s.Height {
-			continue
-		}
-		for xx := 0; xx < w; xx++ {
-			sx := x + dx + xx
-			if sx < 0 || sx >= s.Width {
-				continue
-			}
-			copy(src[(yy*w+xx)*bpp:(yy*w+xx+1)*bpp], s.fb[(sy*s.Width+sx)*bpp:])
-		}
+	x0, x1 := clip(x, w, s.Width)
+	y0, y1 := clip(y, h, s.Height)
+	if x0 >= x1 || y0 >= y1 {
+		return
 	}
-	for yy := 0; yy < h; yy++ {
-		ty := y + yy
-		if ty < 0 || ty >= s.Height {
-			continue
-		}
-		for xx := 0; xx < w; xx++ {
-			tx := x + xx
-			if tx < 0 || tx >= s.Width {
-				continue
-			}
-			copy(s.fb[(ty*s.Width+tx)*bpp:(ty*s.Width+tx)*bpp+bpp], src[(yy*w+xx)*bpp:])
-		}
+	sx0, sx1 := clip(x0+dx, x1-x0, s.Width) // the source columns on the framebuffer
+	row := make([]byte, (x1-x0)*bpp)
+	ty, end, step := y0, y1, 1
+	if dy < 0 {
+		ty, end, step = y1-1, y0-1, -1
 	}
+	for ; ty != end; ty += step {
+		clear(row)
+		if sy := ty + dy; sy >= 0 && sy < s.Height && sx0 < sx1 {
+			s.fb.read(row[(sx0-dx-x0)*bpp:(sx1-dx-x0)*bpp], (sy*s.Width+sx0)*bpp)
+		}
+		s.fb.write((ty*s.Width+x0)*bpp, row)
+	}
+}
+
+// clip returns the part [lo, hi) of the span [at, at+n) that lies in
+// [0, limit); lo >= hi when none does.
+func clip(at, n, limit int) (lo, hi int) {
+	return max(at, 0), min(at+n, limit)
 }

@@ -22,7 +22,7 @@ func (s *Sim) snapState(c *snap.Codec) {
 		c.Failf("blob geometry %dx%d, controller is %dx%d", w, h, s.Width, s.Height)
 		return
 	}
-	c.Buffer(s.fb)
+	c.Pages(s.fb.p, pageSize, s.fb.size)
 	for _, p := range []*uint32{
 		&s.windowBase, &s.logicalOp, &s.writeConfig, &s.color,
 		&s.startXDom, &s.startXSub, &s.startY, &s.dY, &s.count,

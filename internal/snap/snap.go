@@ -41,6 +41,7 @@
 package snap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -349,8 +350,8 @@ func (c *Codec) Array(b []byte) {
 }
 
 // Buffer walks a uint32 length prefix and the bytes of b, a buffer whose
-// size the receiver fixed at construction (a media image, RAM, a
-// framebuffer); decoding rejects a blob of any other length.
+// size the receiver fixed at construction (a media image, RAM); decoding
+// rejects a blob of any other length.
 func (c *Codec) Buffer(b []byte) {
 	n := uint32(len(b))
 	c.U32(&n)
@@ -359,6 +360,61 @@ func (c *Codec) Buffer(b []byte) {
 		return
 	}
 	c.Array(b)
+}
+
+// Pages walks a buffer of size bytes held in pages of pageSize bytes (the
+// last one shorter when pageSize does not divide size), where a nil page
+// stands for zeros. Its wire form is exactly Buffer's: the length prefix
+// and every byte, an absent page written as zeros. Decoding rejects a blob
+// of any other length, leaves absent every page whose bytes are all zero
+// and allocates only the others.
+func (c *Codec) Pages(pages [][]byte, pageSize, size int) {
+	n := uint32(size)
+	c.U32(&n)
+	if n != uint32(size) {
+		c.Failf("blob holds a %d-byte buffer, receiver has %d", n, size)
+		return
+	}
+	if !c.dec {
+		for i, p := range pages {
+			if p == nil {
+				c.buf = append(c.buf, make([]byte, min(pageSize, size-i*pageSize))...)
+			} else {
+				c.buf = append(c.buf, p...)
+			}
+		}
+		return
+	}
+	src := c.take(size)
+	if c.err != nil {
+		return
+	}
+	for i := range pages {
+		b := src[:min(pageSize, len(src))]
+		src = src[len(b):]
+		switch {
+		case isZero(b):
+			pages[i] = nil
+		case pages[i] == nil:
+			pages[i] = append([]byte(nil), b...)
+		default:
+			copy(pages[i], b)
+		}
+	}
+}
+
+// zeroPage is what isZero compares against, a chunk at a time.
+var zeroPage [4 << 10]byte
+
+func isZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroPage))
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // Bytes walks a uint32 length prefix and a variable-length byte slice;
