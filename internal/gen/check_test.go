@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/devil/exec"
 	"repro/internal/devil/sema"
+	"repro/internal/gen"
 	genbm "repro/internal/gen/busmouse"
 	gencs "repro/internal/gen/cs4236"
 	"repro/internal/specs"
@@ -93,9 +94,12 @@ func link(t *testing.T, spec *sema.Device, space *bus.Space, base uint32) *exec.
 	return dev
 }
 
+// mouseSpace wires a fresh busmouse simulator at its canonical base.
 func mouseSpace() *bus.Space {
-	rig, _ := newBusmouseRig()
-	return rig.space
+	var clk bus.Clock
+	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
+	gen.Devices[0].NewSim(&clk, space)
+	return space
 }
 
 // ramSpace maps two bytes of RAM at the cs4236 base, the first holding

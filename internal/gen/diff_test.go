@@ -1,14 +1,20 @@
 package gen_test
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/devil/exec"
 	"repro/internal/devil/ir"
+	"repro/internal/devil/sema"
+	"repro/internal/gen"
 	genbm "repro/internal/gen/busmouse"
 	gencs "repro/internal/gen/cs4236"
 	gendma "repro/internal/gen/dma8237"
@@ -21,20 +27,24 @@ import (
 	simbm "repro/internal/sim/busmouse"
 	simcs "repro/internal/sim/cs4236"
 	simdma "repro/internal/sim/dma8237"
-	simide "repro/internal/sim/ide"
 	simne "repro/internal/sim/ne2000"
-	simpm "repro/internal/sim/permedia2"
 	simpic "repro/internal/sim/pic8259"
+	"repro/internal/snap"
 	"repro/internal/specs"
 )
 
-// The differential tests drive the interpretive executor (package exec) and
+// The differential rig drives the interpretive executor (package exec) and
 // the compiled stubs (internal/gen) through identical randomized operation
-// sequences against identical simulators, then assert that both back ends
-// produced the same bus trace (operation counts, addresses, and values),
-// returned the same values from every read, and left the device in a
-// bit-identical state. The two implementations share one specification;
-// this is the executable statement that they share one semantics.
+// sequences, each against its own fresh simulator from gen.Devices. The
+// operations are derived from the compiled specification: a get and a set
+// of every interface variable the access plans provide, structure reads and
+// flushes, block transfers, plus the device-side events of the table below.
+// After each sequence both back ends must have produced the same bus trace
+// (operation counts, addresses and values), returned the same values from
+// every read, faulted identically, and left byte-identical simulator state
+// and driver state, and each back end must restore the other's driver
+// snapshot. The two implementations share one specification; this is the
+// executable statement that they share one semantics.
 
 // execOpts returns the interpreter options matching the optimization level
 // and debug setting the checked-in stubs were generated at. The default is
@@ -56,7 +66,491 @@ func execOpts() exec.Options {
 // their run-time checks on (DEVIL_STUBS_DEBUG=1).
 func stubsDebug() bool { return os.Getenv("DEVIL_STUBS_DEBUG") == "1" }
 
-// rig is one device-under-test instance: a bus whose named windows over a
+// stubNew holds the stub constructors, keyed by gen.Devices name. Each
+// takes the bus and one base address per port parameter, in the
+// specification's port order.
+var stubNew = map[string]any{
+	"busmouse":  genbm.New,
+	"ide":       genide.New,
+	"piix4":     genpiix4.New,
+	"ne2000":    genne.New,
+	"permedia2": genpm.New,
+	"pic8259":   genpic.New,
+	"dma8237":   gendma.New,
+	"cs4236":    gencs.New,
+}
+
+// event is a device-side stimulus: the simulator acting on its own,
+// outside the driver interface. fire applies it to one simulator with the
+// drawn arguments a and returns what the simulator reports (0 if nothing).
+type event struct {
+	name string
+	fire func(sim snap.Snapshotter, a [2]int) int64
+}
+
+// events lists the device-side events of each device that has some.
+var events = map[string][]event{
+	"busmouse": {
+		{"Move", func(s snap.Snapshotter, a [2]int) int64 {
+			s.(*simbm.Sim).Move(a[0]%31-15, a[1]%31-15)
+			return 0
+		}},
+		{"SetButtons", func(s snap.Snapshotter, a [2]int) int64 {
+			s.(*simbm.Sim).SetButtons(uint8(a[0] & 7))
+			return 0
+		}},
+	},
+	"pic8259": {
+		{"Raise", func(s snap.Snapshotter, a [2]int) int64 {
+			s.(*simpic.Sim).Raise(a[0] & 7)
+			return 0
+		}},
+		{"Ack", func(s snap.Snapshotter, a [2]int) int64 {
+			v, ok := s.(*simpic.Sim).Ack()
+			return int64(v) | b2i(ok)<<8
+		}},
+	},
+	"dma8237": {
+		{"Request", func(s snap.Snapshotter, a [2]int) int64 {
+			s.(*simdma.Sim).Request(a[0]&3, a[1]&1 != 0)
+			return 0
+		}},
+		{"Transfer", func(s snap.Snapshotter, a [2]int) int64 {
+			return int64(s.(*simdma.Sim).Transfer(a[0] & 0x3ff))
+		}},
+	},
+	"ne2000": {
+		{"InjectFrame", func(s snap.Snapshotter, a [2]int) int64 {
+			frame := make([]byte, 60+a[0]%64)
+			for i := range frame {
+				frame[i] = byte(i*7 + a[1])
+			}
+			return b2i(s.(*simne.Sim).InjectFrame(frame))
+		}},
+	},
+	"cs4236": {
+		{"RaisePI", func(s snap.Snapshotter, a [2]int) int64 {
+			s.(*simcs.Sim).RaisePI()
+			return 0
+		}},
+		{"SetExt", func(s snap.Snapshotter, a [2]int) int64 {
+			s.(*simcs.Sim).SetExt(a[0]&0x1f, uint8(a[1]))
+			return 0
+		}},
+	},
+}
+
+// chooser draws the rig's choices: a seeded *rand.Rand in TestDifferential,
+// the fuzz input in FuzzDifferential.
+type chooser interface{ Intn(n int) int }
+
+// model is one device's operation table, derived from its compiled
+// specification and the method set of its stub.
+type model struct {
+	d     gen.Device
+	spec  *sema.Device
+	bases []reflect.Value // constructor arguments after the bus
+	ops   []*op
+}
+
+// op is one operation of the table. needs is the operation that must have
+// run earlier in the sequence (a field getter's structure read); until it
+// has, needs runs in op's place.
+type op struct {
+	name  string
+	needs *op
+	run   func(p *pair, c chooser)
+}
+
+// pair is one run: the compiled stub and the interpreter, each on its own
+// simulator, and the operations run so far.
+type pair struct {
+	t             *testing.T
+	where         string
+	stub          reflect.Value
+	exec          *exec.Device
+	gen, ex       *rig
+	genSim, exSim snap.Snapshotter
+	ran           map[*op]bool
+}
+
+// normalize maps a Devil or Go name to the key stub methods are found by:
+// lower case, '_' removed.
+func normalize(name string) string { return strings.ToLower(strings.ReplaceAll(name, "_", "")) }
+
+// newModel derives d's operations. It fails when an operation has no stub
+// method or more than one.
+func newModel(t testing.TB, d gen.Device) *model {
+	t.Helper()
+	spec := core.MustCompile(d.Spec)
+	prog, err := ir.Lower(spec, execOpts().Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &model{d: d, spec: spec}
+	for _, p := range spec.Ports {
+		m.bases = append(m.bases, reflect.ValueOf(d.Ports[p.Name]))
+	}
+	stubType := reflect.TypeOf(stubNew[d.Name]).Out(0)
+	methods := map[string][]reflect.Method{}
+	for i := 0; i < stubType.NumMethod(); i++ {
+		meth := stubType.Method(i)
+		methods[normalize(meth.Name)] = append(methods[normalize(meth.Name)], meth)
+	}
+	method := func(key string) reflect.Method {
+		if ms := methods[key]; len(ms) != 1 {
+			t.Fatalf("%s: operation %s has %d stub methods", d.Name, key, len(ms))
+		}
+		return methods[key][0]
+	}
+
+	reads := map[*sema.Structure]*op{}
+	var structOps []*op
+	for _, s := range spec.Structures {
+		if s.Private {
+			continue
+		}
+		sp := prog.Structs[s.Index]
+		if sp.Read != nil {
+			reads[s] = structOp(s, "read", method("read"+normalize(s.Name)))
+			structOps = append(structOps, reads[s])
+		}
+		if sp.Write != nil {
+			structOps = append(structOps, structOp(s, "write", method("write"+normalize(s.Name))))
+		}
+	}
+	for _, v := range spec.Interface() {
+		vp := prog.Vars[v.Index]
+		if vp.Get != nil {
+			o := getOp(v, method(normalize(v.Name)))
+			if v.Struct != nil {
+				o.needs = reads[v.Struct]
+			}
+			m.ops = append(m.ops, o)
+		}
+		if vp.Set != nil {
+			m.ops = append(m.ops, setOp(v, method("set"+normalize(v.Name))))
+		}
+		if vp.BlockIn != nil {
+			m.ops = append(m.ops, blockOp(v, "Read", method("read"+normalize(v.Name)+"block")))
+		}
+		if vp.BlockOut != nil {
+			m.ops = append(m.ops, blockOp(v, "Write", method("write"+normalize(v.Name)+"block")))
+		}
+	}
+	m.ops = append(m.ops, structOps...)
+	for _, e := range events[d.Name] {
+		m.ops = append(m.ops, eventOp(e))
+	}
+	return m
+}
+
+// family draws a register-family argument from v's domain, returning it
+// and the stub's trailing argument list.
+func family(v *sema.Variable, c chooser) (int, []reflect.Value) {
+	if v.Param == "" {
+		return 0, nil
+	}
+	vals := v.Domain.Values()
+	j := vals[c.Intn(len(vals))]
+	return j, []reflect.Value{reflect.ValueOf(j)}
+}
+
+func getOp(v *sema.Variable, m reflect.Method) *op {
+	return &op{name: "get " + v.Name, run: func(p *pair, c chooser) {
+		j, args := family(v, c)
+		p.access(func() int64 { return semantic(p.call(m, args...)[0]) }, func() (int64, error) {
+			if v.Param != "" {
+				return p.exec.GetParam(v.Name, j)
+			}
+			return p.exec.Get(v.Name)
+		})
+	}}
+}
+
+func setOp(v *sema.Variable, m reflect.Method) *op {
+	return &op{name: "set " + v.Name, run: func(p *pair, c chooser) {
+		val := draw(v.Type, c)
+		j, args := family(v, c)
+		arg := reflect.ValueOf(val != 0)
+		if t := m.Type.In(1); t.Kind() != reflect.Bool {
+			arg = reflect.ValueOf(val).Convert(t)
+		}
+		p.access(func() int64 { p.call(m, append([]reflect.Value{arg}, args...)...); return 0 }, func() (int64, error) {
+			if v.Param != "" {
+				return 0, p.exec.SetParam(v.Name, j, val)
+			}
+			return 0, p.exec.Set(v.Name, val)
+		})
+	}}
+}
+
+func structOp(s *sema.Structure, verb string, m reflect.Method) *op {
+	return &op{name: verb + " " + s.Name, run: func(p *pair, c chooser) {
+		p.access(func() int64 { p.call(m); return 0 }, func() (int64, error) {
+			if verb == "read" {
+				return 0, p.exec.ReadStruct(s.Name)
+			}
+			return 0, p.exec.WriteStruct(s.Name)
+		})
+	}}
+}
+
+// blockOp moves one to eight units through a block variable in the
+// direction verb ("Read" or "Write"); every unit read is compared.
+func blockOp(v *sema.Variable, verb string, m reflect.Method) *op {
+	execName := fmt.Sprintf("%sBlock%d", verb, v.Width)
+	return &op{name: strings.ToLower(verb) + "block " + v.Name, run: func(p *pair, c chooser) {
+		n := 1 + c.Intn(8)
+		stub, ex := reflect.MakeSlice(m.Type.In(1), n, n), reflect.MakeSlice(m.Type.In(1), n, n)
+		if verb == "Write" {
+			for i := 0; i < n; i++ {
+				u := uint64(c.Intn(1 << 16))
+				stub.Index(i).SetUint(u)
+				ex.Index(i).SetUint(u)
+			}
+		}
+		p.access(func() int64 { p.call(m, stub); return 0 }, func() (int64, error) {
+			err, _ := reflect.ValueOf(p.exec).MethodByName(execName).Call([]reflect.Value{reflect.ValueOf(v.Name), ex})[0].Interface().(error)
+			return 0, err
+		})
+		for i := 0; i < n; i++ {
+			p.gen.record(int64(stub.Index(i).Uint()))
+			p.ex.record(int64(ex.Index(i).Uint()))
+		}
+	}}
+}
+
+func eventOp(e event) *op {
+	return &op{name: "event " + e.name, run: func(p *pair, c chooser) {
+		a := [2]int{c.Intn(1 << 16), c.Intn(1 << 16)}
+		p.gen.record(e.fire(p.genSim, a))
+		p.ex.record(e.fire(p.exSim, a))
+	}}
+}
+
+// draw picks a value the type's write rule allows: a writable symbol, its
+// wildcard bits random, or a member of the type's range.
+func draw(ty *sema.Type, c chooser) int64 {
+	r := ty.WriteRule()
+	if r.Enum {
+		s := r.Syms[c.Intn(len(r.Syms))]
+		v := s.Value
+		if wild := ty.WidthMask() &^ s.CareMask; wild != 0 {
+			v |= uint64(c.Intn(1<<31)) & wild
+		}
+		return int64(v)
+	}
+	rg := r.Range.Ranges[c.Intn(len(r.Range.Ranges))]
+	return int64(rg.Lo + c.Intn(rg.Hi-rg.Lo+1))
+}
+
+// semantic converts a stub getter's result to the interpreter's value.
+func semantic(v reflect.Value) int64 {
+	switch v.Kind() {
+	case reflect.Bool:
+		return b2i(v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return v.Int()
+	}
+	return int64(v.Uint())
+}
+
+// call invokes stub method m.
+func (p *pair) call(m reflect.Method, args ...reflect.Value) []reflect.Value {
+	return m.Func.Call(append([]reflect.Value{p.stub}, args...))
+}
+
+// access runs one access on both back ends. A stub fault (a panic) and an
+// interpreter error must carry the same text; otherwise the values both
+// returned (0 for an access without one) are recorded.
+func (p *pair) access(stub func() int64, ex func() (int64, error)) {
+	var sv int64
+	fault := stubFault(func() { sv = stub() })
+	ev, err := ex()
+	if err != nil || fault != "" {
+		if err == nil || err.Error() != fault {
+			p.t.Fatalf("%s: stub fault %q, interpreter error %v", p.where, fault, err)
+		}
+		return
+	}
+	p.gen.record(sv)
+	p.ex.record(ev)
+}
+
+func (p *pair) check(err error) {
+	if err != nil {
+		p.t.Fatalf("%s: %v", p.where, err)
+	}
+}
+
+// machine builds a fresh simulator for d on its own bus and clock.
+func (m *model) machine() (*rig, snap.Snapshotter) {
+	clk := new(bus.Clock)
+	space := newDeviceSpace(clk, m.d)
+	sim := m.d.NewSim(clk, space)
+	return newRig(space), sim
+}
+
+func (m *model) newStub(space *bus.Space) reflect.Value {
+	return reflect.ValueOf(stubNew[m.d.Name]).Call(append([]reflect.Value{reflect.ValueOf(space)}, m.bases...))[0]
+}
+
+func (m *model) link(t testing.TB, space *bus.Space) *exec.Device {
+	t.Helper()
+	dev, err := core.Link(m.spec, space, m.d.Ports, execOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// run drives one pair through steps operations drawn by c and checks every
+// observable the two back ends must agree on. It adds the operations run
+// to ran and returns the stub's driver-state blob.
+func (m *model) run(t *testing.T, seed int64, c chooser, steps int, ran map[*op]int) []byte {
+	t.Helper()
+	p := &pair{t: t, ran: map[*op]bool{}}
+	p.gen, p.genSim = m.machine()
+	p.ex, p.exSim = m.machine()
+	p.stub = m.newStub(p.gen.space)
+	p.exec = m.link(t, p.ex.space)
+	for i := 0; i < steps; i++ {
+		o := m.ops[c.Intn(len(m.ops))]
+		if o.needs != nil && !p.ran[o.needs] {
+			o = o.needs
+		}
+		p.where = fmt.Sprintf("%s seed %d step %d (%s)", m.d.Name, seed, i, o.name)
+		o.run(p, c)
+		p.ran[o] = true
+		ran[o]++
+	}
+	compareRigs(t, seed, p.gen, p.ex)
+
+	gs, err := p.genSim.MarshalState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := p.exSim.MarshalState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gs, es) {
+		t.Fatalf("%s seed %d: final simulator state differs", m.d.Name, seed)
+	}
+
+	freshGen, _ := m.machine()
+	freshEx, _ := m.machine()
+	stub := p.stub.Interface().(snap.Snapshotter)
+	return checkCross(t, stub, p.exec, m.newStub(freshGen.space).Interface().(snap.Snapshotter), m.link(t, freshEx.space))
+}
+
+// Sequence shape of TestDifferential. goldenSeed's stub blob is pinned in
+// stubGolden.
+const (
+	diffSeeds  = 32
+	diffSteps  = 128
+	goldenSeed = 0
+)
+
+// TestDifferential runs the rig over every device of gen.Devices and
+// requires every derived operation and device event to run at least once.
+func TestDifferential(t *testing.T) {
+	for _, d := range gen.Devices {
+		t.Run(d.Name, func(t *testing.T) {
+			m := newModel(t, d)
+			t.Logf("%d operations", len(m.ops))
+			ran := map[*op]int{}
+			for seed := int64(0); seed < diffSeeds; seed++ {
+				blob := m.run(t, seed, rand.New(rand.NewSource(seed)), diffSteps, ran)
+				if seed == goldenSeed {
+					checkStubGolden(t, blob)
+				}
+			}
+			for _, o := range m.ops {
+				if ran[o] == 0 {
+					t.Errorf("operation %q never ran", o.name)
+				}
+			}
+		})
+	}
+}
+
+// bytesChooser draws choices from fuzz input: each takes as many bytes
+// as n needs, and zero once the input is used up.
+type bytesChooser []byte
+
+func (b *bytesChooser) Intn(n int) int {
+	var v uint64
+	for span := uint64(1); span < uint64(n) && len(*b) > 0; span <<= 8 {
+		v = v<<8 | uint64((*b)[0])
+		*b = (*b)[1:]
+	}
+	return int(v % uint64(n))
+}
+
+// FuzzDifferential is the rig with its choices read from the fuzz input:
+// the first byte selects the device, the rest the operations and values.
+func FuzzDifferential(f *testing.F) {
+	models := make([]*model, len(gen.Devices))
+	for i, d := range gen.Devices {
+		models[i] = newModel(f, d)
+		seed := []byte{byte(i)}
+		for k := 0; k < 64; k++ {
+			seed = append(seed, byte(k*37+i*11))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m := models[int(data[0])%len(models)]
+		c := bytesChooser(data[1:])
+		m.run(t, 0, &c, min(len(c)/2, 256), map[*op]int{})
+	})
+}
+
+// checkCross asserts byte-identical driver snapshots across back ends and
+// that each freshly built back end round-trips the other's blob. It
+// returns the blob.
+func checkCross(t *testing.T, genDev snap.Snapshotter, execDev *exec.Device, freshGen snap.Snapshotter, freshExec *exec.Device) []byte {
+	t.Helper()
+	gb, err := genDev.MarshalState(nil)
+	if err != nil {
+		t.Fatalf("compiled MarshalState: %v", err)
+	}
+	eb, err := execDev.MarshalState(nil)
+	if err != nil {
+		t.Fatalf("interpreted MarshalState: %v", err)
+	}
+	if !bytes.Equal(gb, eb) {
+		t.Fatalf("cross-path snapshots differ:\ncompiled    %x\ninterpreted %x", gb, eb)
+	}
+	if err := freshExec.UnmarshalState(gb); err != nil {
+		t.Fatalf("interpreter restore of compiled blob: %v", err)
+	}
+	rb, err := freshExec.MarshalState(nil)
+	if err != nil {
+		t.Fatalf("interpreter re-marshal: %v", err)
+	}
+	if !bytes.Equal(rb, gb) {
+		t.Fatalf("interpreter did not round-trip the compiled blob:\nin  %x\nout %x", gb, rb)
+	}
+	if err := freshGen.UnmarshalState(eb); err != nil {
+		t.Fatalf("compiled restore of interpreted blob: %v", err)
+	}
+	rb, err = freshGen.MarshalState(nil)
+	if err != nil {
+		t.Fatalf("compiled re-marshal: %v", err)
+	}
+	if !bytes.Equal(rb, eb) {
+		t.Fatalf("compiled stub did not round-trip the interpreted blob:\nin  %x\nout %x", eb, rb)
+	}
+	return gb
+}
+
+// rig is one device-under-test instance: a bus whose windows over a
 // simulator report every port operation to one observer, plus the values
 // every read returned.
 type rig struct {
@@ -82,8 +576,7 @@ func (o portOp) String() string {
 	return o.Source + ":" + e.String()
 }
 
-// newRig attaches the operation collector to space, whose windows the
-// caller has mapped with MapNamed.
+// newRig attaches the operation collector to space.
 func newRig(space *bus.Space) *rig {
 	r := &rig{space: space}
 	space.SetObserver(obs.Func(func(e obs.Event) {
@@ -123,194 +616,6 @@ func compareRigs(t *testing.T, seed int64, genRig, execRig *rig) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Busmouse
-
-func newBusmouseRig() (*rig, *simbm.Sim) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	mouse := simbm.New()
-	space.MustMapNamed("busmouse", 0x23c, 4, mouse)
-	return newRig(space), mouse
-}
-
-func TestDifferentialBusmouse(t *testing.T) {
-	spec := core.MustCompile(specs.Busmouse)
-	for seed := int64(0); seed < 32; seed++ {
-		genRig, genMouse := newBusmouseRig()
-		execRig, execMouse := newBusmouseRig()
-		genDev := genbm.New(genRig.space, 0x23c)
-		execDev, err := core.Link(spec, execRig.space, map[string]uint32{"base": 0x23c}, execOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		get, set := execAccessors(t, seed, execDev)
-
-		rng := rand.New(rand.NewSource(seed))
-		for op := 0; op < 64; op++ {
-			v := rng.Intn(256)
-			switch rng.Intn(8) {
-			case 0:
-				genDev.SetSignature(uint8(v))
-				set("signature", int64(v))
-			case 1:
-				genRig.record(int64(genDev.Signature()))
-				execRig.record(get("signature"))
-			case 2:
-				genDev.SetConfig(genbm.ConfigVal(v & 1))
-				set("config", int64(v&1))
-			case 3:
-				genDev.SetInterrupt(genbm.InterruptVal(v & 1))
-				set("interrupt", int64(v&1))
-			case 4:
-				genDev.ReadMouseState()
-				if err := execDev.ReadStruct("mouse_state"); err != nil {
-					t.Fatalf("seed %d: ReadStruct: %v", seed, err)
-				}
-				genRig.record(int64(genDev.Dx()))
-				genRig.record(int64(genDev.Dy()))
-				genRig.record(int64(genDev.Buttons()))
-				execRig.record(get("dx"))
-				execRig.record(get("dy"))
-				execRig.record(get("buttons"))
-			case 5:
-				dx, dy := rng.Intn(31)-15, rng.Intn(31)-15
-				genMouse.Move(dx, dy)
-				execMouse.Move(dx, dy)
-			case 6:
-				genMouse.SetButtons(uint8(v & 7))
-				execMouse.SetButtons(uint8(v & 7))
-			case 7:
-				// Nothing: vary the spacing between device operations.
-			}
-		}
-		compareRigs(t, seed, genRig, execRig)
-
-		// Bit-identical device state, observed through the raw bus.
-		for off := uint32(0); off < 2; off++ {
-			g, e := genRig.space.In8(0x23c+off), execRig.space.In8(0x23c+off)
-			if g != e {
-				t.Fatalf("seed %d: final device state differs at +%d: %#x vs %#x", seed, off, g, e)
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// IDE task file
-
-func newIDERig() (*rig, *simide.Disk) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	mem := bus.NewRAM(1 << 16)
-	disk := simide.New(&clk, 64, mem)
-	space.MustMapNamed("ide-cmd", 0x1f0, 8, disk.TaskFile())
-	space.MustMapNamed("ide-ctl", 0x3f6, 1, disk.Control())
-	return newRig(space), disk
-}
-
-func TestDifferentialIDE(t *testing.T) {
-	spec := core.MustCompile(specs.IDE)
-	for seed := int64(0); seed < 32; seed++ {
-		genRig, _ := newIDERig()
-		execRig, _ := newIDERig()
-		genDev := genide.New(genRig.space, 0x1f0, 0x1f0, 0x1f0, 0x3f6)
-		execDev, err := core.Link(spec, execRig.space, map[string]uint32{
-			"data": 0x1f0, "data32": 0x1f0, "base": 0x1f0, "ctl": 0x3f6,
-		}, execOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		get, set := execAccessors(t, seed, execDev)
-
-		rng := rand.New(rand.NewSource(seed ^ 0x1de))
-		for op := 0; op < 96; op++ {
-			v := rng.Intn(256)
-			switch rng.Intn(14) {
-			case 0:
-				genDev.SetFeatures(uint8(v))
-				set("features", int64(v))
-			case 1:
-				genDev.SetNsect(uint8(v))
-				set("nsect", int64(v))
-			case 2:
-				genRig.record(int64(genDev.Nsect()))
-				execRig.record(get("nsect"))
-			case 3:
-				genDev.SetLbaLow(uint8(v))
-				set("lba_low", int64(v))
-				genDev.SetLbaMid(uint8(v >> 1))
-				set("lba_mid", int64(v>>1))
-				genDev.SetLbaHigh(uint8(v >> 2))
-				set("lba_high", int64(v>>2))
-			case 4:
-				genRig.record(int64(genDev.LbaLow()))
-				execRig.record(get("lba_low"))
-				genRig.record(int64(genDev.LbaMid()))
-				execRig.record(get("lba_mid"))
-				genRig.record(int64(genDev.LbaHigh()))
-				execRig.record(get("lba_high"))
-			case 5:
-				genDev.SetLbaMode(genide.LbaModeVal(v & 1))
-				set("lba_mode", int64(v&1))
-			case 6:
-				genDev.SetDrive(uint8(v & 1))
-				set("drive", int64(v&1))
-			case 7:
-				genDev.SetHead(uint8(v & 0xf))
-				set("head", int64(v&0xf))
-			case 8:
-				genRig.record(int64(genDev.Drive()))
-				execRig.record(get("drive"))
-				genRig.record(int64(genDev.Head()))
-				execRig.record(get("head"))
-			case 9:
-				genDev.ReadIdeStatus()
-				if err := execDev.ReadStruct("ide_status"); err != nil {
-					t.Fatalf("seed %d: ReadStruct: %v", seed, err)
-				}
-				for _, f := range []struct {
-					g bool
-					n string
-				}{
-					{genDev.Bsy(), "bsy"}, {genDev.Drdy(), "drdy"},
-					{genDev.Drq(), "drq"}, {genDev.Err(), "err"},
-				} {
-					genRig.record(b2i(f.g))
-					execRig.record(get(f.n))
-				}
-			case 10:
-				genRig.record(int64(genDev.Error()))
-				execRig.record(get("error"))
-			case 11:
-				cmd := genide.CommandRECALIBRATE
-				if v&1 == 1 {
-					cmd = genide.CommandIDENTIFY
-				}
-				genDev.SetCommand(cmd)
-				set("command", int64(cmd))
-			case 12:
-				genRig.record(int64(genDev.IdeData()))
-				execRig.record(get("Ide_data"))
-			case 13:
-				genDev.SetSrst(v&1 == 1)
-				set("srst", int64(v&1))
-				genDev.SetNien(genide.NienVal(v >> 1 & 1))
-				set("nien", int64(v>>1&1))
-			}
-		}
-		compareRigs(t, seed, genRig, execRig)
-
-		// Bit-identical task-file state, observed through the raw bus.
-		for off := uint32(1); off < 8; off++ {
-			g, e := genRig.space.In8(0x1f0+off), execRig.space.In8(0x1f0+off)
-			if g != e {
-				t.Fatalf("seed %d: final task file differs at +%d: %#x vs %#x", seed, off, g, e)
-			}
-		}
-	}
-}
-
 func b2i(b bool) int64 {
 	if b {
 		return 1
@@ -319,7 +624,7 @@ func b2i(b bool) int64 {
 }
 
 // execAccessors returns fatal-on-error Get/Set closures over an exec
-// device, the idiom every differential test shares.
+// device.
 func execAccessors(t *testing.T, seed int64, dev *exec.Device) (get func(string) int64, set func(string, int64)) {
 	get = func(name string) int64 {
 		v, err := dev.Get(name)
@@ -334,646 +639,6 @@ func execAccessors(t *testing.T, seed int64, dev *exec.Device) (get func(string)
 		}
 	}
 	return get, set
-}
-
-// ---------------------------------------------------------------------------
-// PIIX4 busmaster function
-
-func newPIIX4Rig() (*rig, *simide.Disk) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	mem := bus.NewRAM(1 << 16)
-	disk := simide.New(&clk, 64, mem)
-	space.MustMapNamed("piix4", 0xc000, 8, disk.Busmaster())
-	return newRig(space), disk
-}
-
-func TestDifferentialPIIX4(t *testing.T) {
-	spec := core.MustCompile(specs.PIIX4)
-	for seed := int64(0); seed < 32; seed++ {
-		genRig, _ := newPIIX4Rig()
-		execRig, _ := newPIIX4Rig()
-		genDev := genpiix4.New(genRig.space, 0xc000, 0xc004)
-		execDev, err := core.Link(spec, execRig.space, map[string]uint32{
-			"bm": 0xc000, "prd": 0xc004,
-		}, execOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		get, set := execAccessors(t, seed, execDev)
-
-		rng := rand.New(rand.NewSource(seed ^ 0x9114))
-		for op := 0; op < 64; op++ {
-			v := rng.Intn(1 << 16)
-			switch rng.Intn(6) {
-			case 0:
-				genDev.SetBmDir(genpiix4.BmDirVal(v & 1))
-				set("bm_dir", int64(v&1))
-			case 1:
-				genDev.SetBmStart(genpiix4.BmStartVal(v & 1))
-				set("bm_start", int64(v&1))
-			case 2:
-				genDev.ReadBmStatus()
-				if err := execDev.ReadStruct("bm_status"); err != nil {
-					t.Fatalf("seed %d: ReadStruct: %v", seed, err)
-				}
-				genRig.record(b2i(genDev.BmIrq()))
-				execRig.record(get("bm_irq"))
-				genRig.record(b2i(genDev.BmErr()))
-				execRig.record(get("bm_err"))
-				genRig.record(b2i(genDev.BmActive()))
-				execRig.record(get("bm_active"))
-			case 3:
-				genDev.SetBmAckIrq(true)
-				set("bm_ack_irq", 1)
-			case 4:
-				genDev.SetBmAckErr(true)
-				set("bm_ack_err", 1)
-			case 5:
-				genDev.SetPrdAddr(uint32(v))
-				set("prd_addr", int64(v))
-			}
-		}
-		compareRigs(t, seed, genRig, execRig)
-
-		for off := uint32(0); off < 3; off++ {
-			g, e := genRig.space.In8(0xc000+off), execRig.space.In8(0xc000+off)
-			if g != e {
-				t.Fatalf("seed %d: final busmaster state differs at +%d: %#x vs %#x", seed, off, g, e)
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// NE2000 Ethernet controller
-
-func newNE2000Rig() (*rig, *simne.Sim) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	nic := simne.New()
-	space.MustMapNamed("ne2000", 0x300, 0x20, nic)
-	return newRig(space), nic
-}
-
-func TestDifferentialNE2000(t *testing.T) {
-	spec := core.MustCompile(specs.NE2000)
-	frame := make([]byte, 64)
-	for i := range frame {
-		frame[i] = byte(i * 7)
-	}
-	for seed := int64(0); seed < 32; seed++ {
-		genRig, genNIC := newNE2000Rig()
-		execRig, execNIC := newNE2000Rig()
-		genDev := genne.New(genRig.space, 0x300, 0x310, 0x31f)
-		execDev, err := core.Link(spec, execRig.space, map[string]uint32{
-			"base": 0x300, "dma": 0x310, "rst": 0x31f,
-		}, execOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		get, set := execAccessors(t, seed, execDev)
-
-		rng := rand.New(rand.NewSource(seed ^ 0x2000))
-		for op := 0; op < 96; op++ {
-			v := rng.Intn(256)
-			switch rng.Intn(14) {
-			case 0:
-				st := genne.StSTOP
-				if v&1 == 1 {
-					st = genne.StSTART
-				}
-				genDev.SetSt(st)
-				set("st", int64(st))
-			case 1:
-				genDev.SetTxp(genne.TxpTRANSMIT)
-				set("txp", int64(genne.TxpTRANSMIT))
-			case 2:
-				rd := []genne.RdVal{genne.RdNODMA, genne.RdRREAD, genne.RdRWRITE, genne.RdSEND}[v&3]
-				genDev.SetRd(rd)
-				set("rd", int64(rd))
-			case 3:
-				genDev.SetPstart(uint8(v))
-				set("pstart", int64(v))
-				genDev.SetPstop(uint8(v | 0x80))
-				set("pstop", int64(v|0x80))
-			case 4:
-				genDev.SetBnry(uint8(v))
-				set("bnry", int64(v))
-				genRig.record(int64(genDev.Bnry()))
-				execRig.record(get("bnry"))
-			case 5:
-				genDev.SetTpsr(uint8(v))
-				set("tpsr", int64(v))
-				genDev.SetTbcr0(uint8(v))
-				set("tbcr0", int64(v))
-				genDev.SetTbcr1(uint8(v & 1))
-				set("tbcr1", int64(v&1))
-			case 6:
-				genDev.ReadIsr()
-				if err := execDev.ReadStruct("isr"); err != nil {
-					t.Fatalf("seed %d: ReadStruct: %v", seed, err)
-				}
-				for _, f := range []struct {
-					g bool
-					n string
-				}{
-					{genDev.Prx(), "prx"}, {genDev.Ptx(), "ptx"},
-					{genDev.Rxe(), "rxe"}, {genDev.Txe(), "txe"},
-					{genDev.Ovw(), "ovw"}, {genDev.Cnt(), "cnt"},
-					{genDev.Rdc(), "rdc"}, {genDev.RstFlag(), "rst_flag"},
-				} {
-					genRig.record(b2i(f.g))
-					execRig.record(get(f.n))
-				}
-			case 7:
-				genDev.SetIsrAck(uint8(v))
-				set("isr_ack", int64(v))
-			case 8:
-				genDev.SetRsar0(uint8(v))
-				set("rsar0", int64(v))
-				genDev.SetRsar1(uint8(v>>1) | 0x40)
-				set("rsar1", int64(v>>1|0x40))
-				genDev.SetRbcr0(uint8(v & 0x1f))
-				set("rbcr0", int64(v&0x1f))
-				genDev.SetRbcr1(0)
-				set("rbcr1", 0)
-			case 9:
-				genDev.SetRcrMode(uint8(v & 0x1f))
-				set("rcr_mode", int64(v&0x1f))
-				genDev.SetTcrMode(uint8(v & 0x1f))
-				set("tcr_mode", int64(v&0x1f))
-				genDev.SetDcrMode(uint8(v & 0x3f))
-				set("dcr_mode", int64(v&0x3f))
-				genDev.SetImrMask(uint8(v & 0x7f))
-				set("imr_mask", int64(v&0x7f))
-			case 10:
-				// Page-1 registers: the pre-action flips the page bits.
-				genDev.SetCurr(uint8(v))
-				set("curr", int64(v))
-				genRig.record(int64(genDev.Curr()))
-				execRig.record(get("curr"))
-				genDev.SetPar0(uint8(v))
-				set("par0", int64(v))
-				genRig.record(int64(genDev.Par0()))
-				execRig.record(get("par0"))
-			case 11:
-				genRig.record(int64(genDev.RemoteData()))
-				execRig.record(get("remote_data"))
-			case 12:
-				buf := make([]uint16, 4)
-				genDev.ReadRemoteDataBlock(buf)
-				for _, w := range buf {
-					genRig.record(int64(w))
-				}
-				ebuf := make([]uint16, 4)
-				if err := execDev.ReadBlock16("remote_data", ebuf); err != nil {
-					t.Fatalf("seed %d: ReadBlock16: %v", seed, err)
-				}
-				for _, w := range ebuf {
-					execRig.record(int64(w))
-				}
-			case 13:
-				genNIC.InjectFrame(frame)
-				execNIC.InjectFrame(frame)
-			}
-		}
-		compareRigs(t, seed, genRig, execRig)
-
-		// Final controller state through the raw bus: command register and
-		// the page-0 ISR.
-		for _, off := range []uint32{0, 7} {
-			g, e := genRig.space.In8(0x300+off), execRig.space.In8(0x300+off)
-			if g != e {
-				t.Fatalf("seed %d: final NIC state differs at +%d: %#x vs %#x", seed, off, g, e)
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Permedia2 graphics controller
-
-func newPermedia2Rig() (*rig, *simpm.Sim) {
-	var clk bus.Clock
-	space := bus.NewSpace("mmio", &clk, bus.DefaultMemCosts())
-	chip := simpm.New(&clk, 640, 480)
-	space.MustMapNamed("permedia2", 0xf0000000, 0x100, chip)
-	return newRig(space), chip
-}
-
-func TestDifferentialPermedia2(t *testing.T) {
-	spec := core.MustCompile(specs.Permedia2)
-	for seed := int64(0); seed < 32; seed++ {
-		genRig, genChip := newPermedia2Rig()
-		execRig, execChip := newPermedia2Rig()
-		genDev := genpm.New(genRig.space, 0xf0000000)
-		execDev, err := core.Link(spec, execRig.space, map[string]uint32{"reg": 0xf0000000}, execOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		get, set := execAccessors(t, seed, execDev)
-
-		rng := rand.New(rand.NewSource(seed ^ 0x3d1ab5))
-		for op := 0; op < 96; op++ {
-			v := rng.Intn(1 << 16)
-			switch rng.Intn(8) {
-			case 0:
-				genRig.record(int64(genDev.FifoSpace()))
-				execRig.record(get("fifo_space"))
-			case 1:
-				genDev.SetWindowBase(uint32(v))
-				set("window_base", int64(v))
-			case 2:
-				// Independent co-tenants of LogicalOpMode, composed
-				// through the register shadow.
-				genDev.SetLogicOp(uint8(v & 0xf))
-				set("logic_op", int64(v&0xf))
-				genDev.SetLogicOpEnable(v&16 != 0)
-				set("logic_op_enable", int64(v>>4&1))
-			case 3:
-				genDev.SetFbDepth(genpm.FbDepthVal(v & 3))
-				set("fb_depth", int64(v&3))
-				genDev.SetDither(v&4 != 0)
-				set("dither", int64(v>>2&1))
-			case 4:
-				genDev.SetColor(uint32(v))
-				set("color", int64(v))
-				genDev.SetStartXDom(uint32(v & 0x3ff))
-				set("start_x_dom", int64(v&0x3ff))
-				genDev.SetStartXSub(uint32((v >> 4) & 0x3ff))
-				set("start_x_sub", int64(v>>4&0x3ff))
-				genDev.SetStartY(uint32(v & 0xff))
-				set("start_y", int64(v&0xff))
-				genDev.SetDY(1)
-				set("d_y", 1)
-				genDev.SetCount(uint32(v & 0x3f))
-				set("count", int64(v&0x3f))
-			case 5:
-				genDev.SetRectOrigin(uint32(v))
-				set("rect_origin", int64(v))
-				genDev.SetRectSize(uint32(v & 0x3f003f))
-				set("rect_size", int64(v&0x3f003f))
-			case 6:
-				genDev.SetScissorMin(uint32(v))
-				set("scissor_min", int64(v))
-				genDev.SetScissorMax(uint32(v | 0x10010))
-				set("scissor_max", int64(v|0x10010))
-				genDev.SetFbReadMode(uint32(v))
-				set("fb_read_mode", int64(v))
-				genDev.SetSourceOffset(uint32(v & 0xffff))
-				set("source_offset", int64(v&0xffff))
-			case 7:
-				r := genpm.RenderFILL
-				if v&1 == 1 {
-					r = genpm.RenderCOPY
-				}
-				genDev.SetRender(r)
-				set("render", int64(r))
-			}
-		}
-		compareRigs(t, seed, genRig, execRig)
-
-		if g, e := genChip.Pixel(0, 0), execChip.Pixel(0, 0); g != e {
-			t.Fatalf("seed %d: final framebuffer differs at origin: %#x vs %#x", seed, g, e)
-		}
-		if g, e := genRig.space.In32(0xf0000000), execRig.space.In32(0xf0000000); g != e {
-			t.Fatalf("seed %d: final FIFO state differs: %#x vs %#x", seed, g, e)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Intel 8259A interrupt controller
-
-func newPICRig() (*rig, *simpic.Sim) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	pic := simpic.New()
-	space.MustMapNamed("pic8259", 0x20, 2, pic)
-	return newRig(space), pic
-}
-
-func TestDifferentialPIC8259(t *testing.T) {
-	spec := core.MustCompile(specs.PIC8259)
-	for seed := int64(0); seed < 32; seed++ {
-		genRig, genPIC := newPICRig()
-		execRig, execPIC := newPICRig()
-		genDev := genpic.New(genRig.space, 0x20)
-		execDev, err := core.Link(spec, execRig.space, map[string]uint32{"base": 0x20}, execOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		get, set := execAccessors(t, seed, execDev)
-		writeStruct := func(name string) {
-			if err := execDev.WriteStruct(name); err != nil {
-				t.Fatalf("seed %d: WriteStruct(%s): %v", seed, name, err)
-			}
-		}
-
-		rng := rand.New(rand.NewSource(seed ^ 0x8259))
-		for op := 0; op < 96; op++ {
-			v := rng.Intn(256)
-			switch rng.Intn(10) {
-			case 0:
-				// Stage a batch of ICW fields; the flush decides which
-				// command words go out.
-				genDev.SetLirq(uint8(v & 7))
-				set("lirq", int64(v&7))
-				genDev.SetLtim(v&8 != 0)
-				set("ltim", int64(v>>3&1))
-				genDev.SetSngl(genpic.SnglVal(v >> 4 & 1))
-				set("sngl", int64(v>>4&1))
-				genDev.SetIc4(v&32 != 0)
-				set("ic4", int64(v>>5&1))
-			case 1:
-				genDev.SetBaseVec(uint8(v & 0x1f))
-				set("base_vec", int64(v&0x1f))
-				genDev.SetSlaves(uint8(v))
-				set("slaves", int64(v))
-			case 2:
-				genDev.SetSfnm(v&1 != 0)
-				set("sfnm", int64(v&1))
-				genDev.SetBuf(uint8(v >> 1 & 3))
-				set("buf", int64(v>>1&3))
-				genDev.SetAeoi(v&8 != 0)
-				set("aeoi", int64(v>>3&1))
-				genDev.SetMicroprocessor(genpic.MicroprocessorVal(v >> 4 & 1))
-				set("microprocessor", int64(v>>4&1))
-			case 3:
-				// The guarded flush: ICW3/ICW4 ride along only when the
-				// staged SNGL/IC4 values call for them.
-				genDev.WriteInit()
-				writeStruct("init")
-			case 4:
-				genDev.SetIrqMask(uint8(v))
-				set("irq_mask", int64(v))
-			case 5:
-				eoi := genpic.EoiNONSPECIFICEOI
-				switch v % 3 {
-				case 1:
-					eoi = genpic.EoiSPECIFICEOI
-				case 2:
-					eoi = genpic.EoiROTATENONSPECIFIC
-				}
-				genDev.SetEoi(eoi)
-				set("eoi", int64(eoi))
-				genDev.SetEoiLevel(uint8(v & 7))
-				set("eoi_level", int64(v&7))
-				genDev.WriteEoiCmd()
-				writeStruct("eoi_cmd")
-			case 6:
-				genRig.record(int64(genDev.Irr()))
-				execRig.record(get("irr"))
-			case 7:
-				genRig.record(int64(genDev.Isr()))
-				execRig.record(get("isr"))
-			case 8:
-				genPIC.Raise(v & 7)
-				execPIC.Raise(v & 7)
-			case 9:
-				gv, gok := genPIC.Ack()
-				ev, eok := execPIC.Ack()
-				genRig.record(int64(gv) + b2i(gok)<<8)
-				execRig.record(int64(ev) + b2i(eok)<<8)
-			}
-		}
-		compareRigs(t, seed, genRig, execRig)
-
-		// Bit-identical device state, observed through the raw bus.
-		for off := uint32(0); off < 2; off++ {
-			g, e := genRig.space.In8(0x20+off), execRig.space.In8(0x20+off)
-			if g != e {
-				t.Fatalf("seed %d: final device state differs at +%d: %#x vs %#x", seed, off, g, e)
-			}
-		}
-		if g, e := genPIC.ISR(), execPIC.ISR(); g != e {
-			t.Fatalf("seed %d: final ISR differs: %#x vs %#x", seed, g, e)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Intel 8237A DMA controller
-
-func newDMARig() (*rig, *simdma.Sim) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	dma := simdma.New()
-	space.MustMapNamed("dma8237", 0x00, 13, dma)
-	return newRig(space), dma
-}
-
-func TestDifferentialDMA8237(t *testing.T) {
-	spec := core.MustCompile(specs.DMA8237)
-	for seed := int64(0); seed < 32; seed++ {
-		genRig, genDMA := newDMARig()
-		execRig, execDMA := newDMARig()
-		genDev := gendma.New(genRig.space, 0x00)
-		execDev, err := core.Link(spec, execRig.space, map[string]uint32{"io": 0x00}, execOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		get, set := execAccessors(t, seed, execDev)
-		writeStruct := func(name string) {
-			if err := execDev.WriteStruct(name); err != nil {
-				t.Fatalf("seed %d: WriteStruct(%s): %v", seed, name, err)
-			}
-		}
-
-		rng := rand.New(rand.NewSource(seed ^ 0x8237))
-		for op := 0; op < 96; op++ {
-			v := rng.Intn(1 << 16)
-			switch rng.Intn(9) {
-			case 0:
-				// The serialized byte pair: flip-flop clear, low, high.
-				genDev.SetAddr0(uint16(v))
-				set("addr0", int64(v))
-			case 1:
-				genDev.SetCount0(uint16(v))
-				set("count0", int64(v))
-			case 2:
-				genRig.record(int64(genDev.Addr0()))
-				execRig.record(get("addr0"))
-			case 3:
-				genRig.record(int64(genDev.Count0()))
-				execRig.record(get("count0"))
-			case 4:
-				genDev.ReadDmaStatus()
-				if err := execDev.ReadStruct("dma_status"); err != nil {
-					t.Fatalf("seed %d: ReadStruct: %v", seed, err)
-				}
-				genRig.record(int64(genDev.Reached()))
-				execRig.record(get("reached"))
-				genRig.record(int64(genDev.Requests()))
-				execRig.record(get("requests"))
-			case 5:
-				genDev.SetMaskChan(uint8(v & 3))
-				set("mask_chan", int64(v&3))
-				genDev.SetMaskOn(v&4 != 0)
-				set("mask_on", int64(v>>2&1))
-				genDev.WriteSingleMask()
-				writeStruct("single_mask")
-			case 6:
-				genDev.SetChan(uint8(v & 3))
-				set("chan", int64(v&3))
-				genDev.SetXfer(gendma.XferVal(v >> 2 % 3))
-				set("xfer", int64(v>>2%3))
-				genDev.SetAutoInit(v&16 != 0)
-				set("auto_init", int64(v>>4&1))
-				genDev.SetDown(v&32 != 0)
-				set("down", int64(v>>5&1))
-				genDev.SetMmode(gendma.MmodeVal(v >> 6 & 3))
-				set("mmode", int64(v>>6&3))
-				genDev.WriteMode()
-				writeStruct("mode")
-			case 7:
-				genDMA.Request(v&3, v&4 != 0)
-				execDMA.Request(v&3, v&4 != 0)
-			case 8:
-				genDMA.Transfer(v & 0x3ff)
-				execDMA.Transfer(v & 0x3ff)
-			}
-		}
-		compareRigs(t, seed, genRig, execRig)
-
-		if g, e := genDMA.BaseAddr0(), execDMA.BaseAddr0(); g != e {
-			t.Fatalf("seed %d: final base address differs: %#x vs %#x", seed, g, e)
-		}
-		if g, e := genDMA.BaseCount0(), execDMA.BaseCount0(); g != e {
-			t.Fatalf("seed %d: final base count differs: %#x vs %#x", seed, g, e)
-		}
-		if g, e := genDMA.FlipFlop(), execDMA.FlipFlop(); g != e {
-			t.Fatalf("seed %d: final flip-flop differs: %v vs %v", seed, g, e)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Crystal CS4236B audio controller
-
-func newCSRig() (*rig, *simcs.Sim) {
-	var clk bus.Clock
-	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
-	codec := simcs.New()
-	space.MustMapNamed("cs4236", 0x530, 2, codec)
-	return newRig(space), codec
-}
-
-// extDomain is the ext register family's argument domain {0..17, 25}.
-var extDomain = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 25}
-
-func TestDifferentialCS4236(t *testing.T) {
-	spec := core.MustCompile(specs.CS4236)
-	for seed := int64(0); seed < 32; seed++ {
-		genRig, genCS := newCSRig()
-		execRig, execCS := newCSRig()
-		genDev := gencs.New(genRig.space, 0x530)
-		execDev, err := core.Link(spec, execRig.space, map[string]uint32{"base": 0x530}, execOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		get, set := execAccessors(t, seed, execDev)
-
-		// The valid rate-divider encodings of the pfmt structure.
-		rates := []int{0x0, 0x2, 0x3, 0x6, 0x7, 0xb, 0xc}
-
-		rng := rand.New(rand.NewSource(seed ^ 0x4236))
-		for op := 0; op < 96; op++ {
-			v := rng.Intn(256)
-			j := extDomain[rng.Intn(len(extDomain))]
-			switch rng.Intn(13) {
-			case 0:
-				genDev.SetIA(uint8(v & 0x1f))
-				set("IA", int64(v&0x1f))
-			case 1:
-				genRig.record(int64(genDev.IA()))
-				execRig.record(get("IA"))
-			case 2:
-				genDev.SetAfe2(uint8(v))
-				set("afe2", int64(v))
-			case 3:
-				genRig.record(int64(genDev.Afe2()))
-				execRig.record(get("afe2"))
-			case 4:
-				genDev.SetACF(v&1 != 0)
-				set("ACF", int64(v&1))
-			case 5:
-				genRig.record(b2i(genDev.ACF()))
-				execRig.record(get("ACF"))
-			case 6:
-				// The full three-step extended-register automaton.
-				genDev.SetExt(uint8(v), j)
-				if err := execDev.SetParam("ext", j, int64(v)); err != nil {
-					t.Fatalf("seed %d: SetParam(ext,%d): %v", seed, j, err)
-				}
-			case 7:
-				genRig.record(int64(genDev.Ext(j)))
-				ev, err := execDev.GetParam("ext", j)
-				if err != nil {
-					t.Fatalf("seed %d: GetParam(ext,%d): %v", seed, j, err)
-				}
-				execRig.record(ev)
-			case 8:
-				genCS.SetExt(j, uint8(v))
-				execCS.SetExt(j, uint8(v))
-			case 9:
-				// The playback-format structure: three staged fields, one
-				// flush into I8 (the sound pipeline's format programming).
-				r := rates[rng.Intn(len(rates))]
-				genDev.SetRate(gencs.RateVal(r))
-				set("rate", int64(r))
-				genDev.SetStereo(v&1 != 0)
-				set("stereo", int64(v&1))
-				genDev.SetFmt(gencs.FmtVal(v >> 1 & 3))
-				set("fmt", int64(v>>1&3))
-				genDev.WritePfmt()
-				if err := execDev.WriteStruct("pfmt"); err != nil {
-					t.Fatalf("seed %d: WriteStruct(pfmt): %v", seed, err)
-				}
-			case 10:
-				genDev.ReadPfmt()
-				if err := execDev.ReadStruct("pfmt"); err != nil {
-					t.Fatalf("seed %d: ReadStruct(pfmt): %v", seed, err)
-				}
-				genRig.record(b2i(genDev.Stereo()))
-				execRig.record(get("stereo"))
-			case 11:
-				// pen and sdc share I9 through register shadows — the
-				// co-tenant composition path PR 4's codegen fix covers.
-				genDev.SetPen(v&1 != 0)
-				set("pen", int64(v&1))
-				genDev.SetSdc(v&2 != 0)
-				set("sdc", int64(v>>1&1))
-				genRig.record(b2i(genDev.Pen()))
-				execRig.record(get("pen"))
-				genRig.record(b2i(genDev.Sdc()))
-				execRig.record(get("sdc"))
-			case 12:
-				// The playback-interrupt flag and its write-to-ack path.
-				genCS.RaisePI()
-				execCS.RaisePI()
-				genRig.record(b2i(genDev.Pi()))
-				execRig.record(get("pi"))
-				genDev.SetPi(v&1 != 0)
-				set("pi", int64(v&1))
-			}
-		}
-		compareRigs(t, seed, genRig, execRig)
-
-		// Bit-identical device state, observed through the raw bus.
-		for off := uint32(0); off < 2; off++ {
-			g, e := genRig.space.In8(0x530+off), execRig.space.In8(0x530+off)
-			if g != e {
-				t.Fatalf("seed %d: final device state differs at +%d: %#x vs %#x", seed, off, g, e)
-			}
-		}
-		for _, j := range extDomain {
-			if g, e := genCS.Ext(j), execCS.Ext(j); g != e {
-				t.Fatalf("seed %d: final X%d differs: %#x vs %#x", seed, j, g, e)
-			}
-		}
-	}
 }
 
 // csWindow is an index/data register file in the CS4236B layout: offset 0

@@ -13,8 +13,8 @@ import (
 )
 
 // The golden snapshot hashes pin the wire format itself. The round-trip
-// and cross-path tests compare a component with itself or with its other
-// back end, so a refactor that changes both sides of a MarshalState /
+// tests and the differential rig compare a component with itself or with
+// its other back end, so a refactor that changes both sides of a MarshalState /
 // UnmarshalState pair consistently passes them; these SHA-256 values,
 // taken from fixed seeded sequences, fail on any changed byte.
 
@@ -32,28 +32,28 @@ var simGolden = map[string]string{
 }
 
 // stubGolden is keyed by optimization level (the stubs' layout follows
-// it) and then by stub blob name: the compiled stub after its
-// TestSnapshotCrossPath* sequence.
+// it) and then by stub blob name: the compiled stub after TestDifferential's
+// goldenSeed sequence.
 var stubGolden = map[string]map[string]string{
 	"O1": {
-		"cs4236":            "ebae9c9443cccdb9155df596ab38f31acd8b04c0845771b5d219e73a6cdd863b",
-		"dma8237":           "db9805c4044cc0818015baaa469b3be7b868ee832b3c0ef4c052edebd5c182d7",
-		"ide_disk":          "0cfbc22936824e3d1f74ab04922807edebec50279a868480740de027620054ed",
-		"logitech_busmouse": "4f07c94a464978be90b01fc9e46d51a5a2b5f25be0a0205a310c0ad1034f24b5",
-		"ne2000":            "e26909f63493e60c1c4210ed6797e91d57bf56d566374fcec2fbf3c0db1047ac",
-		"permedia2":         "e3a2c76f1d71f9cf912641e5ed0923f9572302dbe7466f8a5dd24ce1218ae00c",
-		"pic8259":           "d181772c760088d0fd4e467e321d4f7ef2ce06aa908a1c6501acec50a1f524d6",
-		"piix4_busmaster":   "433f3fde33a28d880301e92b48381c1a8b087d6dbb00760dc41da23e0d19dcc6",
+		"cs4236":            "03ea4012b590c314189578a8bb11f765f8c4f5adb0b6ffda3f842d50e1b06931",
+		"dma8237":           "606d65c272b73b60e176822bca9e9b690cb28fea4d03092a39e124e2fbd35c18",
+		"ide_disk":          "7983e7b19a45ce95fd97c08a1ecaf4fb669243a260e550f888221b84fb9ffd00",
+		"logitech_busmouse": "b48ba60e809b0c7c37ba85ff18a9d5c368aadfe36f7c0eff3964a923dc436d78",
+		"ne2000":            "32858f2b7e85d315fad24fad91dcfa90ecbf636b9f34ac03ada35841f634557b",
+		"permedia2":         "9b964e809ae85b26cf77c09b2a7aee3563d4d5e1c10cef4d77238ef166ba1f1f",
+		"pic8259":           "8095cc75247ea1895a8724da857238884202b4d79b420ea34342b78570dbee38",
+		"piix4_busmaster":   "2135760021db8668d464c836315f36467443b4d760793f3f5e8c5bf9568a7a00",
 	},
 	"O0": {
-		"cs4236":            "4b731882de8aba6a792bc7ee3c42c266dca48a3f0ce6e990a9f2d91a84a28c50",
-		"dma8237":           "db9805c4044cc0818015baaa469b3be7b868ee832b3c0ef4c052edebd5c182d7",
-		"ide_disk":          "d6b9c2be831aca58fb2d12f60d577f17866e399e721c34476e4869669ee08d6b",
-		"logitech_busmouse": "4f07c94a464978be90b01fc9e46d51a5a2b5f25be0a0205a310c0ad1034f24b5",
+		"cs4236":            "be50f7df1b87f76b488daed2a76207df24dbc510a2c3dac6baf9db7ffbe9e512",
+		"dma8237":           "606d65c272b73b60e176822bca9e9b690cb28fea4d03092a39e124e2fbd35c18",
+		"ide_disk":          "8194cedd629f839ce11a4ea2e162e909c171e906c0ac1694f5db57ebacdf927d",
+		"logitech_busmouse": "b48ba60e809b0c7c37ba85ff18a9d5c368aadfe36f7c0eff3964a923dc436d78",
 		"ne2000":            "8382f1c3f9e0ede94b6f9034474374fa0c57b0f5c174693dbd6dc536cf490a9c",
-		"permedia2":         "e3a2c76f1d71f9cf912641e5ed0923f9572302dbe7466f8a5dd24ce1218ae00c",
-		"pic8259":           "d181772c760088d0fd4e467e321d4f7ef2ce06aa908a1c6501acec50a1f524d6",
-		"piix4_busmaster":   "433f3fde33a28d880301e92b48381c1a8b087d6dbb00760dc41da23e0d19dcc6",
+		"permedia2":         "9b964e809ae85b26cf77c09b2a7aee3563d4d5e1c10cef4d77238ef166ba1f1f",
+		"pic8259":           "8095cc75247ea1895a8724da857238884202b4d79b420ea34342b78570dbee38",
+		"piix4_busmaster":   "2135760021db8668d464c836315f36467443b4d760793f3f5e8c5bf9568a7a00",
 	},
 }
 
