@@ -122,28 +122,7 @@ func (g *generator) run() {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-run decomposition for gather/scatter expressions
-
-type bitRun struct {
-	vLo, rLo, n int
-}
-
-// chunkRuns decomposes one chunk into maximal runs of consecutive register
-// bits. vHi is the value bit corresponding to bits[0] (the chunk's MSB).
-func chunkRuns(bits []int, vHi int) []bitRun {
-	var runs []bitRun
-	i := 0
-	for i < len(bits) {
-		j := i
-		for j+1 < len(bits) && bits[j+1] == bits[j]-1 {
-			j++
-		}
-		n := j - i + 1
-		runs = append(runs, bitRun{vLo: vHi - (j), rLo: bits[j], n: n})
-		i = j + 1
-	}
-	return runs
-}
+// Gather/scatter expressions: one shift and mask per ir.Run
 
 func maskLit(n int) string { return fmt.Sprintf("%#x", uint64(1)<<uint(n)-1) }
 
@@ -152,24 +131,18 @@ func maskLit(n int) string { return fmt.Sprintf("%#x", uint64(1)<<uint(n)-1) }
 // type uint32 (or uint64 when wide is set).
 func gatherExpr(v *sema.Variable, srcs map[*sema.Register]string) string {
 	var parts []string
-	pos := v.Width
-	for _, ch := range v.Chunks {
-		pos -= len(ch.Bits)
-		src := srcs[ch.Reg]
-		vHi := pos + len(ch.Bits) - 1
-		for _, r := range chunkRuns(ch.Bits, vHi) {
-			e := src
-			if r.rLo > 0 {
-				e = fmt.Sprintf("(%s >> %d)", e, r.rLo)
-			}
-			e = fmt.Sprintf("%s & %s", e, maskLit(r.n))
-			if r.vLo > 0 {
-				e = fmt.Sprintf("(%s) << %d", e, r.vLo)
-			} else {
-				e = "(" + e + ")"
-			}
-			parts = append(parts, e)
+	for _, r := range ir.Runs(v) {
+		e := srcs[r.Reg]
+		if r.RegLo > 0 {
+			e = fmt.Sprintf("(%s >> %d)", e, r.RegLo)
 		}
+		e = fmt.Sprintf("%s & %s", e, maskLit(r.N))
+		if r.ValLo > 0 {
+			e = fmt.Sprintf("(%s) << %d", e, r.ValLo)
+		} else {
+			e = "(" + e + ")"
+		}
+		parts = append(parts, e)
 	}
 	if len(parts) == 0 {
 		return "0"
@@ -181,26 +154,21 @@ func gatherExpr(v *sema.Variable, srcs map[*sema.Register]string) string {
 // value) onto the bits of reg owned by v.
 func scatterExpr(reg *sema.Register, v *sema.Variable, raw string) string {
 	var parts []string
-	pos := v.Width
-	for _, ch := range v.Chunks {
-		pos -= len(ch.Bits)
-		if ch.Reg != reg {
+	for _, r := range ir.Runs(v) {
+		if r.Reg != reg {
 			continue
 		}
-		vHi := pos + len(ch.Bits) - 1
-		for _, r := range chunkRuns(ch.Bits, vHi) {
-			e := raw
-			if r.vLo > 0 {
-				e = fmt.Sprintf("(%s >> %d)", e, r.vLo)
-			}
-			e = fmt.Sprintf("%s & %s", e, maskLit(r.n))
-			if r.rLo > 0 {
-				e = fmt.Sprintf("(%s) << %d", e, r.rLo)
-			} else {
-				e = "(" + e + ")"
-			}
-			parts = append(parts, e)
+		e := raw
+		if r.ValLo > 0 {
+			e = fmt.Sprintf("(%s >> %d)", e, r.ValLo)
 		}
+		e = fmt.Sprintf("%s & %s", e, maskLit(r.N))
+		if r.RegLo > 0 {
+			e = fmt.Sprintf("(%s) << %d", e, r.RegLo)
+		} else {
+			e = "(" + e + ")"
+		}
+		parts = append(parts, e)
 	}
 	if len(parts) == 0 {
 		return "0"

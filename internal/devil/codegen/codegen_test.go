@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/devil/sema"
 	"repro/internal/specs"
 )
 
@@ -39,27 +40,32 @@ func TestSymName(t *testing.T) {
 	}
 }
 
+// TestChunkRuns pins the expressions printed for a chunk's ir runs: one
+// shift and mask per run of consecutive register bits.
 func TestChunkRuns(t *testing.T) {
-	// [3 2 1 0] with value MSB 3: one run.
-	runs := chunkRuns([]int{3, 2, 1, 0}, 3)
-	if len(runs) != 1 || runs[0] != (bitRun{vLo: 0, rLo: 0, n: 4}) {
-		t.Errorf("runs = %+v", runs)
-	}
-	// XA pattern [2 7 6 5 4]: two runs, value width 5 (MSB=4).
-	runs = chunkRuns([]int{2, 7, 6, 5, 4}, 4)
-	if len(runs) != 2 {
-		t.Fatalf("runs = %+v", runs)
-	}
-	if runs[0] != (bitRun{vLo: 4, rLo: 2, n: 1}) {
-		t.Errorf("run 0 = %+v", runs[0])
-	}
-	if runs[1] != (bitRun{vLo: 0, rLo: 4, n: 4}) {
-		t.Errorf("run 1 = %+v", runs[1])
-	}
-	// Non-contiguous single bits [7 5 3]: three runs.
-	runs = chunkRuns([]int{7, 5, 3}, 2)
-	if len(runs) != 3 {
-		t.Errorf("runs = %+v", runs)
+	reg := &sema.Register{Name: "r"}
+	for _, tt := range []struct {
+		bits            []int
+		scatter, gather string
+	}{
+		// [3 2 1 0]: one run.
+		{[]int{3, 2, 1, 0}, "(raw & 0xf)", "(r & 0xf)"},
+		// The XA pattern [2 7 6 5 4]: two runs.
+		{[]int{2, 7, 6, 5, 4},
+			"((raw >> 4) & 0x1) << 2 | (raw & 0xf) << 4",
+			"((r >> 2) & 0x1) << 4 | ((r >> 4) & 0xf)"},
+		// Non-contiguous single bits [7 5 3]: three runs.
+		{[]int{7, 5, 3},
+			"((raw >> 2) & 0x1) << 7 | ((raw >> 1) & 0x1) << 5 | (raw & 0x1) << 3",
+			"((r >> 7) & 0x1) << 2 | ((r >> 5) & 0x1) << 1 | ((r >> 3) & 0x1)"},
+	} {
+		v := &sema.Variable{Width: len(tt.bits), Chunks: []*sema.Chunk{{Reg: reg, Bits: tt.bits}}}
+		if got := scatterExpr(reg, v, "raw"); got != tt.scatter {
+			t.Errorf("%v: scatter %s, want %s", tt.bits, got, tt.scatter)
+		}
+		if got := gatherExpr(v, map[*sema.Register]string{reg: "r"}); got != tt.gather {
+			t.Errorf("%v: gather %s, want %s", tt.bits, got, tt.gather)
+		}
 	}
 }
 

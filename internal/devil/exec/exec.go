@@ -380,11 +380,11 @@ func (d *Device) steps(p *ir.Plan, steps []ir.Step, f *frame) error {
 		case ir.SRead:
 			// A read plan's actions never see raw, so the gathered value
 			// accumulates as the registers are read.
-			f.raw |= uint32(ir.ExtractValue(s.Reg, p.Var, uint64(d.in(s.Reg.Read))))
+			f.raw |= uint32(ir.Extract(d.runs(p.Var), s.Reg, uint64(d.in(s.Reg.Read))))
 		case ir.SDecode:
 			f.raw = 0
-			for _, ch := range s.Var.Chunks {
-				f.raw |= uint32(ir.ExtractValue(ch.Reg, s.Var, uint64(d.st.snap[ch.Reg.Index])))
+			for _, r := range d.runs(s.Var) {
+				f.raw |= uint32(r.Extract(uint64(d.st.snap[r.Reg.Index])))
 			}
 		case ir.SCheckDomain:
 			if !s.Var.Domain.Contains(f.arg) {
@@ -457,14 +457,14 @@ func (d *Device) compose(s *ir.Step, f *frame) uint32 {
 		case ir.TConst:
 			out |= uint32(t.Const)
 		case ir.TRaw:
-			out |= uint32(ir.PlaceValue(s.Reg, t.Var, uint64(f.raw)))
+			out |= uint32(ir.Place(d.runs(t.Var), s.Reg, uint64(f.raw)))
 		case ir.TShadow:
 			out |= d.st.shadow[s.Reg.Index] & uint32(t.Mask)
 		case ir.TVar:
-			out |= uint32(ir.PlaceValue(s.Reg, t.Var, uint64(d.stored(t.Var))))
+			out |= uint32(ir.Place(d.runs(t.Var), s.Reg, uint64(d.stored(t.Var))))
 		case ir.TStaged:
 			if d.st.stg[t.Var.Index] {
-				out |= uint32(ir.PlaceValue(s.Reg, t.Var, uint64(d.st.fld[t.Var.Index])))
+				out |= uint32(ir.Place(d.runs(t.Var), s.Reg, uint64(d.st.fld[t.Var.Index])))
 			} else {
 				out |= uint32(t.Const)
 			}
@@ -526,6 +526,9 @@ func (d *Device) value(v sema.Value, cur *sema.Variable, f *frame) uint32 {
 	}
 	return 0
 }
+
+// runs returns v's bit layout.
+func (d *Device) runs(v *sema.Variable) []ir.Run { return d.prog.Vars[v.Index].Runs }
 
 // stored returns the value of v's state slot.
 func (d *Device) stored(v *sema.Variable) uint32 {

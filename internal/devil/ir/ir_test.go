@@ -70,6 +70,44 @@ func selectI9(index uint64) ir.Step {
 	}}
 }
 
+// TestRuns checks the bit-run decomposition on a value concatenated from
+// two registers, hi[3..0] # lo[6] # lo[1..0]: Runs lists one run per
+// stretch of consecutive bits, Place and Extract invert each other, and
+// VarMask is the union of a register's runs.
+func TestRuns(t *testing.T) {
+	hi, lo := &sema.Register{Name: "hi"}, &sema.Register{Name: "lo"}
+	v := &sema.Variable{Width: 7, Chunks: []*sema.Chunk{
+		{Reg: hi, Bits: []int{3, 2, 1, 0}},
+		{Reg: lo, Bits: []int{6, 1, 0}},
+	}}
+	want := []ir.Run{
+		{Reg: hi, ValLo: 3, RegLo: 0, N: 4},
+		{Reg: lo, ValLo: 2, RegLo: 6, N: 1},
+		{Reg: lo, ValLo: 0, RegLo: 0, N: 2},
+	}
+	runs := ir.Runs(v)
+	if len(runs) != len(want) {
+		t.Fatalf("Runs = %+v, want %+v", runs, want)
+	}
+	for i := range want {
+		if runs[i] != want[i] {
+			t.Errorf("run %d = %+v, want %+v", i, runs[i], want[i])
+		}
+	}
+	if m := ir.VarMask(lo, v); m != 0x43 {
+		t.Errorf("VarMask(lo) = %#x, want 0x43", m)
+	}
+	for raw := uint64(0); raw < 1<<7; raw++ {
+		h, l := ir.Place(runs, hi, raw), ir.Place(runs, lo, raw)
+		if h != raw>>3 || l != raw>>2&1<<6|raw&3 {
+			t.Fatalf("Place(%#x) = hi %#x lo %#x", raw, h, l)
+		}
+		if got := ir.Extract(runs, hi, h|0xf0) | ir.Extract(runs, lo, l|0x3c); got != raw {
+			t.Fatalf("Extract(Place(%#x)) = %#x", raw, got)
+		}
+	}
+}
+
 func TestCoalesceGolden(t *testing.T) {
 	p := &ir.Plan{Kind: ir.PSet, Var: pen, Steps: []ir.Step{
 		{Kind: ir.SCompose, Reg: i9, Expr: ir.Expr{Terms: []ir.Term{{Kind: ir.TRaw, Mask: 0x1}}}},

@@ -19,9 +19,10 @@ type Program struct {
 
 // VarPlans are the plans of one variable; nil where the access does not
 // exist. Get and Set of a structure field decode from the snapshot and
-// stage for the next flush.
+// stage for the next flush. Runs is the variable's bit layout, Runs(v).
 type VarPlans struct {
 	Get, Set, BlockIn, BlockOut *Plan
+	Runs                        []Run
 }
 
 // StructPlans are the plans of one structure.
@@ -54,6 +55,7 @@ func LowerPasses(spec *sema.Device, passes Passes) (*Program, error) {
 			continue
 		}
 		vp := &prog.Vars[v.Index]
+		vp.Runs = Runs(v)
 		if v.Struct == nil {
 			if v.Readable {
 				vp.Get = l.get(v)
@@ -338,11 +340,11 @@ func (l *lowerer) write(s *sema.Structure) *Plan {
 			neutral := f.Trigger != nil && f.Trigger.HasNeutral
 			switch {
 			case f.Struct != s && neutral:
-				if n := PlaceValue(reg, f, f.Trigger.Neutral); n != 0 {
+				if n := Place(Runs(f), reg, f.Trigger.Neutral); n != 0 {
 					terms = append(terms, Term{Kind: TConst, Const: n, Mask: m})
 				}
 			case f.Struct == s && neutral:
-				terms = append(terms, Term{Kind: TStaged, Var: f, Const: PlaceValue(reg, f, f.Trigger.Neutral), Mask: m})
+				terms = append(terms, Term{Kind: TStaged, Var: f, Const: Place(Runs(f), reg, f.Trigger.Neutral), Mask: m})
 			default:
 				terms = append(terms, Term{Kind: TVar, Var: f, Mask: m})
 			}

@@ -137,15 +137,78 @@ func StructWritable(s *sema.Structure) bool {
 	return len(s.Order) > 0
 }
 
+// Run is a maximal stretch of consecutive register bits within one chunk
+// of a variable: N bits of Reg from bit RegLo hold the value bits from
+// ValLo. A variable's runs are the one statement of its bit layout: exec
+// places and extracts values run by run, and codegen prints one shift and
+// mask per run.
+type Run struct {
+	Reg          *sema.Register
+	ValLo, RegLo int
+	N            int
+}
+
+// Runs decomposes v's chunks into runs, in chunk order (the value's MSB
+// first) and, within a chunk, in the order of its bits.
+func Runs(v *sema.Variable) []Run {
+	var runs []Run
+	pos := v.Width
+	for _, ch := range v.Chunks {
+		pos -= len(ch.Bits)
+		vHi := pos + len(ch.Bits) - 1 // the value bit of ch.Bits[0]
+		for i := 0; i < len(ch.Bits); {
+			j := i
+			for j+1 < len(ch.Bits) && ch.Bits[j+1] == ch.Bits[j]-1 {
+				j++
+			}
+			runs = append(runs, Run{Reg: ch.Reg, ValLo: vHi - j, RegLo: ch.Bits[j], N: j - i + 1})
+			i = j + 1
+		}
+	}
+	return runs
+}
+
+// low is the run's width mask.
+func (r Run) low() uint64 { return 1<<uint(r.N) - 1 }
+
+// Mask returns the register bits of the run.
+func (r Run) Mask() uint64 { return r.low() << uint(r.RegLo) }
+
+// Place moves the run's bits of the value raw onto its register bits.
+func (r Run) Place(raw uint64) uint64 { return raw >> uint(r.ValLo) & r.low() << uint(r.RegLo) }
+
+// Extract moves the run's register bits of regRaw to their value bits.
+func (r Run) Extract(regRaw uint64) uint64 { return regRaw >> uint(r.RegLo) & r.low() << uint(r.ValLo) }
+
+// Place scatters a raw variable value onto the bits of reg its runs own.
+func Place(runs []Run, reg *sema.Register, raw uint64) uint64 {
+	var out uint64
+	for _, r := range runs {
+		if r.Reg == reg {
+			out |= r.Place(raw)
+		}
+	}
+	return out
+}
+
+// Extract gathers the bits of reg the runs own out of the register value
+// regRaw into their value bits: the inverse of Place.
+func Extract(runs []Run, reg *sema.Register, regRaw uint64) uint64 {
+	var out uint64
+	for _, r := range runs {
+		if r.Reg == reg {
+			out |= r.Extract(regRaw)
+		}
+	}
+	return out
+}
+
 // VarMask returns the register bits owned by v on reg.
 func VarMask(reg *sema.Register, v *sema.Variable) uint64 {
 	var m uint64
-	for _, ch := range v.Chunks {
-		if ch.Reg != reg {
-			continue
-		}
-		for _, b := range ch.Bits {
-			m |= 1 << uint(b)
+	for _, r := range Runs(v) {
+		if r.Reg == reg {
+			m |= r.Mask()
 		}
 	}
 	return m
@@ -169,7 +232,7 @@ func NeutralConst(spec *sema.Device, reg *sema.Register, v *sema.Variable) (plac
 		if t == v || t.Trigger == nil || !t.Trigger.HasNeutral {
 			continue
 		}
-		placed |= PlaceValue(reg, t, t.Trigger.Neutral)
+		placed |= Place(Runs(t), reg, t.Trigger.Neutral)
 		mask |= VarMask(reg, t)
 	}
 	return placed, mask
@@ -189,42 +252,4 @@ func KeepMask(spec *sema.Device, reg *sema.Register, v *sema.Variable) uint64 {
 		m |= VarMask(reg, t)
 	}
 	return m
-}
-
-// PlaceValue scatters a variable's raw value onto its register bits.
-func PlaceValue(reg *sema.Register, v *sema.Variable, raw uint64) uint64 {
-	var out uint64
-	pos := v.Width
-	for _, ch := range v.Chunks {
-		pos -= len(ch.Bits)
-		if ch.Reg != reg {
-			continue
-		}
-		for i, b := range ch.Bits {
-			valBit := pos + len(ch.Bits) - 1 - i
-			if raw&(1<<uint(valBit)) != 0 {
-				out |= 1 << uint(b)
-			}
-		}
-	}
-	return out
-}
-
-// ExtractValue gathers the bits v owns on reg out of the register value
-// regRaw into their positions in v's value: the inverse of PlaceValue.
-func ExtractValue(reg *sema.Register, v *sema.Variable, regRaw uint64) uint64 {
-	var out uint64
-	pos := v.Width
-	for _, ch := range v.Chunks {
-		pos -= len(ch.Bits)
-		if ch.Reg != reg {
-			continue
-		}
-		for i, b := range ch.Bits {
-			if regRaw&(1<<uint(b)) != 0 {
-				out |= 1 << uint(pos+len(ch.Bits)-1-i)
-			}
-		}
-	}
-	return out
 }
