@@ -97,27 +97,7 @@ func (d *Devil) handleIRQ() error {
 
 // ReadSectors implements Driver.
 func (d *Devil) ReadSectors(lba int, dst []byte) error {
-	if len(dst)%sectorSize != 0 {
-		return fmt.Errorf("ide: buffer not sector aligned")
-	}
-	for off := 0; off < len(dst); {
-		n := (len(dst) - off) / sectorSize
-		if n > maxPerCommand {
-			n = maxPerCommand
-		}
-		var err error
-		if d.cfg.Mode == DMA {
-			err = d.readDMA(lba, dst[off:off+n*sectorSize])
-		} else {
-			err = d.readPIO(lba, dst[off:off+n*sectorSize])
-		}
-		if err != nil {
-			return err
-		}
-		lba += n
-		off += n * sectorSize
-	}
-	return nil
+	return d.p.transfer(d, d.cfg.Mode, lba, dst, true)
 }
 
 func (d *Devil) readPIO(lba int, dst []byte) error {
@@ -214,27 +194,7 @@ func (d *Devil) xferOut(src []byte) {
 
 // WriteSectors implements Driver.
 func (d *Devil) WriteSectors(lba int, src []byte) error {
-	if len(src)%sectorSize != 0 {
-		return fmt.Errorf("ide: buffer not sector aligned")
-	}
-	for off := 0; off < len(src); {
-		n := (len(src) - off) / sectorSize
-		if n > maxPerCommand {
-			n = maxPerCommand
-		}
-		var err error
-		if d.cfg.Mode == DMA {
-			err = d.writeDMA(lba, src[off:off+n*sectorSize])
-		} else {
-			err = d.writePIO(lba, src[off:off+n*sectorSize])
-		}
-		if err != nil {
-			return err
-		}
-		lba += n
-		off += n * sectorSize
-	}
-	return nil
+	return d.p.transfer(d, d.cfg.Mode, lba, src, false)
 }
 
 func (d *Devil) writePIO(lba int, src []byte) error {
@@ -267,19 +227,6 @@ func (d *Devil) writePIO(lba int, src []byte) error {
 		}
 	}
 	return nil
-}
-
-func (d *Devil) readDMA(lba int, dst []byte) error {
-	if err := d.dma(lba, len(dst)/sectorSize, true); err != nil {
-		return err
-	}
-	copy(dst, d.p.Mem.Data[d.p.DMAAddr:int(d.p.DMAAddr)+len(dst)])
-	return nil
-}
-
-func (d *Devil) writeDMA(lba int, src []byte) error {
-	copy(d.p.Mem.Data[d.p.DMAAddr:], src)
-	return d.dma(lba, len(src)/sectorSize, false)
 }
 
 // dma runs one busmaster transfer: 15 setup operations + 5 completion

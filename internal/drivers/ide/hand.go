@@ -104,27 +104,7 @@ func (d *Hand) issue(lba, count int, cmd uint8) {
 
 // ReadSectors implements Driver.
 func (d *Hand) ReadSectors(lba int, dst []byte) error {
-	if len(dst)%sectorSize != 0 {
-		return fmt.Errorf("ide: buffer not sector aligned")
-	}
-	for off := 0; off < len(dst); {
-		n := (len(dst) - off) / sectorSize
-		if n > maxPerCommand {
-			n = maxPerCommand
-		}
-		var err error
-		if d.cfg.Mode == DMA {
-			err = d.readDMA(lba, dst[off:off+n*sectorSize])
-		} else {
-			err = d.readPIO(lba, dst[off:off+n*sectorSize])
-		}
-		if err != nil {
-			return err
-		}
-		lba += n
-		off += n * sectorSize
-	}
-	return nil
+	return d.p.transfer(d, d.cfg.Mode, lba, dst, true)
 }
 
 func (d *Hand) readPIO(lba int, dst []byte) error {
@@ -228,27 +208,7 @@ func (d *Hand) xferOut(src []byte) {
 
 // WriteSectors implements Driver.
 func (d *Hand) WriteSectors(lba int, src []byte) error {
-	if len(src)%sectorSize != 0 {
-		return fmt.Errorf("ide: buffer not sector aligned")
-	}
-	for off := 0; off < len(src); {
-		n := (len(src) - off) / sectorSize
-		if n > maxPerCommand {
-			n = maxPerCommand
-		}
-		var err error
-		if d.cfg.Mode == DMA {
-			err = d.writeDMA(lba, src[off:off+n*sectorSize])
-		} else {
-			err = d.writePIO(lba, src[off:off+n*sectorSize])
-		}
-		if err != nil {
-			return err
-		}
-		lba += n
-		off += n * sectorSize
-	}
-	return nil
+	return d.p.transfer(d, d.cfg.Mode, lba, src, false)
 }
 
 func (d *Hand) writePIO(lba int, src []byte) error {
@@ -283,19 +243,6 @@ func (d *Hand) writePIO(lba int, src []byte) error {
 		}
 	}
 	return nil
-}
-
-func (d *Hand) readDMA(lba int, dst []byte) error {
-	if err := d.dma(lba, len(dst)/sectorSize, true); err != nil {
-		return err
-	}
-	copy(dst, d.p.Mem.Data[d.p.DMAAddr:int(d.p.DMAAddr)+len(dst)])
-	return nil
-}
-
-func (d *Hand) writeDMA(lba int, src []byte) error {
-	copy(d.p.Mem.Data[d.p.DMAAddr:], src)
-	return d.dma(lba, len(src)/sectorSize, false)
 }
 
 // dma runs one busmaster transfer: 11 setup operations + 3 completion

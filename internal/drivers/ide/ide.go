@@ -97,6 +97,48 @@ const sectorSize = ide.SectorSize
 // maxPerCommand is the ATA limit of sectors per command (nsect = 0).
 const maxPerCommand = 256
 
+// protocol is what each driver variant implements its own way: the PIO
+// loops and one busmaster transfer of the bounce buffer.
+type protocol interface {
+	readPIO(lba int, dst []byte) error
+	writePIO(lba int, src []byte) error
+	dma(lba, count int, read bool) error
+}
+
+// transfer moves buf from (read) or to the disk from sector lba on, one
+// command of at most maxPerCommand sectors at a time, each through drv's
+// PIO loop or, in DMA mode, a busmaster transfer through the bounce
+// buffer at p.DMAAddr.
+func (p *Ports) transfer(drv protocol, mode Mode, lba int, buf []byte, read bool) error {
+	if len(buf)%sectorSize != 0 {
+		return fmt.Errorf("ide: buffer not sector aligned")
+	}
+	for off := 0; off < len(buf); {
+		n := min((len(buf)-off)/sectorSize, maxPerCommand)
+		chunk := buf[off : off+n*sectorSize]
+		var err error
+		switch {
+		case mode == DMA && read:
+			if err = drv.dma(lba, n, true); err == nil {
+				copy(chunk, p.Mem.Data[p.DMAAddr:int(p.DMAAddr)+len(chunk)])
+			}
+		case mode == DMA:
+			copy(p.Mem.Data[p.DMAAddr:], chunk)
+			err = drv.dma(lba, n, false)
+		case read:
+			err = drv.readPIO(lba, chunk)
+		default:
+			err = drv.writePIO(lba, chunk)
+		}
+		if err != nil {
+			return err
+		}
+		lba += n
+		off += n * sectorSize
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Rig: the disk machine
 
