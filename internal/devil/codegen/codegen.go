@@ -126,12 +126,12 @@ func (g *generator) run() {
 
 func maskLit(n int) string { return fmt.Sprintf("%#x", uint64(1)<<uint(n)-1) }
 
-// gatherExpr builds a Go expression assembling the variable value from
-// per-register source expressions. srcs maps registers to expressions of
-// type uint32 (or uint64 when wide is set).
-func gatherExpr(v *sema.Variable, srcs map[*sema.Register]string) string {
+// gatherExpr builds a Go expression assembling a variable value from its
+// runs and per-register source expressions. srcs maps registers to
+// expressions of type uint32 (or uint64 when wide is set).
+func gatherExpr(runs []ir.Run, srcs map[*sema.Register]string) string {
 	var parts []string
-	for _, r := range ir.Runs(v) {
+	for _, r := range runs {
 		e := srcs[r.Reg]
 		if r.RegLo > 0 {
 			e = fmt.Sprintf("(%s >> %d)", e, r.RegLo)
@@ -150,11 +150,11 @@ func gatherExpr(v *sema.Variable, srcs map[*sema.Register]string) string {
 	return strings.Join(parts, " | ")
 }
 
-// scatterExpr builds a Go expression placing raw (an expression of the
-// value) onto the bits of reg owned by v.
-func scatterExpr(reg *sema.Register, v *sema.Variable, raw string) string {
+// scatterExpr builds a Go expression placing raw (an expression of a
+// variable value) onto the bits of reg its runs own.
+func scatterExpr(runs []ir.Run, reg *sema.Register, raw string) string {
 	var parts []string
-	for _, r := range ir.Runs(v) {
+	for _, r := range runs {
 		if r.Reg != reg {
 			continue
 		}
@@ -187,6 +187,9 @@ func (g *generator) cellField(v *sema.Variable) string   { return "cell" + goNam
 func (g *generator) vcField(v *sema.Variable) string     { return "vc" + goName(v.Name, true) }
 func (g *generator) fldField(v *sema.Variable) string    { return "fld" + goName(v.Name, true) }
 func (g *generator) stgField(v *sema.Variable) string    { return "stg" + goName(v.Name, true) }
+
+// runs returns v's bit layout, as the plans exec runs have it.
+func (g *generator) runs(v *sema.Variable) []ir.Run { return g.prog.Vars[v.Index].Runs }
 
 func (g *generator) getterName(v *sema.Variable) string { return goName(v.Name, !v.Private) }
 
@@ -547,7 +550,7 @@ func (g *generator) emitSteps(p *ir.Plan, steps []ir.Step, indent string, sc *pl
 			sc.srcs[s.Reg] = src
 			g.p("%s%s := uint32(d.bus.In%d(d.%s + %d))", indent, src, r.Port.Width, g.portField(r.Port), r.Offset)
 		case ir.SGather:
-			g.p("%sraw := %s", indent, gatherExpr(s.Var, sc.srcs))
+			g.p("%sraw := %s", indent, gatherExpr(g.runs(s.Var), sc.srcs))
 		case ir.SSnap:
 			r := s.Reg.Read
 			g.p("%sd.%s = uint32(d.bus.In%d(d.%s + %d))", indent, g.snapField(s.Reg), r.Port.Width, g.portField(r.Port), r.Offset)
@@ -558,7 +561,7 @@ func (g *generator) emitSteps(p *ir.Plan, steps []ir.Step, indent string, sc *pl
 			for _, ch := range s.Var.Chunks {
 				srcs[ch.Reg] = "d." + g.snapField(ch.Reg)
 			}
-			g.p("%sraw := %s", indent, gatherExpr(s.Var, srcs))
+			g.p("%sraw := %s", indent, gatherExpr(g.runs(s.Var), srcs))
 		case ir.SVCache:
 			g.p("%sd.%s = raw", indent, g.vcField(s.Var))
 		case ir.SStage:
@@ -615,11 +618,11 @@ func (g *generator) composeExpr(s *ir.Step) string {
 	for _, t := range s.Expr.Terms {
 		switch t.Kind {
 		case ir.TRaw:
-			parts = append(parts, scatterExpr(s.Reg, t.Var, "raw"))
+			parts = append(parts, scatterExpr(g.runs(t.Var), s.Reg, "raw"))
 		case ir.TShadow:
 			parts = append(parts, fmt.Sprintf("d.%s&%#x", g.shadowField(s.Reg), t.Mask))
 		case ir.TVar:
-			parts = append(parts, scatterExpr(s.Reg, t.Var, "d."+g.slotField(t.Var)))
+			parts = append(parts, scatterExpr(g.runs(t.Var), s.Reg, "d."+g.slotField(t.Var)))
 		default:
 			parts = append(parts, fmt.Sprintf("%#x", t.Const))
 		}
@@ -638,12 +641,12 @@ func (g *generator) emitAccumTerms(s *ir.Step, indent string) {
 			g.p("%sout |= %#x", indent, t.Const)
 		case ir.TStaged:
 			g.p("%sif d.%s {", indent, g.stgField(t.Var))
-			g.p("%s\tout |= %s", indent, scatterExpr(s.Reg, t.Var, "d."+g.fldField(t.Var)))
+			g.p("%s\tout |= %s", indent, scatterExpr(g.runs(t.Var), s.Reg, "d."+g.fldField(t.Var)))
 			g.p("%s} else {", indent)
 			g.p("%s\tout |= %#x", indent, t.Const)
 			g.p("%s}", indent)
 		default:
-			g.p("%sout |= %s", indent, scatterExpr(s.Reg, t.Var, "d."+g.slotField(t.Var)))
+			g.p("%sout |= %s", indent, scatterExpr(g.runs(t.Var), s.Reg, "d."+g.slotField(t.Var)))
 		}
 	}
 }

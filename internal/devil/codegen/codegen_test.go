@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/devil/ir"
 	"repro/internal/devil/sema"
 	"repro/internal/specs"
 )
@@ -60,10 +61,10 @@ func TestChunkRuns(t *testing.T) {
 			"((r >> 7) & 0x1) << 2 | ((r >> 5) & 0x1) << 1 | ((r >> 3) & 0x1)"},
 	} {
 		v := &sema.Variable{Width: len(tt.bits), Chunks: []*sema.Chunk{{Reg: reg, Bits: tt.bits}}}
-		if got := scatterExpr(reg, v, "raw"); got != tt.scatter {
+		if got := scatterExpr(ir.Runs(v), reg, "raw"); got != tt.scatter {
 			t.Errorf("%v: scatter %s, want %s", tt.bits, got, tt.scatter)
 		}
-		if got := gatherExpr(v, map[*sema.Register]string{reg: "r"}); got != tt.gather {
+		if got := gatherExpr(ir.Runs(v), map[*sema.Register]string{reg: "r"}); got != tt.gather {
 			t.Errorf("%v: gather %s, want %s", tt.bits, got, tt.gather)
 		}
 	}

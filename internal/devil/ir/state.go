@@ -152,6 +152,13 @@ type Run struct {
 // first) and, within a chunk, in the order of its bits.
 func Runs(v *sema.Variable) []Run {
 	var runs []Run
+	forRuns(v, func(r Run) { runs = append(runs, r) })
+	return runs
+}
+
+// forRuns calls f on each of v's runs, in the order Runs lists them,
+// without building the list.
+func forRuns(v *sema.Variable, f func(Run)) {
 	pos := v.Width
 	for _, ch := range v.Chunks {
 		pos -= len(ch.Bits)
@@ -161,11 +168,10 @@ func Runs(v *sema.Variable) []Run {
 			for j+1 < len(ch.Bits) && ch.Bits[j+1] == ch.Bits[j]-1 {
 				j++
 			}
-			runs = append(runs, Run{Reg: ch.Reg, ValLo: vHi - j, RegLo: ch.Bits[j], N: j - i + 1})
+			f(Run{Reg: ch.Reg, ValLo: vHi - j, RegLo: ch.Bits[j], N: j - i + 1})
 			i = j + 1
 		}
 	}
-	return runs
 }
 
 // low is the run's width mask.
@@ -206,11 +212,11 @@ func Extract(runs []Run, reg *sema.Register, regRaw uint64) uint64 {
 // VarMask returns the register bits owned by v on reg.
 func VarMask(reg *sema.Register, v *sema.Variable) uint64 {
 	var m uint64
-	for _, r := range Runs(v) {
+	forRuns(v, func(r Run) {
 		if r.Reg == reg {
 			m |= r.Mask()
 		}
-	}
+	})
 	return m
 }
 
