@@ -378,12 +378,6 @@ func (p *pair) access(stub func() int64, ex func() (int64, error)) {
 	p.ex.record(ev)
 }
 
-func (p *pair) check(err error) {
-	if err != nil {
-		p.t.Fatalf("%s: %v", p.where, err)
-	}
-}
-
 // machine builds a fresh simulator for d on its own bus and clock.
 func (m *model) machine() (*rig, snap.Snapshotter) {
 	clk := new(bus.Clock)
