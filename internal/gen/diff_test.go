@@ -179,7 +179,7 @@ type pair struct {
 func normalize(name string) string { return strings.ToLower(strings.ReplaceAll(name, "_", "")) }
 
 // newModel derives d's operations. It fails when an operation has no stub
-// method or more than one.
+// method or more than one, and when a stub method serves no operation.
 func newModel(t testing.TB, d gen.Device) *model {
 	t.Helper()
 	spec := core.MustCompile(d.Spec)
@@ -197,10 +197,12 @@ func newModel(t testing.TB, d gen.Device) *model {
 		meth := stubType.Method(i)
 		methods[normalize(meth.Name)] = append(methods[normalize(meth.Name)], meth)
 	}
+	used := map[string]bool{"marshalstate": true, "unmarshalstate": true}
 	method := func(key string) reflect.Method {
 		if ms := methods[key]; len(ms) != 1 {
 			t.Fatalf("%s: operation %s has %d stub methods", d.Name, key, len(ms))
 		}
+		used[key] = true
 		return methods[key][0]
 	}
 
@@ -239,6 +241,11 @@ func newModel(t testing.TB, d gen.Device) *model {
 		}
 	}
 	m.ops = append(m.ops, structOps...)
+	for key, ms := range methods {
+		if !used[key] {
+			t.Errorf("%s: stub method %s is no operation of the spec", d.Name, ms[0].Name)
+		}
+	}
 	for _, e := range events[d.Name] {
 		m.ops = append(m.ops, eventOp(e))
 	}
