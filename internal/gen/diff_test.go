@@ -3,6 +3,9 @@ package gen_test
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
 	"os"
 	"reflect"
@@ -140,8 +143,8 @@ var events = map[string][]event{
 	},
 }
 
-// chooser draws the rig's choices: a seeded *rand.Rand in TestDifferential,
-// the fuzz input in FuzzDifferential.
+// chooser draws the rig's choices: a seeded *rand.Rand in the per-device
+// tests, the fuzz input in FuzzDifferential.
 type chooser interface{ Intn(n int) int }
 
 // model is one device's operation table, derived from its compiled
@@ -406,10 +409,10 @@ func (m *model) link(t testing.TB, space *bus.Space) *exec.Device {
 	return dev
 }
 
-// run drives one pair through steps operations drawn by c and checks every
-// observable the two back ends must agree on. It adds the operations run
-// to ran and returns the stub's driver-state blob.
-func (m *model) run(t *testing.T, seed int64, c chooser, steps int, ran map[*op]int) []byte {
+// run drives one pair through steps operations drawn by c and checks the
+// trace, the read values, the fault texts and the final simulator state.
+// It adds the operations run to ran and returns the pair.
+func (m *model) run(t *testing.T, seed int64, c chooser, steps int, ran map[*op]int) *pair {
 	t.Helper()
 	p := &pair{t: t, ran: map[*op]bool{}}
 	p.gen, p.genSim = m.machine()
@@ -439,14 +442,21 @@ func (m *model) run(t *testing.T, seed int64, c chooser, steps int, ran map[*op]
 	if !bytes.Equal(gs, es) {
 		t.Fatalf("%s seed %d: final simulator state differs", m.d.Name, seed)
 	}
+	return p
+}
 
+// cross checks p's driver snapshots with checkCross against a fresh stub
+// and a fresh interpreter, and returns the stub's blob.
+func (m *model) cross(t *testing.T, p *pair) []byte {
+	t.Helper()
 	freshGen, _ := m.machine()
 	freshEx, _ := m.machine()
 	stub := p.stub.Interface().(snap.Snapshotter)
 	return checkCross(t, stub, p.exec, m.newStub(freshGen.space).Interface().(snap.Snapshotter), m.link(t, freshEx.space))
 }
 
-// Sequence shape of TestDifferential. goldenSeed's stub blob is pinned in
+// Sequence shape of the rig: the per-device tests run diffSeeds seeded
+// sequences of diffSteps operations. goldenSeed's stub blob is pinned in
 // stubGolden.
 const (
 	diffSeeds  = 32
@@ -454,26 +464,85 @@ const (
 	goldenSeed = 0
 )
 
-// TestDifferential runs the rig over every device of gen.Devices and
-// requires every derived operation and device event to run at least once.
-func TestDifferential(t *testing.T) {
+// device returns the gen.Devices entry called name.
+func device(t *testing.T, name string) gen.Device {
+	t.Helper()
 	for _, d := range gen.Devices {
-		t.Run(d.Name, func(t *testing.T) {
-			m := newModel(t, d)
-			t.Logf("%d operations", len(m.ops))
-			ran := map[*op]int{}
-			for seed := int64(0); seed < diffSeeds; seed++ {
-				blob := m.run(t, seed, rand.New(rand.NewSource(seed)), diffSteps, ran)
-				if seed == goldenSeed {
-					checkStubGolden(t, blob)
-				}
+		if d.Name == name {
+			return d
+		}
+	}
+	t.Fatalf("no device %q in gen.Devices", name)
+	return gen.Device{}
+}
+
+// testDifferential runs the rig's seeded sequences on the named device
+// and requires every derived operation and device event to run at least
+// once.
+func testDifferential(t *testing.T, name string) {
+	m := newModel(t, device(t, name))
+	t.Logf("%d operations", len(m.ops))
+	ran := map[*op]int{}
+	for seed := int64(0); seed < diffSeeds; seed++ {
+		m.run(t, seed, rand.New(rand.NewSource(seed)), diffSteps, ran)
+	}
+	for _, o := range m.ops {
+		if ran[o] == 0 {
+			t.Errorf("operation %q never ran", o.name)
+		}
+	}
+}
+
+// testSnapshotCrossPath runs the same sequences and, after each, checks
+// the driver snapshots across back ends (checkCross); goldenSeed's stub
+// blob must match stubGolden.
+func testSnapshotCrossPath(t *testing.T, name string) {
+	m := newModel(t, device(t, name))
+	for seed := int64(0); seed < diffSeeds; seed++ {
+		blob := m.cross(t, m.run(t, seed, rand.New(rand.NewSource(seed)), diffSteps, map[*op]int{}))
+		if seed == goldenSeed {
+			checkStubGolden(t, blob)
+		}
+	}
+}
+
+func TestDifferentialBusmouse(t *testing.T)  { testDifferential(t, "busmouse") }
+func TestDifferentialIDE(t *testing.T)       { testDifferential(t, "ide") }
+func TestDifferentialPIIX4(t *testing.T)     { testDifferential(t, "piix4") }
+func TestDifferentialNE2000(t *testing.T)    { testDifferential(t, "ne2000") }
+func TestDifferentialPermedia2(t *testing.T) { testDifferential(t, "permedia2") }
+func TestDifferentialPIC8259(t *testing.T)   { testDifferential(t, "pic8259") }
+func TestDifferentialDMA8237(t *testing.T)   { testDifferential(t, "dma8237") }
+func TestDifferentialCS4236(t *testing.T)    { testDifferential(t, "cs4236") }
+
+func TestSnapshotCrossPathBusmouse(t *testing.T)  { testSnapshotCrossPath(t, "busmouse") }
+func TestSnapshotCrossPathIDE(t *testing.T)       { testSnapshotCrossPath(t, "ide") }
+func TestSnapshotCrossPathPIIX4(t *testing.T)     { testSnapshotCrossPath(t, "piix4") }
+func TestSnapshotCrossPathNE2000(t *testing.T)    { testSnapshotCrossPath(t, "ne2000") }
+func TestSnapshotCrossPathPermedia2(t *testing.T) { testSnapshotCrossPath(t, "permedia2") }
+func TestSnapshotCrossPathPIC8259(t *testing.T)   { testSnapshotCrossPath(t, "pic8259") }
+func TestSnapshotCrossPathDMA8237(t *testing.T)   { testSnapshotCrossPath(t, "dma8237") }
+func TestSnapshotCrossPathCS4236(t *testing.T)    { testSnapshotCrossPath(t, "cs4236") }
+
+// TestRigCoversDevices requires both rig tests above for every device of
+// gen.Devices, so a device added to the registry cannot go unchecked.
+func TestRigCoversDevices(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "diff_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := map[string]bool{}
+	for _, decl := range f.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok {
+			tests[strings.ToLower(fn.Name.Name)] = true
+		}
+	}
+	for _, d := range gen.Devices {
+		for _, prefix := range []string{"testdifferential", "testsnapshotcrosspath"} {
+			if !tests[prefix+d.Name] {
+				t.Errorf("device %s has no %s test", d.Name, prefix)
 			}
-			for _, o := range m.ops {
-				if ran[o] == 0 {
-					t.Errorf("operation %q never ran", o.name)
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -508,7 +577,7 @@ func FuzzDifferential(f *testing.F) {
 		}
 		m := models[int(data[0])%len(models)]
 		c := bytesChooser(data[1:])
-		m.run(t, 0, &c, min(len(c)/2, 256), map[*op]int{})
+		m.cross(t, m.run(t, 0, &c, min(len(c)/2, 256), map[*op]int{}))
 	})
 }
 

@@ -32,8 +32,8 @@ var simGolden = map[string]string{
 }
 
 // stubGolden is keyed by optimization level (the stubs' layout follows
-// it) and then by stub blob name: the compiled stub after TestDifferential's
-// goldenSeed sequence.
+// it) and then by stub blob name: the compiled stub after the rig's
+// goldenSeed sequence (TestSnapshotCrossPath*).
 var stubGolden = map[string]map[string]string{
 	"O1": {
 		"cs4236":            "03ea4012b590c314189578a8bb11f765f8c4f5adb0b6ffda3f842d50e1b06931",
