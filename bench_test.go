@@ -41,15 +41,15 @@ func BenchmarkTable1MutationAnalysis(b *testing.B) {
 // Table 2: IDE throughput. One benchmark per table row; the reported
 // MB/s metrics are simulated (virtual-clock) throughput for both drivers.
 
-func ideRowBench(b *testing.B, cfg idedrv.Config) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2Rows(1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Config == cfg {
+func BenchmarkTable2IDE(b *testing.B) {
+	for _, cfg := range experiments.Table2Configs() {
+		b.Run(cfg.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := experiments.Table2Row(cfg, 1024)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportMetric(r.StdMBs, "std-MB/s")
 				b.ReportMetric(r.DevilMBs, "devil-MB/s")
 				b.ReportMetric(r.Ratio*100, "ratio-%")
@@ -59,19 +59,7 @@ func ideRowBench(b *testing.B, cfg idedrv.Config) {
 				b.ReportMetric(float64(r.StdOps), "std-ops/op")
 				b.ReportMetric(float64(r.DevilOps), "devil-ops/op")
 			}
-		}
-	}
-}
-
-func BenchmarkTable2IDE(b *testing.B) {
-	cfgs := []idedrv.Config{{Mode: idedrv.DMA}}
-	for _, spi := range []int{16, 8, 1} {
-		for _, w := range []int{32, 16} {
-			cfgs = append(cfgs, idedrv.Config{Mode: idedrv.PIO, Width: w, SectorsPerIRQ: spi})
-		}
-	}
-	for _, cfg := range cfgs {
-		b.Run(cfg.String(), func(b *testing.B) { ideRowBench(b, cfg) })
+		})
 	}
 }
 
@@ -95,39 +83,30 @@ func BenchmarkTable2IDEBlockStubs(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Tables 3 and 4: Permedia2 driver throughput.
 
-func gfxBench(b *testing.B, copyTest bool) {
-	for _, bpp := range []int{8, 16, 24, 32} {
-		for _, size := range []int{2, 10, 100, 400} {
+func gfxBench(b *testing.B, row func(bpp, size, iters int) (experiments.GfxRow, error)) {
+	for _, bpp := range experiments.GfxBPPs {
+		for _, size := range experiments.GfxSizes {
 			b.Run(fmt.Sprintf("%dbpp/%dx%d", bpp, size, size), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					var rows []experiments.GfxRow
-					var err error
-					if copyTest {
-						rows, err = experiments.Table4Rows(200)
-					} else {
-						rows, err = experiments.Table3Rows(200)
-					}
+					r, err := row(bpp, size, 200)
 					if err != nil {
 						b.Fatal(err)
 					}
-					for _, r := range rows {
-						if r.BPP == bpp && r.Size == size {
-							b.ReportMetric(r.StdRate, "std-prim/s")
-							b.ReportMetric(r.DevilRate, "devil-prim/s")
-							b.ReportMetric(r.Ratio*100, "ratio-%")
-							b.ReportMetric(float64(r.StdWrites), "std-ops/op")
-							b.ReportMetric(float64(r.DevilWrites), "devil-ops/op")
-						}
-					}
+					b.ReportMetric(r.StdRate, "std-prim/s")
+					b.ReportMetric(r.DevilRate, "devil-prim/s")
+					b.ReportMetric(r.Ratio*100, "ratio-%")
+					b.ReportMetric(float64(r.StdWrites), "std-ops/op")
+					b.ReportMetric(float64(r.DevilWrites), "devil-ops/op")
 				}
 			})
 		}
 	}
 }
 
-func BenchmarkTable3Rectangles(b *testing.B) { gfxBench(b, false) }
+func BenchmarkTable3Rectangles(b *testing.B) { gfxBench(b, experiments.Table3Row) }
 
-func BenchmarkTable4ScreenCopies(b *testing.B) { gfxBench(b, true) }
+func BenchmarkTable4ScreenCopies(b *testing.B) { gfxBench(b, experiments.Table4Row) }
 
 // ---------------------------------------------------------------------------
 // Table 5: the sound-DMA pipeline (cs4236 + dma8237 + pic8259). One

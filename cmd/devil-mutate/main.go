@@ -31,27 +31,6 @@ func main() {
 		fmt.Print(mutation.BitOpReport())
 		return
 	}
-	if *codes {
-		coded, err := mutation.DevilCodes(*device)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "devil-mutate:", err)
-			os.Exit(1)
-		}
-		if len(coded) == 0 {
-			fmt.Fprintln(os.Stderr, "devil-mutate: no device matches", *device)
-			os.Exit(1)
-		}
-		var names []string
-		for name := range coded {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Print(mutation.FormatCodeTable(name, coded[name]))
-		}
-		return
-	}
-
 	rows, err := mutation.RunStudy(*device)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "devil-mutate:", err)
@@ -60,6 +39,13 @@ func main() {
 	if len(rows) == 0 {
 		fmt.Fprintln(os.Stderr, "devil-mutate: no device matches", *device)
 		os.Exit(1)
+	}
+	if *codes {
+		sort.Slice(rows, func(i, j int) bool { return rows[i].Device < rows[j].Device })
+		for _, r := range rows {
+			fmt.Print(mutation.FormatCodeTable(r.Device, r.Devil))
+		}
+		return
 	}
 	fmt.Print(mutation.FormatTable(rows))
 }

@@ -17,12 +17,18 @@
 // The virtual clock is shared with the device simulators, which advance it
 // for non-bus work (seeks, DMA engines, drawing commands).
 //
-// A third book is optional: attach an obs.Observer with SetObserver and
-// every access, fault, and clock advance is also emitted as a typed,
-// virtually timestamped obs.Event carrying the host's span attribution
-// (see internal/obs; the stack lives on the host's Clock, so concurrent
-// hosts never share it). With no observer attached the only cost is a nil
-// check per operation.
+// A third book is optional: attach an obs.Observer with Space.SetObserver
+// and every event of the host behind that space's clock — accesses,
+// faults, clock advances, interrupt lines and the device engines — is
+// emitted as a typed, virtually timestamped obs.Event carrying the host's
+// span attribution (see internal/obs). The observer and the span stack
+// live on the host's Clock, so concurrent hosts never share them, and
+// every producer emits through Clock.Emit. With no observer attached the
+// only cost is a nil check per event.
+//
+// Each event's Cost is the virtual time charged for it, and nothing else
+// advances the clock, so the Costs of an observed host's events sum to
+// its elapsed virtual time.
 package bus
 
 import (
@@ -61,14 +67,14 @@ type Handler interface {
 // from a single goroutine per experiment; cross-goroutine use needs the
 // caller's synchronization.
 //
-// The clock doubles as the host identity for span attribution: every
-// producer of one simulated host (its spaces, IRQ lines, and device
-// engines) shares one clock, so the clock carries the host's obs.Spans
-// stack. That keeps attribution structurally per-host — concurrent hosts
-// never share span state, and observing one host costs the others nothing.
+// The clock doubles as the host identity: every producer of one simulated
+// host (its spaces, IRQ lines, and device engines) shares one clock, so
+// the clock carries the host's observer and obs.Spans stack, and every
+// producer emits through Emit or Charge. That keeps observation
+// structurally per-host — concurrent hosts never share span state, and
+// observing one host costs the others nothing.
 type Clock struct {
 	ns    uint64
-	src   string
 	obs   obs.Observer
 	spans obs.Spans
 }
@@ -85,30 +91,40 @@ func (c *Clock) Spans() *obs.Spans {
 	return &c.spans
 }
 
-// Advance moves virtual time forward by d nanoseconds. With an observer
-// attached the advance is emitted as a KindClockAdvance event — this is
-// how simulator-side work (seeks, DMA engine time, IRQ latency) shows up
-// on the trace timeline. Space access charges advance the clock silently:
-// their cost is already carried by the access event itself.
-func (c *Clock) Advance(d uint64) {
-	c.ns += d
-	if c.obs != nil {
-		c.obs.Observe(obs.Event{
-			TS: c.ns, Kind: obs.KindClockAdvance, Source: c.src,
-			Span: c.spans.Current(), Cost: d,
-		})
+// Emit sends e to the host's observer, stamped with the current virtual
+// time and span attribution. Without an observer (or on a nil clock) it
+// is a nil check.
+func (c *Clock) Emit(e obs.Event) {
+	if c != nil && c.obs != nil {
+		c.emit(e)
 	}
 }
 
-// advance moves time forward without emitting an event (Space charging).
-func (c *Clock) advance(d uint64) { c.ns += d }
+// emit is kept out of line so that Emit inlines to the nil check.
+func (c *Clock) emit(e obs.Event) {
+	e.TS, e.Span = c.ns, c.spans.Current()
+	c.obs.Observe(e)
+}
 
-// SetObserver attaches o to the clock; source names the emitting track.
-// Pass nil to detach. Like Space.SetObserver, attaching enables this
+// Charge advances virtual time by e.Cost and emits e, so the time an
+// engine spends and the event that accounts for it cannot drift apart.
+func (c *Clock) Charge(e obs.Event) {
+	c.ns += e.Cost
+	c.Emit(e)
+}
+
+// Advance moves virtual time forward by d nanoseconds, emitted as a
+// KindClockAdvance event: this is how simulator-side work (FIFO stalls,
+// sample clocks, IRQ latency) shows up on the trace timeline.
+func (c *Clock) Advance(d uint64) {
+	c.Charge(obs.Event{Kind: obs.KindClockAdvance, Source: "clock", Cost: d})
+}
+
+// observe attaches o to the host (nil detaches). Attaching enables the
 // host's span tracking and detaching disables it.
-func (c *Clock) SetObserver(source string, o obs.Observer) {
+func (c *Clock) observe(o obs.Observer) {
 	prev := c.obs
-	c.src, c.obs = source, o
+	c.obs = o
 	if prev == nil && o != nil {
 		c.spans.Enable()
 	} else if prev != nil && o == nil {
@@ -155,8 +171,6 @@ type Space struct {
 	costs Costs
 	maps  []mapping
 	stats Stats
-	obs   obs.Observer
-	spans *obs.Spans // the host attribution stack, shared via the clock
 
 	// StrictFaults makes accesses outside mapped ranges panic instead of
 	// reading as all-ones. Tests enable it to catch address bugs.
@@ -181,7 +195,7 @@ func (m mapping) source(space string) string {
 // NewSpace creates an address space using the given virtual clock and cost
 // model. The name appears in fault diagnostics.
 func NewSpace(name string, clock *Clock, costs Costs) *Space {
-	return &Space{name: name, clock: clock, costs: costs, spans: clock.Spans()}
+	return &Space{name: name, clock: clock, costs: costs}
 }
 
 // Clock returns the space's virtual clock.
@@ -190,24 +204,16 @@ func (s *Space) Clock() *Clock { return s.clock }
 // Spans returns the host attribution stack this space stamps into its
 // events — the one anchored on its clock. Generated stubs and the exec
 // interpreter discover it through the obs.Spanner interface.
-func (s *Space) Spans() *obs.Spans { return s.spans }
+func (s *Space) Spans() *obs.Spans { return s.clock.Spans() }
 
-// SetObserver attaches o to the space: every access, block transfer and
-// fault is emitted as an obs.Event stamped with virtual time and the
-// current span attribution. Pass nil to detach. Attaching the first
-// observer enables the host's span tracking; detaching disables it.
-// Both are per-host state: other hosts' spaces are unaffected.
-func (s *Space) SetObserver(o obs.Observer) {
-	s.mu.Lock()
-	prev := s.obs
-	s.obs = o
-	s.mu.Unlock()
-	if prev == nil && o != nil {
-		s.spans.Enable()
-	} else if prev != nil && o == nil {
-		s.spans.Disable()
-	}
-}
+// SetObserver attaches o to the whole host behind the space's clock:
+// every access, block transfer and fault of the space, and every clock
+// advance, IRQ-line and device-engine event of producers sharing the
+// clock, is emitted as an obs.Event stamped with virtual time and the
+// current span attribution. Pass nil to detach. Attaching enables the
+// host's span tracking and detaching disables it; both are per-host
+// state, so other hosts are unaffected. Attach before traffic.
+func (s *Space) SetObserver(o obs.Observer) { s.clock.observe(o) }
 
 // Map claims [base, base+size) for the handler. Overlapping claims are
 // rejected so simulator wiring bugs surface immediately.
@@ -274,43 +280,34 @@ func (s *Space) lookup(port uint32) (mapping, bool) {
 	return mapping{}, false
 }
 
-// fault books an unmapped access: counted, emitted, and — under
-// StrictFaults — escalated to a panic.
-func (s *Space) fault(port uint32, width int, dir string) {
+// fault books an unmapped access: counted, emitted with the cost the
+// access was charged, and — under StrictFaults — escalated to a panic.
+func (s *Space) fault(port uint32, width int, dir string, cost uint64) {
 	s.mu.Lock()
 	s.stats.Faults++
 	strict := s.StrictFaults
-	o := s.obs
 	s.mu.Unlock()
-	if o != nil {
-		o.Observe(obs.Event{
-			TS: s.clock.Now(), Kind: obs.KindFault, Source: s.name,
-			Span: s.spans.Current(), Addr: port, Width: width, Detail: dir,
-		})
-	}
+	s.clock.Emit(obs.Event{Kind: obs.KindFault, Source: s.name, Addr: port, Width: width, Detail: dir, Cost: cost})
 	if strict {
 		panic(fmt.Sprintf("bus %s: %s of unmapped port %#x", s.name, dir, port))
 	}
 }
 
-// chargeSingle books one single-unit operation and returns what the
-// emission path needs: the observer (nil when disabled), the virtual
-// completion time, and the charged cost.
-func (s *Space) chargeSingle(in bool) (o obs.Observer, ts, cost uint64) {
+// countSingle books one single-unit operation and returns its cost.
+func (s *Space) countSingle(in bool) uint64 {
 	s.mu.Lock()
 	if in {
 		s.stats.In++
 	} else {
 		s.stats.Out++
 	}
-	cost = s.costs.AccessNS + s.costs.OverheadNS
-	s.clock.advance(cost)
-	o, ts = s.obs, s.clock.Now()
+	cost := s.costs.AccessNS + s.costs.OverheadNS
 	s.mu.Unlock()
-	return o, ts, cost
+	return cost
 }
 
-func (s *Space) chargeBlock(in bool, units int) (o obs.Observer, ts, cost uint64) {
+// countBlock books one block operation of units units and returns its cost.
+func (s *Space) countBlock(in bool, units int) uint64 {
 	s.mu.Lock()
 	if in {
 		s.stats.BlockIn++
@@ -318,45 +315,43 @@ func (s *Space) chargeBlock(in bool, units int) (o obs.Observer, ts, cost uint64
 		s.stats.BlockOut++
 	}
 	s.stats.BlockUnits += uint64(units)
-	cost = s.costs.OverheadNS + uint64(units)*s.costs.AccessNS
-	s.clock.advance(cost)
-	o, ts = s.obs, s.clock.Now()
+	cost := s.costs.OverheadNS + uint64(units)*s.costs.AccessNS
 	s.mu.Unlock()
-	return o, ts, cost
+	return cost
 }
 
+// Reads charge the clock before the handler runs (a device may read the
+// time) and emit once the value is known; writes emit before the handler
+// runs, so an IRQ raised inside it appears after its cause in the stream.
+
 func (s *Space) read(port uint32, width int) uint32 {
-	o, ts, cost := s.chargeSingle(true)
+	cost := s.countSingle(true)
+	s.clock.ns += cost
 	m, ok := s.lookup(port)
 	if !ok {
-		s.fault(port, width, "read")
+		s.fault(port, width, "read", cost)
 		return ^uint32(0) >> uint(32-width)
 	}
 	v := m.h.BusRead(port-m.base, width)
-	if o != nil {
-		o.Observe(obs.Event{
-			TS: ts, Kind: obs.KindPortRead, Source: m.source(s.name),
-			Span: s.spans.Current(), Addr: port, Width: width, Value: uint64(v), Cost: cost,
-		})
-	}
+	s.clock.Emit(obs.Event{
+		Kind: obs.KindPortRead, Source: m.source(s.name),
+		Addr: port, Width: width, Value: uint64(v), Cost: cost,
+	})
 	return v
 }
 
 func (s *Space) write(port uint32, width int, v uint32) {
-	o, ts, cost := s.chargeSingle(false)
+	cost := s.countSingle(false)
 	m, ok := s.lookup(port)
 	if !ok {
-		s.fault(port, width, "write")
+		s.clock.ns += cost
+		s.fault(port, width, "write", cost)
 		return
 	}
-	if o != nil {
-		// Emitted before the handler runs so an IRQ raised inside it
-		// appears after its cause in the stream.
-		o.Observe(obs.Event{
-			TS: ts, Kind: obs.KindPortWrite, Source: m.source(s.name),
-			Span: s.spans.Current(), Addr: port, Width: width, Value: uint64(v), Cost: cost,
-		})
-	}
+	s.clock.Charge(obs.Event{
+		Kind: obs.KindPortWrite, Source: m.source(s.name),
+		Addr: port, Width: width, Value: uint64(v), Cost: cost,
+	})
 	m.h.BusWrite(port-m.base, width, v)
 }
 
@@ -387,37 +382,28 @@ func (s *Space) Out32(port uint32, v uint32) { s.write(port, 32, v) }
 func (s *Space) InBlock16(port uint32, buf []uint16) {
 	m, ok := s.lookup(port)
 	if !ok {
-		s.fault(port, 16, "block read")
+		s.fault(port, 16, "block read", 0)
 		return
 	}
-	o, ts, cost := s.chargeBlock(true, len(buf))
+	cost := s.countBlock(true, len(buf))
+	s.clock.ns += cost
 	off := port - m.base
 	for i := range buf {
 		buf[i] = uint16(m.h.BusRead(off, 16))
 	}
-	if o != nil {
-		o.Observe(obs.Event{
-			TS: ts, Kind: obs.KindBlockIn, Source: m.source(s.name),
-			Span: s.spans.Current(), Addr: port, Width: 16, Units: len(buf), Cost: cost,
-		})
-	}
+	s.clock.Emit(obs.Event{Kind: obs.KindBlockIn, Source: m.source(s.name), Addr: port, Width: 16, Units: len(buf), Cost: cost})
 }
 
 // OutBlock16 implements Bus.
 func (s *Space) OutBlock16(port uint32, buf []uint16) {
 	m, ok := s.lookup(port)
 	if !ok {
-		s.fault(port, 16, "block write")
+		s.fault(port, 16, "block write", 0)
 		return
 	}
-	o, ts, cost := s.chargeBlock(false, len(buf))
+	cost := s.countBlock(false, len(buf))
+	s.clock.Charge(obs.Event{Kind: obs.KindBlockOut, Source: m.source(s.name), Addr: port, Width: 16, Units: len(buf), Cost: cost})
 	off := port - m.base
-	if o != nil {
-		o.Observe(obs.Event{
-			TS: ts, Kind: obs.KindBlockOut, Source: m.source(s.name),
-			Span: s.spans.Current(), Addr: port, Width: 16, Units: len(buf), Cost: cost,
-		})
-	}
 	for _, v := range buf {
 		m.h.BusWrite(off, 16, uint32(v))
 	}
@@ -427,37 +413,28 @@ func (s *Space) OutBlock16(port uint32, buf []uint16) {
 func (s *Space) InBlock32(port uint32, buf []uint32) {
 	m, ok := s.lookup(port)
 	if !ok {
-		s.fault(port, 32, "block read")
+		s.fault(port, 32, "block read", 0)
 		return
 	}
-	o, ts, cost := s.chargeBlock(true, len(buf))
+	cost := s.countBlock(true, len(buf))
+	s.clock.ns += cost
 	off := port - m.base
 	for i := range buf {
 		buf[i] = m.h.BusRead(off, 32)
 	}
-	if o != nil {
-		o.Observe(obs.Event{
-			TS: ts, Kind: obs.KindBlockIn, Source: m.source(s.name),
-			Span: s.spans.Current(), Addr: port, Width: 32, Units: len(buf), Cost: cost,
-		})
-	}
+	s.clock.Emit(obs.Event{Kind: obs.KindBlockIn, Source: m.source(s.name), Addr: port, Width: 32, Units: len(buf), Cost: cost})
 }
 
 // OutBlock32 implements Bus.
 func (s *Space) OutBlock32(port uint32, buf []uint32) {
 	m, ok := s.lookup(port)
 	if !ok {
-		s.fault(port, 32, "block write")
+		s.fault(port, 32, "block write", 0)
 		return
 	}
-	o, ts, cost := s.chargeBlock(false, len(buf))
+	cost := s.countBlock(false, len(buf))
+	s.clock.Charge(obs.Event{Kind: obs.KindBlockOut, Source: m.source(s.name), Addr: port, Width: 32, Units: len(buf), Cost: cost})
 	off := port - m.base
-	if o != nil {
-		o.Observe(obs.Event{
-			TS: ts, Kind: obs.KindBlockOut, Source: m.source(s.name),
-			Span: s.spans.Current(), Addr: port, Width: 32, Units: len(buf), Cost: cost,
-		})
-	}
 	for _, v := range buf {
 		m.h.BusWrite(off, 32, v)
 	}
@@ -469,33 +446,21 @@ func (s *Space) OutBlock32(port uint32, buf []uint32) {
 // consume time (rather than running driver code inside the simulator call)
 // matches how a kernel defers work from the hard-IRQ context.
 //
-// The observation fields are optional wiring-time configuration: with Obs
-// set, Raise and Consume emit KindIRQRaise/KindIRQConsume events named
-// Name, timestamped from Clock when one is attached. Set them before
-// traffic starts; they are not synchronized by the line's mutex.
+// Raise and Consume emit KindIRQRaise/KindIRQConsume events named Name
+// through Clock, the host's clock; a line without one emits nothing. Set
+// both when wiring, before traffic; they are not synchronized by the
+// line's mutex.
 type IRQLine struct {
 	mu      sync.Mutex
 	pending uint64
 	total   uint64
 
-	Name  string       // event Source ("" falls back to "irq")
-	Clock *Clock       // event timestamps; nil stamps zero
-	Obs   obs.Observer // event sink; nil disables emission
+	Name  string // event Source and Detail
+	Clock *Clock // the host clock events are emitted through
 }
 
 func (l *IRQLine) emit(kind obs.Kind) {
-	if l.Obs == nil {
-		return
-	}
-	var ts uint64
-	if l.Clock != nil {
-		ts = l.Clock.Now()
-	}
-	src := l.Name
-	if src == "" {
-		src = "irq"
-	}
-	l.Obs.Observe(obs.Event{TS: ts, Kind: kind, Source: src, Span: l.Clock.Spans().Current(), Detail: src})
+	l.Clock.Emit(obs.Event{Kind: kind, Source: l.Name, Detail: l.Name})
 }
 
 // Raise latches one interrupt.

@@ -306,9 +306,9 @@ func TestObserverEmission(t *testing.T) {
 	if ev[2].Kind != obs.KindBlockIn || ev[2].Units != 4 || ev[2].Cost != 10+4*100 {
 		t.Errorf("block event = %+v", ev[2])
 	}
-	// The fault names the space, not a mapping, and is the only event
-	// carried at the still-current clock (faults charge on singles).
-	if ev[3].Kind != obs.KindFault || ev[3].Source != "test" || ev[3].Detail != "read" {
+	// The fault names the space, not a mapping, and carries the cost a
+	// single access is charged even when nothing answers.
+	if ev[3].Kind != obs.KindFault || ev[3].Source != "test" || ev[3].Detail != "read" || ev[3].Cost != 110 {
 		t.Errorf("fault event = %+v", ev[3])
 	}
 	for i := 1; i < len(ev); i++ {
@@ -321,23 +321,36 @@ func TestObserverEmission(t *testing.T) {
 	}
 }
 
+// TestClockObserverEmission: an observer attached through a space sees
+// its clock's advances and charged engine events, stamped from the clock.
 func TestClockObserverEmission(t *testing.T) {
-	var clk Clock
+	s, clk := newSpace()
 	ring := obs.NewRing(8)
-	clk.SetObserver("clock", ring)
-	defer clk.SetObserver("", nil)
+	s.SetObserver(ring)
+	defer s.SetObserver(nil)
 	clk.Advance(250)
+	clk.Charge(obs.Event{Kind: obs.KindSeek, Source: "disk", Cost: 30})
 	ev := ring.Events()
-	if len(ev) != 1 || ev[0].Kind != obs.KindClockAdvance || ev[0].Cost != 250 || ev[0].TS != 250 {
-		t.Errorf("clock events = %v", ev)
+	if len(ev) != 2 || ev[0].Kind != obs.KindClockAdvance || ev[0].Source != "clock" || ev[0].Cost != 250 || ev[0].TS != 250 {
+		t.Fatalf("clock events = %v", ev)
+	}
+	if ev[1].Kind != obs.KindSeek || ev[1].Cost != 30 || ev[1].TS != 280 || clk.Now() != 280 {
+		t.Errorf("charged event = %+v at clock %d", ev[1], clk.Now())
 	}
 }
 
+// TestIRQLineObserverEmission: a line emits through its host clock, so
+// the observer attached to the host's space sees it; a line without a
+// clock only latches.
 func TestIRQLineObserverEmission(t *testing.T) {
-	var clk Clock
-	clk.advance(77)
+	s, clk := newSpace()
+	clk.Advance(77)
 	ring := obs.NewRing(8)
-	l := IRQLine{Name: "irq5", Clock: &clk, Obs: ring}
+	s.SetObserver(ring)
+	defer s.SetObserver(nil)
+	var bare IRQLine
+	bare.Raise()
+	l := IRQLine{Name: "irq5", Clock: clk}
 	l.Raise()
 	l.Consume()
 	l.Consume() // empty: must not emit
@@ -345,11 +358,14 @@ func TestIRQLineObserverEmission(t *testing.T) {
 	if len(ev) != 2 {
 		t.Fatalf("events = %v", ev)
 	}
-	if ev[0].Kind != obs.KindIRQRaise || ev[0].Source != "irq5" || ev[0].TS != 77 {
+	if ev[0].Kind != obs.KindIRQRaise || ev[0].Source != "irq5" || ev[0].Detail != "irq5" || ev[0].TS != 77 {
 		t.Errorf("raise event = %+v", ev[0])
 	}
 	if ev[1].Kind != obs.KindIRQConsume {
 		t.Errorf("consume event = %+v", ev[1])
+	}
+	if !bare.Consume() {
+		t.Error("unclocked line did not latch")
 	}
 }
 
@@ -384,6 +400,26 @@ func TestSetObserverTogglesSpanTracking(t *testing.T) {
 	s.SetObserver(nil)
 	if s.Spans().Enabled() {
 		t.Error("detaching the observer did not disable span tracking")
+	}
+}
+
+// TestSetObserverObservesWholeHost: the observer lives on the clock, so
+// attaching through one space observes every space on that clock, and
+// span tracking is enabled once for the host.
+func TestSetObserverObservesWholeHost(t *testing.T) {
+	io, clk := newSpace()
+	mmio := NewSpace("mmio", clk, DefaultMemCosts())
+	io.MustMap(0, 16, NewRAM(16))
+	mmio.MustMap(0, 16, NewRAM(16))
+	ring := obs.NewRing(8)
+	io.SetObserver(ring)
+	mmio.Out32(0, 1)
+	if ev := ring.Events(); len(ev) != 1 || ev[0].Source != "mmio" {
+		t.Fatalf("events = %v", ev)
+	}
+	mmio.SetObserver(nil)
+	if io.Spans().Enabled() {
+		t.Error("detaching through the second space left span tracking on")
 	}
 }
 

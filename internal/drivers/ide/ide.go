@@ -170,7 +170,7 @@ func NewRig(diskSectors, bufSectors int) Rig {
 	space := bus.NewSpace("io", clk, bus.DefaultPortCosts())
 	mem := bus.NewRAM(dmaAddr + bufSectors*sectorSize)
 	disk := ide.New(clk, diskSectors, mem)
-	irq := &bus.IRQLine{}
+	irq := &bus.IRQLine{Name: "irq14", Clock: clk}
 	disk.IRQ = irq.Raise
 	disk.Attach(space, cmdBase, ctlBase, bmBase)
 	return Rig{Clock: clk, Space: space, Mem: mem, IRQ: irq, Disk: disk}

@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"repro/internal/bus"
-	"repro/internal/obs"
 	simcs "repro/internal/sim/cs4236"
 	simdma "repro/internal/sim/dma8237"
 	simpic "repro/internal/sim/pic8259"
@@ -252,7 +251,9 @@ func rateCode(hz int) (uint8, error) {
 // the codec pulls the DMA channel (DREQ), the channel deposits ring bytes
 // into the codec FIFO and pulses terminal count into the PIC and the
 // codec's playback-interrupt flag, and the PIC's INT output latches the
-// CPU interrupt line the drivers consume.
+// CPU interrupt line the drivers consume. The three chips and the line
+// emit their events through the clock, so Space.SetObserver observes the
+// whole machine.
 type Rig struct {
 	Clock *bus.Clock
 	Space *bus.Space
@@ -271,9 +272,11 @@ func NewRig() *Rig {
 	codec := simcs.New()
 	dma := simdma.New()
 	pic := simpic.New()
-	irq := &bus.IRQLine{}
+	irq := &bus.IRQLine{Name: "irq5", Clock: clk} // named for its PIC input, IRQLine
 
 	codec.Clock = clk
+	dma.Clock = clk
+	pic.Clock = clk
 	codec.DREQ = dma.Transfer
 	codec.Halt = irq.Pending
 	dma.Mem = mem
@@ -285,23 +288,6 @@ func NewRig() *Rig {
 	space.MustMapNamed("dma8237", DMABase, 13, dma)
 	space.MustMapNamed("pic8259", PICBase, 2, pic)
 	return &Rig{Clock: clk, Space: space, Mem: mem, Codec: codec, DMA: dma, PIC: pic, IRQ: irq}
-}
-
-// Observe attaches o to every event producer in the rig: the port space,
-// the virtual clock, the CPU interrupt line, and the three chip engines.
-// Pass nil to detach. Attach before traffic; the producers are not
-// synchronized against mid-experiment rewiring.
-func (r *Rig) Observe(o obs.Observer) {
-	r.Space.SetObserver(o)
-	r.Clock.SetObserver("clock", o)
-	r.IRQ.Name = fmt.Sprintf("irq%d", IRQLine)
-	r.IRQ.Clock = r.Clock
-	r.IRQ.Obs = o
-	r.Codec.Obs = o
-	r.DMA.Clock = r.Clock
-	r.DMA.Obs = o
-	r.PIC.Clock = r.Clock
-	r.PIC.Obs = o
 }
 
 // Ports returns the driver-facing wiring of the rig.

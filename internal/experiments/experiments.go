@@ -86,35 +86,48 @@ func pioConfigs(block bool) []idedrv.Config {
 	return cfgs
 }
 
-// ideRows measures each configuration with both drivers over a transfer
+// Table2Row measures one configuration with both drivers over a transfer
 // of the given number of sectors. The Devil driver runs the configuration
 // as given; the standard driver always moves data with rep insw/insl.
+func Table2Row(cfg idedrv.Config, sectors int) (IDERow, error) {
+	stdCfg := cfg
+	stdCfg.Block = true
+	stdOps, stdMBs, err := runIDE(func(p idedrv.Ports) idedrv.Driver { return idedrv.NewHand(p, stdCfg) }, sectors)
+	if err != nil {
+		return IDERow{}, fmt.Errorf("standard %s: %w", cfg, err)
+	}
+	devOps, devMBs, err := runIDE(func(p idedrv.Ports) idedrv.Driver { return idedrv.NewDevil(p, cfg) }, sectors)
+	if err != nil {
+		return IDERow{}, fmt.Errorf("devil %s: %w", cfg, err)
+	}
+	return IDERow{
+		Config: cfg, StdOps: stdOps, StdMBs: stdMBs,
+		DevilOps: devOps, DevilMBs: devMBs, Ratio: devMBs / stdMBs,
+	}, nil
+}
+
+// ideRows measures each configuration's row.
 func ideRows(configs []idedrv.Config, sectors int) ([]IDERow, error) {
 	var rows []IDERow
 	for _, cfg := range configs {
-		stdCfg := cfg
-		stdCfg.Block = true
-		stdOps, stdMBs, err := runIDE(func(p idedrv.Ports) idedrv.Driver { return idedrv.NewHand(p, stdCfg) }, sectors)
+		row, err := Table2Row(cfg, sectors)
 		if err != nil {
-			return nil, fmt.Errorf("standard %s: %w", cfg, err)
+			return nil, err
 		}
-		devOps, devMBs, err := runIDE(func(p idedrv.Ports) idedrv.Driver { return idedrv.NewDevil(p, cfg) }, sectors)
-		if err != nil {
-			return nil, fmt.Errorf("devil %s: %w", cfg, err)
-		}
-		rows = append(rows, IDERow{
-			Config: cfg, StdOps: stdOps, StdMBs: stdMBs,
-			DevilOps: devOps, DevilMBs: devMBs, Ratio: devMBs / stdMBs,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
+// Table2Configs lists the Table 2 rows: DMA, then the PIO configurations
+// without block-transfer stubs.
+func Table2Configs() []idedrv.Config {
+	return append([]idedrv.Config{{Mode: idedrv.DMA}}, pioConfigs(false)...)
+}
+
 // Table2Rows measures every Table 2 row over a transfer of the given number
 // of sectors (the paper used hdparm's sequential read).
-func Table2Rows(sectors int) ([]IDERow, error) {
-	return ideRows(append([]idedrv.Config{{Mode: idedrv.DMA}}, pioConfigs(false)...), sectors)
-}
+func Table2Rows(sectors int) ([]IDERow, error) { return ideRows(Table2Configs(), sectors) }
 
 // Table2BlockRows measures the Devil block-stub variants (§4.3: "when using
 // block transfer stubs that use a rep instruction, we did not observe an
@@ -206,36 +219,56 @@ func runGfx(mk func(pmdrv.Ports) pmdrv.Driver, bpp, size, n int, copyTest bool) 
 	return writes, rate, nil
 }
 
+// GfxBPPs and GfxSizes span the Table 3 and 4 sweeps: every depth at
+// every square primitive size.
+var (
+	GfxBPPs  = []int{8, 16, 24, 32}
+	GfxSizes = []int{2, 10, 100, 400}
+)
+
+// gfxRow measures one depth and size with both drivers. Large primitives
+// run a tenth of iters (at least one).
+func gfxRow(copyTest bool, bpp, size, iters int) (GfxRow, error) {
+	n := iters
+	if size >= 100 {
+		n = max(iters/10, 1)
+	}
+	sw, sr, err := runGfx(func(p pmdrv.Ports) pmdrv.Driver { return pmdrv.NewHand(p) }, bpp, size, n, copyTest)
+	if err != nil {
+		return GfxRow{}, err
+	}
+	dw, dr, err := runGfx(func(p pmdrv.Ports) pmdrv.Driver { return pmdrv.NewDevil(p) }, bpp, size, n, copyTest)
+	if err != nil {
+		return GfxRow{}, err
+	}
+	return GfxRow{
+		BPP: bpp, Size: size,
+		StdWrites: sw, StdRate: sr,
+		DevilWrites: dw, DevilRate: dr,
+		Ratio: dr / sr,
+	}, nil
+}
+
 // gfxRows measures one table's sweep.
 func gfxRows(copyTest bool, iters int) ([]GfxRow, error) {
 	var rows []GfxRow
-	for _, bpp := range []int{8, 16, 24, 32} {
-		for _, size := range []int{2, 10, 100, 400} {
-			n := iters
-			if size >= 100 {
-				n = iters / 10
-				if n == 0 {
-					n = 1
-				}
-			}
-			sw, sr, err := runGfx(func(p pmdrv.Ports) pmdrv.Driver { return pmdrv.NewHand(p) }, bpp, size, n, copyTest)
+	for _, bpp := range GfxBPPs {
+		for _, size := range GfxSizes {
+			row, err := gfxRow(copyTest, bpp, size, iters)
 			if err != nil {
 				return nil, err
 			}
-			dw, dr, err := runGfx(func(p pmdrv.Ports) pmdrv.Driver { return pmdrv.NewDevil(p) }, bpp, size, n, copyTest)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, GfxRow{
-				BPP: bpp, Size: size,
-				StdWrites: sw, StdRate: sr,
-				DevilWrites: dw, DevilRate: dr,
-				Ratio: dr / sr,
-			})
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
 }
+
+// Table3Row measures one fill-rectangle row.
+func Table3Row(bpp, size, iters int) (GfxRow, error) { return gfxRow(false, bpp, size, iters) }
+
+// Table4Row measures one screen-copy row.
+func Table4Row(bpp, size, iters int) (GfxRow, error) { return gfxRow(true, bpp, size, iters) }
 
 // Table3Rows measures the fill-rectangle sweep.
 func Table3Rows(iters int) ([]GfxRow, error) { return gfxRows(false, iters) }
@@ -450,8 +483,8 @@ func Table6(hosts int) (string, error) {
 // ---------------------------------------------------------------------------
 // Trace capture
 
-// CaptureSound runs one sound-pipeline playback with the full observation
-// pipeline attached and returns the captured event stream: every port
+// CaptureSound runs one sound-pipeline playback on a farm host observed
+// from construction and returns the captured event stream: every port
 // access stamped with virtual time and attributed to the driver phase (and,
 // for the Devil driver, the .dil variable the generated stub was accessing),
 // interleaved with the IRQ, DMA terminal-count, and clock-advance events of
@@ -459,27 +492,18 @@ func Table6(hosts int) (string, error) {
 // playback is checked as in Table 5: a run whose DAC played the wrong
 // bytes or underran returns an error, not a trace.
 func CaptureSound(driver string, cfg snddrv.Config, revs int) ([]obs.Event, error) {
-	rig := snddrv.NewRig()
-	var drv snddrv.Driver
+	var v farm.Variant
 	switch driver {
 	case "standard", "hand":
-		drv = snddrv.NewHand(rig.Ports(), cfg)
+		v = farm.Hand
 	case "devil":
-		drv = snddrv.NewDevil(rig.Ports(), cfg)
+		v = farm.Devil
 	default:
 		return nil, fmt.Errorf("unknown driver %q (want standard or devil)", driver)
 	}
 	ring := obs.NewRing(1 << 20)
-	rig.Observe(ring)
-	defer rig.Observe(nil)
-	if err := drv.Init(); err != nil {
-		return nil, err
-	}
-	clip := snddrv.Clip(cfg.RingBytes * revs)
-	if err := drv.Play(clip); err != nil {
-		return nil, err
-	}
-	if err := rig.CheckPlayback(clip); err != nil {
+	h := farm.New("capture", farm.WorkloadSpec{Kind: farm.Sound, Variant: v, Sound: cfg, Revs: revs, Observer: ring})
+	if err := h.Run().Err; err != nil {
 		return nil, err
 	}
 	if dropped := ring.Dropped(); dropped > 0 {

@@ -2,11 +2,11 @@
 //
 // A Host is one self-contained machine: its own virtual clock, port and
 // memory spaces, IRQ lines, device models, and driver. Nothing in a host
-// points at process-global mutable state — span attribution lives on the
-// host's clock (obs.Spans), statistics live on its Space, and fault
-// counters live on its RAM — so thousands of hosts can run on a goroutine
-// pool without synchronizing with each other, and an observer attached to
-// one host costs every other host nothing.
+// points at process-global mutable state — the host's one observer and
+// its span attribution live on its clock, statistics live on its Space,
+// and fault counters live on its RAM — so thousands of hosts can run on a
+// goroutine pool without synchronizing with each other, and an observer
+// attached to one host costs every other host nothing.
 //
 // A host's machine is the rig its driver package wires (NewRig in
 // internal/drivers/ide, permedia2 and sound), the same machine the
@@ -264,9 +264,9 @@ func (h *Host) buildSound() {
 	}})
 }
 
-// Observe attaches o to the host's port space (and, through the space's
-// clock, enables span attribution for this host only). Pass nil to
-// detach.
+// Observe attaches o to the whole host: its spaces, clock, IRQ lines and
+// device engines all emit through the host clock, and span attribution is
+// enabled for this host only. Pass nil to detach.
 func (h *Host) Observe(o obs.Observer) { h.Space.SetObserver(o) }
 
 // Spec returns the workload description the host was built from.

@@ -78,6 +78,19 @@ func TestHostSnapshotMidDMA(t *testing.T) {
 				t.Errorf("spliced event stream (%d pre + %d post events) != solo stream (%d events)",
 					len(preRing.Events()), len(postRing.Events()), len(soloRing.Events()))
 			}
+			// Fully observed: the engines' events are in the streams, and
+			// in the restored part, so the comparison covers engine state.
+			for name, ev := range map[string][]obs.Event{"spliced": stream, "solo": soloRing.Events(), "restored": postRing.Events()} {
+				seen := map[obs.Kind]bool{}
+				for _, e := range ev {
+					seen[e.Kind] = true
+				}
+				for _, k := range []obs.Kind{obs.KindDMATC, obs.KindIRQRaise, obs.KindIRQConsume, obs.KindClockAdvance} {
+					if !seen[k] {
+						t.Errorf("%s stream has no %s event", name, k)
+					}
+				}
+			}
 		})
 	}
 }

@@ -72,6 +72,39 @@ func TestFleetObservers(t *testing.T) {
 	}
 }
 
+// TestHostCostConservation: a host observed only through Observe accounts
+// for all of its virtual time in events. For every workload kind and
+// driver, the Costs of the host's events sum to its elapsed virtual time,
+// and the machine's engine events are present, not just its port traffic.
+func TestHostCostConservation(t *testing.T) {
+	engine := map[WorkloadKind][]obs.Kind{
+		IDE:   {obs.KindSeek, obs.KindIRQRaise},
+		Sound: {obs.KindClockAdvance, obs.KindIRQRaise, obs.KindIRQConsume, obs.KindDMATC},
+	}
+	for _, v := range []Variant{Hand, Devil} {
+		for _, h := range DefaultFleet(3, v) {
+			var sum uint64
+			seen := map[obs.Kind]bool{}
+			h.Observe(obs.Func(func(e obs.Event) {
+				sum += e.Cost
+				seen[e.Kind] = true
+			}))
+			r := h.Run()
+			if r.Err != nil {
+				t.Fatalf("%s: %v", h.Name, r.Err)
+			}
+			if sum != r.VirtNS || r.VirtNS != h.Clock.Now() {
+				t.Errorf("%s: event costs sum to %d ns, virtual time elapsed %d ns (clock %d)", h.Name, sum, r.VirtNS, h.Clock.Now())
+			}
+			for _, k := range engine[h.Spec().Kind] {
+				if !seen[k] {
+					t.Errorf("%s: no %s event", h.Name, k)
+				}
+			}
+		}
+	}
+}
+
 // TestFleetObserverIsolation is the regression test for the old
 // process-global span tracking: two concurrent rigs, one observed and
 // one not — the unobserved one must emit no spans and must not even have

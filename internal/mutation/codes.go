@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/devil/diag"
 	"repro/internal/devil/sema"
-	"repro/internal/minic"
 )
 
 // CodeProfile tallies detected mutants per diagnostic code. A mutant that
@@ -109,47 +108,6 @@ func RunCodes(src string, sites []Site, iface func(*sema.Device) error) CodeResu
 		}
 	}
 	return res
-}
-
-// DevilCodes runs the Devil rows of the Table 1 study with code
-// attribution, keyed by device name. The interface check matches
-// study.run: a mutant that renames the device or changes any stub
-// signature breaks the rebuild of the stub-calling fragment.
-func DevilCodes(filter string) (map[string]CodeResult, error) {
-	out := map[string]CodeResult{}
-	for _, st := range studies {
-		if filter != "" && !strings.Contains(strings.ToLower(st.device), strings.ToLower(filter)) {
-			continue
-		}
-		var compiled []*sema.Device
-		for _, spec := range st.specs {
-			dev, err := core.Compile(spec)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", st.device, err)
-			}
-			compiled = append(compiled, dev)
-		}
-		origEnv := StubEnv(st.prefix, compiled...)
-		var agg CodeResult
-		for i, spec := range st.specs {
-			src := string(spec)
-			iface := func(dev *sema.Device) error {
-				if dev.Name != compiled[i].Name {
-					return fmt.Errorf("device renamed: generated header name changes")
-				}
-				devs := make([]*sema.Device, len(compiled))
-				copy(devs, compiled)
-				devs[i] = dev
-				if !envEqual(origEnv, StubEnv(st.prefix, devs...)) {
-					return fmt.Errorf("generated interface changed")
-				}
-				return minic.Check(st.stubSrc, StubEnv(st.prefix, devs...))
-			}
-			agg = agg.Add(RunCodes(src, SitesForDevil([]byte(src)), iface))
-		}
-		out[st.device] = agg
-	}
-	return out, nil
 }
 
 // FormatCodeTable renders the code attribution of one device's Devil row:

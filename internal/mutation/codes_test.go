@@ -102,25 +102,17 @@ func keys(m map[diag.Code]bool) []diag.Code {
 	return out
 }
 
-// TestDevilCodesBusmouse cross-checks the attributing runner against the
-// plain Table 1 runner: same mutants, same verdicts, and every detected
-// mutant accounted for by a registered error code or the interface check.
+// TestDevilCodesBusmouse checks the code attribution of the busmouse
+// Devil row: every detected mutant accounted for by a registered error
+// code or the interface check.
 func TestDevilCodesBusmouse(t *testing.T) {
 	rows, err := RunStudy("busmouse")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded, err := DevilCodes("busmouse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, ok := coded["Logitech Busmouse"]
-	if !ok {
-		t.Fatalf("devices = %v", coded)
-	}
-	plain := rows[0].Devil
-	if r.Mutants != plain.Mutants || r.Undetected != plain.Undetected || r.Sites != plain.Sites {
-		t.Errorf("code runner disagrees with Run: %+v vs %+v", r.Result, plain)
+	r := rows[0].Devil
+	if r.Mutants == 0 || r.Sites == 0 {
+		t.Fatalf("empty Devil row: %+v", r.Result)
 	}
 	detected := r.Mutants - r.Undetected
 	if r.Interface <= 0 || r.Interface >= detected {
@@ -164,13 +156,7 @@ func TestDevilCodesAllDevices(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full mutation study in -short mode")
 	}
-	coded, err := DevilCodes("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coded) != 8 {
-		t.Fatalf("devices = %d, want 8", len(coded))
-	}
+	rows := allRows(t)
 	common := []diag.Code{"E001", "E102", "E103", "E104", "E106", "E107", "E201", "E202", "E203", "E204", "E206"}
 	extra := map[string][]diag.Code{
 		"Logitech Busmouse":  {"E101", "E207", "E208"},
@@ -182,7 +168,8 @@ func TestDevilCodesAllDevices(t *testing.T) {
 		"Busmaster (PIIX4)":  nil,
 		"Video (Permedia2)":  {"E207"},
 	}
-	for dev, r := range coded {
+	for _, row := range rows {
+		dev, r := row.Device, row.Devil
 		want := append(append([]diag.Code{}, common...), extra[dev]...)
 		for _, c := range want {
 			if r.Codes[c] == 0 {

@@ -2,6 +2,7 @@ package mutation
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -173,17 +174,27 @@ func TestStudyBusmouse(t *testing.T) {
 	}
 }
 
-func TestStudyAllDevicesOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full mutation study in -short mode")
-	}
-	rows, err := RunStudy("")
+// studyAll runs the whole study once per test binary; the all-device
+// tests share its rows.
+var studyAll = sync.OnceValues(func() ([]Row, error) { return RunStudy("") })
+
+func allRows(t *testing.T) []Row {
+	t.Helper()
+	rows, err := studyAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d, want one per library device (all 8 in the study)", len(rows))
 	}
+	return rows
+}
+
+func TestStudyAllDevicesOrdering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full mutation study in -short mode")
+	}
+	rows := allRows(t)
 	for _, r := range rows {
 		if r.C.UndetectedPerSite() <= r.CDevil.UndetectedPerSite() {
 			t.Errorf("%s: C should have more undetected errors per site than C_Devil", r.Device)

@@ -11,16 +11,17 @@ import (
 )
 
 // Row is one device block of Table 1: the four result lines the paper
-// reports (C, Devil, C_Devil, Devil+C_Devil).
+// reports (C, Devil, C_Devil, Devil+C_Devil). The Devil line also
+// attributes its detected mutants to diagnostic codes.
 type Row struct {
 	Device string
 	C      Result
-	Devil  Result
+	Devil  CodeResult
 	CDevil Result
 }
 
 // Combined returns the Devil+C_Devil aggregate line.
-func (r Row) Combined() Result { return r.Devil.Add(r.CDevil) }
+func (r Row) Combined() Result { return r.Devil.Result.Add(r.CDevil) }
 
 // RatioCDevil is the paper's "Ratio to C" for the C_Devil line: how many
 // times more error-prone the C driver is than stub-based driver code.
@@ -143,40 +144,36 @@ func (st study) run() (Row, error) {
 		compiled = append(compiled, dev)
 	}
 
-	// Devil: each specification against the full compiler. As in the paper,
-	// mutations are applied "both to the Devil specification of the device,
-	// and to procedure calls to the generated interface": a spec mutant
-	// that still satisfies §3.1 but changes the *generated interface* — a
+	// Devil: each specification against the full compiler, each detected
+	// mutant attributed to its diagnostic codes. As in the paper, mutations
+	// are applied "both to the Devil specification of the device, and to
+	// procedure calls to the generated interface": a spec mutant that
+	// still satisfies §3.1 but changes the *generated interface* — a
 	// renamed device or variable, a renamed or retyped enum symbol, a
 	// changed value range — breaks the rebuild of every driver using the
 	// public-library stubs, so it counts as detected. Only mutants that
 	// keep the interface identical and silently change device behaviour
 	// (e.g. flipping a forced mask bit) survive.
+	env := StubEnv(st.prefix, compiled...)
 	for i, spec := range st.specs {
 		src := string(spec)
-		origName := compiled[i].Name
-		origEnv := StubEnv(st.prefix, compiled...)
-		res := Run(src, SitesForDevil([]byte(src)), func(s string) error {
-			dev, err := core.Compile([]byte(s))
-			if err != nil {
-				return err
-			}
-			if dev.Name != origName {
+		res := RunCodes(src, SitesForDevil([]byte(src)), func(dev *sema.Device) error {
+			if dev.Name != compiled[i].Name {
 				return fmt.Errorf("device renamed: generated header name changes")
 			}
 			devs := make([]*sema.Device, len(compiled))
 			copy(devs, compiled)
 			devs[i] = dev
-			if !envEqual(origEnv, StubEnv(st.prefix, devs...)) {
+			mutEnv := StubEnv(st.prefix, devs...)
+			if !envEqual(env, mutEnv) {
 				return fmt.Errorf("generated interface changed")
 			}
-			return minic.Check(st.stubSrc, StubEnv(st.prefix, devs...))
+			return minic.Check(st.stubSrc, mutEnv)
 		})
 		row.Devil = row.Devil.Add(res)
 	}
 
 	// C_Devil: the stub-calling fragment against the typed stub signatures.
-	env := StubEnv(st.prefix, compiled...)
 	row.CDevil = Run(st.stubSrc, SitesForC(st.stubSrc), func(s string) error {
 		return minic.Check(s, env)
 	})
@@ -267,7 +264,7 @@ func FormatTable(rows []Row) string {
 	}
 	for _, row := range rows {
 		line(row.Device, "C", row.C, 0)
-		line("", "Devil", row.Devil, 0)
+		line("", "Devil", row.Devil.Result, 0)
 		line("", "C_Devil", row.CDevil, row.RatioCDevil())
 		line("", "Devil+C_Devil", row.Combined(), row.RatioCombined())
 		b.WriteString("\n")

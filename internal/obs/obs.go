@@ -6,8 +6,8 @@
 // operations. obs turns that counting into a first-class pipeline:
 //
 //   - Producers (bus.Space, bus.IRQLine, the simulator engines) emit
-//     Events on an Observer when one is attached, and pay nothing but a
-//     nil check when none is.
+//     Events through their host's bus.Clock, which holds the host's one
+//     Observer; they pay nothing but a nil check when none is attached.
 //   - The exec interpreter and codegen-emitted stubs annotate a
 //     goroutine-local span (Span("cs4236.pfmt.set")) so every bus op in
 //     a trace names the .dil variable — and, one level up, the driver

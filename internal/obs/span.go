@@ -38,9 +38,9 @@ type Spans struct {
 }
 
 // Enable turns span tracking on for this host. Calls nest: tracking stays
-// on until a matching number of Disable calls. bus.Space.SetObserver and
-// bus.Clock.SetObserver enable and disable automatically; call this
-// directly only when recording spans without a space observer (e.g. a
+// on until a matching number of Disable calls. bus.Space.SetObserver, the
+// one attach point of a host, enables and disables automatically; call
+// this directly only when recording spans without an observer (e.g. a
 // handler that reads Current itself in a unit test).
 func (s *Spans) Enable() {
 	if s == nil {

@@ -95,22 +95,14 @@ type Sim struct {
 	underrun bool
 
 	// Wiring; set before traffic, never changed mid-experiment.
-	Clock *bus.Clock      // shared virtual clock (sample timing)
+	Clock *bus.Clock      // shared virtual clock (sample timing, engine events)
 	DREQ  func(n int) int // pull up to n bytes from the DMA channel
 	Halt  func() bool     // pump barrier (e.g. an interrupt is pending)
-	Obs   obs.Observer    // engine event sink (PI raise, underrun); nil disables
 }
 
-// emit sends an engine event stamped from the shared clock.
+// emit sends an engine event (PI raise, underrun) through the clock.
 func (s *Sim) emit(kind obs.Kind, detail string) {
-	if s.Obs == nil {
-		return
-	}
-	var ts uint64
-	if s.Clock != nil {
-		ts = s.Clock.Now()
-	}
-	s.Obs.Observe(obs.Event{TS: ts, Kind: kind, Source: "cs4236", Span: s.Clock.Spans().Current(), Detail: detail})
+	s.Clock.Emit(obs.Event{Kind: kind, Source: "cs4236", Detail: detail})
 }
 
 // New returns a codec with all registers zeroed.

@@ -76,8 +76,7 @@ type Sim struct {
 	Sink   func(uint8)  // device end of a read transfer (memory -> device)
 	Source func() uint8 // device end of a write transfer (device -> memory)
 	OnTC   func()       // terminal-count pulse (EOP)
-	Clock  *bus.Clock   // event timestamps; nil stamps zero
-	Obs    obs.Observer // terminal-count event sink; nil disables emission
+	Clock  *bus.Clock   // host clock the terminal-count event is emitted through
 }
 
 // New returns a controller with all channels masked, as after reset.
@@ -180,16 +179,7 @@ func (s *Sim) Transfer(units int) int {
 		}
 		done++
 		if tc {
-			if s.Obs != nil {
-				var ts uint64
-				if s.Clock != nil {
-					ts = s.Clock.Now()
-				}
-				s.Obs.Observe(obs.Event{
-					TS: ts, Kind: obs.KindDMATC, Source: "dma8237",
-					Span: s.Clock.Spans().Current(), Detail: "ch0",
-				})
-			}
+			s.Clock.Emit(obs.Event{Kind: obs.KindDMATC, Source: "dma8237", Detail: "ch0"})
 			if s.OnTC != nil {
 				s.OnTC()
 			}

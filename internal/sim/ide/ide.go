@@ -128,22 +128,6 @@ type Disk struct {
 	// (unless nIEN gates it). IRQCount counts raised interrupts either way.
 	IRQ      func()
 	IRQCount uint64
-
-	// Obs, when non-nil, receives drive engine events: irq-raise per
-	// interrupt, seek per DMA media transfer. Set before traffic.
-	Obs obs.Observer
-}
-
-// emit sends a drive event stamped from the shared clock. Called with
-// d.mu held; sinks must not re-enter the disk (Ring/Metrics do not).
-func (d *Disk) emit(kind obs.Kind, detail string, units int, cost uint64) {
-	if d.Obs == nil {
-		return
-	}
-	d.Obs.Observe(obs.Event{
-		TS: d.clock.Now(), Kind: kind, Source: "ide",
-		Span: d.clock.Spans().Current(), Detail: detail, Units: units, Cost: cost,
-	})
 }
 
 // New creates a disk of the given size in sectors, filled with a
@@ -191,7 +175,9 @@ func (d *Disk) Attach(space *bus.Space, cmdBase, ctlBase, bmBase uint32) {
 
 func (d *Disk) raiseIRQ() {
 	d.IRQCount++
-	d.emit(obs.KindIRQRaise, "ide", 0, 0)
+	// Engine events go through the clock with d.mu held; observers must
+	// not re-enter the disk (Ring/Metrics do not).
+	d.clock.Emit(obs.Event{Kind: obs.KindIRQRaise, Source: "ide", Detail: "ide"})
 	if d.ctl&0x02 != 0 { // nIEN set: interrupt gated off
 		return
 	}
@@ -420,8 +406,7 @@ func (d *Disk) startDMA() {
 	} else {
 		copy(d.mem.Data[addr:addr+bytes], d.image[d.dmaLBA*SectorSize:d.dmaLBA*SectorSize+bytes])
 	}
-	d.clock.Advance(uint64(bytes) * MediaByteNS)
-	d.emit(obs.KindSeek, "dma-media", bytes, uint64(bytes)*MediaByteNS)
+	d.clock.Charge(obs.Event{Kind: obs.KindSeek, Source: "ide", Detail: "dma-media", Units: bytes, Cost: uint64(bytes) * MediaByteNS})
 	d.bmStatus &^= BMStActive
 	d.bmStatus |= BMStIRQ
 	d.status = StDRDY | StDSC

@@ -17,7 +17,6 @@
 package pic8259
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/bus"
@@ -80,25 +79,16 @@ type Sim struct {
 	// pending and not yet in service — the INT line to the CPU.
 	INT func()
 
-	// Observation wiring; set before traffic, never changed
-	// mid-experiment. Raise and Ack emit irq-raise/irq-consume events.
-	Clock *bus.Clock   // event timestamps; nil stamps zero
-	Obs   obs.Observer // event sink; nil disables emission
+	// Clock is the host clock Raise and Ack emit irq-raise/irq-consume
+	// events through; set before traffic, never changed mid-experiment.
+	Clock *bus.Clock
 }
 
-// emit sends a controller event stamped from the wired clock.
+var irqNames = [8]string{"irq0", "irq1", "irq2", "irq3", "irq4", "irq5", "irq6", "irq7"}
+
+// emit sends a controller event through the clock.
 func (s *Sim) emit(kind obs.Kind, irq int) {
-	if s.Obs == nil {
-		return
-	}
-	var ts uint64
-	if s.Clock != nil {
-		ts = s.Clock.Now()
-	}
-	s.Obs.Observe(obs.Event{
-		TS: ts, Kind: kind, Source: "pic8259",
-		Span: s.Clock.Spans().Current(), Detail: fmt.Sprintf("irq%d", irq),
-	})
+	s.Clock.Emit(obs.Event{Kind: kind, Source: "pic8259", Detail: irqNames[irq&7]})
 }
 
 // New returns an uninitialized controller (all requests masked out until
