@@ -137,12 +137,15 @@ func BenchmarkTable5(b *testing.B) {
 // reported aggregate MB/s and ops/s are fleet totals over the
 // virtual-time makespan, and the per-variant ops totals ride in the
 // lower-is-better ops/op family so the gate catches an I/O regression in
-// either driver family under fleet load.
+// either driver family under fleet load. hosts/s is the physical scaling
+// next to that modelled one: hosts run per wall-clock second of the
+// worker pools, on the GOMAXPROCS the benchmark name ends in.
 
 func BenchmarkTable6(b *testing.B) {
 	for _, workers := range experiments.Table6Workers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
+			var hosts, wallNS int64
 			for i := 0; i < b.N; i++ {
 				var perVariant [2]farm.FleetResult
 				for vi, v := range []farm.Variant{farm.Hand, farm.Devil} {
@@ -151,6 +154,8 @@ func BenchmarkTable6(b *testing.B) {
 						b.Fatal(err)
 					}
 					perVariant[vi] = f
+					hosts += int64(len(f.Hosts))
+					wallNS += f.WallNS
 				}
 				hand, devil := perVariant[0], perVariant[1]
 				b.ReportMetric(hand.MBPerSec(), "std-MB/s")
@@ -160,6 +165,7 @@ func BenchmarkTable6(b *testing.B) {
 				b.ReportMetric(float64(hand.Ops), "std-ops/op")
 				b.ReportMetric(float64(devil.Ops), "devil-ops/op")
 			}
+			b.ReportMetric(float64(hosts)/(float64(wallNS)/1e9), "hosts/s")
 		})
 	}
 }
@@ -297,6 +303,7 @@ func BenchmarkBusPortAccess(b *testing.B) {
 	var clk bus.Clock
 	space := bus.NewSpace("io", &clk, bus.DefaultPortCosts())
 	space.MustMap(0, 16, bus.NewRAM(16))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		space.Out8(0, uint8(i))
@@ -312,6 +319,7 @@ func BenchmarkIDESimPIORead(b *testing.B) {
 	}
 	buf := make([]byte, 64*simide.SectorSize)
 	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := drv.ReadSectors(0, buf); err != nil {

@@ -31,7 +31,11 @@ func main() {
 		fmt.Print(mutation.BitOpReport())
 		return
 	}
-	rows, err := mutation.RunStudy(*device)
+	run := mutation.RunStudy
+	if *codes {
+		run = mutation.RunDevilStudy
+	}
+	rows, err := run(*device)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "devil-mutate:", err)
 		os.Exit(1)

@@ -29,10 +29,22 @@
 // Each event's Cost is the virtual time charged for it, and nothing else
 // advances the clock, so the Costs of an observed host's events sum to
 // its elapsed virtual time.
+//
+// # Single-owner machines
+//
+// A machine — its Clock, its Spaces, its RAM, its device simulators and
+// its span stack — is used by one goroutine at a time. None of them takes
+// a lock: an access runs start to finish on the owning goroutine, and a
+// handler may re-enter the space (an interrupt handler doing I/O) without
+// deadlocking. Hand a machine to another goroutine only through a
+// synchronizing operation (a go statement, a channel send, a WaitGroup),
+// as internal/farm does with each host. IRQLine is the one cross-goroutine entry point:
+// Raise, Pending, Consume and Total are safe for concurrent use.
 package bus
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -63,9 +75,8 @@ type Handler interface {
 }
 
 // Clock is a monotonically advancing virtual time source in nanoseconds.
-// It is shared between spaces and device simulators. Clock is safe for use
-// from a single goroutine per experiment; cross-goroutine use needs the
-// caller's synchronization.
+// It is shared between spaces and device simulators, and like the rest of
+// its machine it is used by one goroutine at a time (see the package doc).
 //
 // The clock doubles as the host identity: every producer of one simulated
 // host (its spaces, IRQ lines, and device engines) shares one clock, so
@@ -163,9 +174,10 @@ type Stats struct {
 func (s Stats) Ops() uint64 { return s.In + s.Out + s.BlockIn + s.BlockOut }
 
 // Space is a port- or memory-mapped address space with mapped device
-// handlers, counters, and a virtual clock. Create one with NewSpace.
+// handlers, counters, and a virtual clock. Create one with NewSpace. A
+// space belongs to one machine and is used by one goroutine at a time
+// (see the package doc).
 type Space struct {
-	mu    sync.Mutex
 	name  string
 	clock *Clock
 	costs Costs
@@ -185,7 +197,7 @@ type mapping struct {
 
 // source is the event attribution of traffic to this mapping: the mapped
 // region's name when it has one, else the space name.
-func (m mapping) source(space string) string {
+func (m *mapping) source(space string) string {
 	if m.name != "" {
 		return m.name
 	}
@@ -223,14 +235,17 @@ func (s *Space) Map(base, size uint32, h Handler) error {
 
 // MapNamed is Map with an attribution name: events for traffic in this
 // range carry Source=name (one trace track per chip). The empty name
-// falls back to the space name.
+// falls back to the space name. An empty range, or one reaching past the
+// top of the 32-bit address space, is rejected.
 func (s *Space) MapNamed(name string, base, size uint32, h Handler) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	end := uint64(base) + uint64(size)
+	if size == 0 || end > 1<<32 {
+		return fmt.Errorf("bus %s: range [%#x,%#x) is empty or beyond the 32-bit address space", s.name, base, end)
+	}
 	for _, m := range s.maps {
-		if base < m.base+m.size && m.base < base+size {
+		if mend := uint64(m.base) + uint64(m.size); uint64(base) < mend && uint64(m.base) < end {
 			return fmt.Errorf("bus %s: range [%#x,%#x) overlaps existing [%#x,%#x)",
-				s.name, base, base+size, m.base, m.base+m.size)
+				s.name, base, end, m.base, mend)
 		}
 	}
 	s.maps = append(s.maps, mapping{base: base, size: size, name: name, h: h})
@@ -252,72 +267,52 @@ func (s *Space) MustMapNamed(name string, base, size uint32, h Handler) {
 }
 
 // Stats returns a snapshot of the operation counters.
-func (s *Space) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Space) Stats() Stats { return s.stats }
 
 // ResetStats zeroes the operation counters (the clock keeps running).
-func (s *Space) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = Stats{}
-}
+func (s *Space) ResetStats() { s.stats = Stats{} }
 
-// lookup resolves a port to its mapping. Mappings are append-only and
-// wiring happens before traffic, so the read is done under the lock but the
-// handler is invoked outside it — device handlers may re-enter the space
-// (interrupt handlers performing I/O) without deadlocking.
-func (s *Space) lookup(port uint32) (mapping, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range s.maps {
-		if port >= m.base && port < m.base+m.size {
-			return m, true
+// lookup resolves a port to its mapping, or nil when no range claims it.
+// MapNamed keeps every range non-empty and below 2^32, so the unsigned
+// difference port-base is below size exactly when port is in the range.
+func (s *Space) lookup(port uint32) *mapping {
+	for i := range s.maps {
+		if m := &s.maps[i]; port-m.base < m.size {
+			return m
 		}
 	}
-	return mapping{}, false
+	return nil
 }
 
 // fault books an unmapped access: counted, emitted with the cost the
 // access was charged, and — under StrictFaults — escalated to a panic.
 func (s *Space) fault(port uint32, width int, dir string, cost uint64) {
-	s.mu.Lock()
 	s.stats.Faults++
-	strict := s.StrictFaults
-	s.mu.Unlock()
 	s.clock.Emit(obs.Event{Kind: obs.KindFault, Source: s.name, Addr: port, Width: width, Detail: dir, Cost: cost})
-	if strict {
+	if s.StrictFaults {
 		panic(fmt.Sprintf("bus %s: %s of unmapped port %#x", s.name, dir, port))
 	}
 }
 
 // countSingle books one single-unit operation and returns its cost.
 func (s *Space) countSingle(in bool) uint64 {
-	s.mu.Lock()
 	if in {
 		s.stats.In++
 	} else {
 		s.stats.Out++
 	}
-	cost := s.costs.AccessNS + s.costs.OverheadNS
-	s.mu.Unlock()
-	return cost
+	return s.costs.AccessNS + s.costs.OverheadNS
 }
 
 // countBlock books one block operation of units units and returns its cost.
 func (s *Space) countBlock(in bool, units int) uint64 {
-	s.mu.Lock()
 	if in {
 		s.stats.BlockIn++
 	} else {
 		s.stats.BlockOut++
 	}
 	s.stats.BlockUnits += uint64(units)
-	cost := s.costs.OverheadNS + uint64(units)*s.costs.AccessNS
-	s.mu.Unlock()
-	return cost
+	return s.costs.OverheadNS + uint64(units)*s.costs.AccessNS
 }
 
 // Reads charge the clock before the handler runs (a device may read the
@@ -327,8 +322,8 @@ func (s *Space) countBlock(in bool, units int) uint64 {
 func (s *Space) read(port uint32, width int) uint32 {
 	cost := s.countSingle(true)
 	s.clock.ns += cost
-	m, ok := s.lookup(port)
-	if !ok {
+	m := s.lookup(port)
+	if m == nil {
 		s.fault(port, width, "read", cost)
 		return ^uint32(0) >> uint(32-width)
 	}
@@ -342,8 +337,8 @@ func (s *Space) read(port uint32, width int) uint32 {
 
 func (s *Space) write(port uint32, width int, v uint32) {
 	cost := s.countSingle(false)
-	m, ok := s.lookup(port)
-	if !ok {
+	m := s.lookup(port)
+	if m == nil {
 		s.clock.ns += cost
 		s.fault(port, width, "write", cost)
 		return
@@ -380,8 +375,8 @@ func (s *Space) Out32(port uint32, v uint32) { s.write(port, 32, v) }
 
 // InBlock16 implements Bus.
 func (s *Space) InBlock16(port uint32, buf []uint16) {
-	m, ok := s.lookup(port)
-	if !ok {
+	m := s.lookup(port)
+	if m == nil {
 		s.fault(port, 16, "block read", 0)
 		return
 	}
@@ -396,8 +391,8 @@ func (s *Space) InBlock16(port uint32, buf []uint16) {
 
 // OutBlock16 implements Bus.
 func (s *Space) OutBlock16(port uint32, buf []uint16) {
-	m, ok := s.lookup(port)
-	if !ok {
+	m := s.lookup(port)
+	if m == nil {
 		s.fault(port, 16, "block write", 0)
 		return
 	}
@@ -411,8 +406,8 @@ func (s *Space) OutBlock16(port uint32, buf []uint16) {
 
 // InBlock32 implements Bus.
 func (s *Space) InBlock32(port uint32, buf []uint32) {
-	m, ok := s.lookup(port)
-	if !ok {
+	m := s.lookup(port)
+	if m == nil {
 		s.fault(port, 32, "block read", 0)
 		return
 	}
@@ -427,8 +422,8 @@ func (s *Space) InBlock32(port uint32, buf []uint32) {
 
 // OutBlock32 implements Bus.
 func (s *Space) OutBlock32(port uint32, buf []uint32) {
-	m, ok := s.lookup(port)
-	if !ok {
+	m := s.lookup(port)
+	if m == nil {
 		s.fault(port, 32, "block write", 0)
 		return
 	}
@@ -449,7 +444,9 @@ func (s *Space) OutBlock32(port uint32, buf []uint32) {
 // Raise and Consume emit KindIRQRaise/KindIRQConsume events named Name
 // through Clock, the host's clock; a line without one emits nothing. Set
 // both when wiring, before traffic; they are not synchronized by the
-// line's mutex.
+// line's mutex. The line is the one part of a machine that other
+// goroutines may touch: Raise, Pending, Consume and Total are safe for
+// concurrent use (see the package doc).
 type IRQLine struct {
 	mu      sync.Mutex
 	pending uint64
@@ -506,49 +503,133 @@ func (l *IRQLine) Total() uint64 {
 // ---------------------------------------------------------------------------
 // Simple handlers for tests and simulators.
 
-// RAM is a Handler backed by a byte array: reads and writes behave like
-// little-endian memory. It doubles as scratch register files in tests.
+// RAM is a Handler backed by little-endian memory of a fixed size. It
+// doubles as scratch register files in tests, and as the main memory that
+// DMA engines and drivers move buffers through with Load and Store.
 //
-// Accesses that reach past the end of Data are faults, not silent
-// truncations: a 16-bit read at len(Data)-1 used to return a half-composed
-// value with no book-keeping at all, which is exactly the kind of bug a
-// concurrent device farm turns from "weird number once" into corrupted
-// aggregate statistics. Every out-of-range access now increments Faults,
-// and Strict escalates it to a panic (the RAM twin of Space.StrictFaults).
-// Non-strict behavior is unchanged for compatibility: missing bytes read
-// as zero and writes to them are dropped.
+// Only a window of the memory is allocated: the span covering every store
+// that held a non-zero byte. Everything outside it reads as zero. A
+// machine's DMA buffer sits in a mostly unused address map (the IDE
+// bounce buffer at 64 KiB, the sound ring at 16 KiB of 64 KiB), so a host
+// allocates the bytes its transfers touch rather than the whole map.
+//
+// Bus accesses that reach past the end of the memory are faults, not
+// silent truncations: a 16-bit read at Len()-1 used to return a
+// half-composed value with no book-keeping at all, which is exactly the
+// kind of bug a concurrent device farm turns from "weird number once" into
+// corrupted aggregate statistics. Every out-of-range access increments
+// Faults, and Strict escalates it to a panic (the RAM twin of
+// Space.StrictFaults). Otherwise missing bytes read as zero and writes to
+// them are dropped.
 type RAM struct {
-	Data []byte
+	size int
+	lo   int    // offset of win[0]
+	win  []byte // the allocated window, bytes [lo, lo+len(win))
 
 	// Strict makes out-of-range accesses panic instead of partially
 	// completing. Hosts and tests enable it to catch address bugs.
 	Strict bool
 	// Faults counts accesses (reads and writes) that touched at least one
-	// byte outside Data. Not synchronized: RAM belongs to one host.
+	// byte outside the memory.
 	Faults uint64
 }
 
-// NewRAM allocates a RAM handler of the given size in bytes.
-func NewRAM(size int) *RAM { return &RAM{Data: make([]byte, size)} }
+// NewRAM returns a zeroed RAM handler of the given size in bytes.
+func NewRAM(size int) *RAM { return &RAM{size: size} }
+
+// Len returns the size of the memory in bytes.
+func (r *RAM) Len() int { return r.size }
+
+// Load copies the len(dst) bytes at off into dst. Like a slice
+// expression, it panics if the range is not inside the memory.
+func (r *RAM) Load(off int, dst []byte) {
+	r.check(off, len(dst))
+	clear(dst)
+	if a, b := max(off, r.lo), min(off+len(dst), r.lo+len(r.win)); a < b {
+		copy(dst[a-off:], r.win[a-r.lo:b-r.lo])
+	}
+}
+
+// Store copies src to off. Like a slice expression, it panics if the
+// range is not inside the memory.
+func (r *RAM) Store(off int, src []byte) {
+	r.check(off, len(src))
+	end := off + len(src)
+	if off < r.lo || end > r.lo+len(r.win) {
+		if !slices.ContainsFunc(src, func(b byte) bool { return b != 0 }) {
+			// Zeros outside the window are already zero.
+			if a, b := max(off, r.lo), min(end, r.lo+len(r.win)); a < b {
+				clear(r.win[a-r.lo : b-r.lo])
+			}
+			return
+		}
+		r.grow(off, end)
+	}
+	copy(r.win[off-r.lo:], src)
+}
+
+// At returns the byte at off, panicking if off is outside the memory.
+func (r *RAM) At(off int) byte {
+	if k := off - r.lo; uint(k) < uint(len(r.win)) {
+		return r.win[k]
+	}
+	r.check(off, 1)
+	return 0
+}
+
+// Set stores b at off, panicking if off is outside the memory.
+func (r *RAM) Set(off int, b byte) {
+	if k := off - r.lo; uint(k) < uint(len(r.win)) {
+		r.win[k] = b
+		return
+	}
+	r.Store(off, []byte{b})
+}
+
+func (r *RAM) check(off, n int) {
+	if off < 0 || n > r.size-off {
+		panic(fmt.Sprintf("bus: RAM range [%#x,%#x) outside %d-byte memory", off, off+n, r.size))
+	}
+}
+
+// grow extends the window to cover [off, end). A window that already
+// holds bytes grows by at least its own length, so a run of adjacent
+// stores costs amortized linear time.
+func (r *RAM) grow(off, end int) {
+	lo, hi := off, end
+	if n := len(r.win); n > 0 {
+		lo, hi = min(lo, r.lo), max(hi, r.lo+n)
+		if lo < r.lo {
+			lo = max(min(lo, r.lo-n), 0)
+		}
+		if hi > r.lo+n {
+			hi = min(max(hi, r.lo+2*n), r.size)
+		}
+	}
+	win := make([]byte, hi-lo)
+	if len(r.win) > 0 {
+		copy(win[r.lo-lo:], r.win)
+	}
+	r.lo, r.win = lo, win
+}
 
 // fault books one out-of-range access.
 func (r *RAM) fault(offset uint32, width int, dir string) {
 	r.Faults++
 	if r.Strict {
-		panic(fmt.Sprintf("bus: RAM %s%d at offset %#x overruns %d-byte backing", dir, width, offset, len(r.Data)))
+		panic(fmt.Sprintf("bus: RAM %s%d at offset %#x overruns %d-byte backing", dir, width, offset, r.size))
 	}
 }
 
 // BusRead implements Handler.
 func (r *RAM) BusRead(offset uint32, width int) uint32 {
-	if int(offset)+width/8 > len(r.Data) || int(offset) < 0 {
+	if int(offset)+width/8 > r.size || int(offset) < 0 {
 		r.fault(offset, width, "read")
 	}
 	var v uint32
 	for i := 0; i < width/8; i++ {
-		idx := int(offset) + i
-		if idx < len(r.Data) {
-			v |= uint32(r.Data[idx]) << uint(8*i)
+		if idx := int(offset) + i; idx < r.size {
+			v |= uint32(r.At(idx)) << uint(8*i)
 		}
 	}
 	return v
@@ -556,13 +637,12 @@ func (r *RAM) BusRead(offset uint32, width int) uint32 {
 
 // BusWrite implements Handler.
 func (r *RAM) BusWrite(offset uint32, width int, v uint32) {
-	if int(offset)+width/8 > len(r.Data) || int(offset) < 0 {
+	if int(offset)+width/8 > r.size || int(offset) < 0 {
 		r.fault(offset, width, "write")
 	}
 	for i := 0; i < width/8; i++ {
-		idx := int(offset) + i
-		if idx < len(r.Data) {
-			r.Data[idx] = byte(v >> uint(8*i))
+		if idx := int(offset) + i; idx < r.size {
+			r.Set(idx, byte(v>>uint(8*i)))
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package bus
 
 import (
+	"bytes"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/obs"
+	"repro/internal/snap"
 )
 
 func newSpace() (*Space, *Clock) {
@@ -104,6 +107,56 @@ func TestOverlapRejected(t *testing.T) {
 	}
 	if err := s.Map(0x18, 8, NewRAM(8)); err != nil {
 		t.Errorf("adjacent map rejected: %v", err)
+	}
+}
+
+// TestMapRejectsBadRanges: an empty range and one whose end wraps past
+// 2^32 are errors; a range ending exactly at 2^32 is valid and still
+// takes part in the overlap check.
+func TestMapRejectsBadRanges(t *testing.T) {
+	s, _ := newSpace()
+	if err := s.Map(0x10, 0, NewRAM(1)); err == nil {
+		t.Error("empty range accepted")
+	}
+	if err := s.Map(0xffffff00, 0x200, NewRAM(1)); err == nil {
+		t.Error("range wrapping past 2^32 accepted")
+	}
+	if err := s.Map(0xffffff00, 0x100, NewRAM(0x100)); err != nil {
+		t.Errorf("range ending at 2^32 rejected: %v", err)
+	}
+	if err := s.Map(0xfffffff0, 0x10, NewRAM(0x10)); err == nil {
+		t.Error("range overlapping the top of the space accepted")
+	}
+	if err := s.Map(0, 0x10, NewRAM(0x10)); err != nil {
+		t.Errorf("range at 0 rejected next to one ending at 2^32: %v", err)
+	}
+}
+
+// TestLookupBounds probes each range just outside and just inside both
+// ends, including ranges whose neighbours wrap around 0 and 2^32.
+func TestLookupBounds(t *testing.T) {
+	for _, r := range []struct{ base, size uint32 }{
+		{0x100, 0x10},
+		{0, 1},
+		{0x1f0, 8},
+		{0xffffff00, 0x100},
+		{0xffffffff, 1},
+	} {
+		s, _ := newSpace()
+		s.MustMap(r.base, r.size, NewRAM(int(r.size)))
+		for _, c := range []struct {
+			port uint32
+			hit  bool
+		}{
+			{r.base - 1, false},
+			{r.base, true},
+			{r.base + r.size - 1, true},
+			{r.base + r.size, false},
+		} {
+			if got := s.lookup(c.port) != nil; got != c.hit {
+				t.Errorf("[%#x,+%#x): lookup(%#x) hit = %v, want %v", r.base, r.size, c.port, got, c.hit)
+			}
+		}
 	}
 }
 
@@ -503,5 +556,86 @@ func TestRAMInRangeBoundaryNoFault(t *testing.T) {
 	_ = ram.BusRead(12, 32)
 	if ram.Faults != 0 {
 		t.Errorf("Faults = %d on in-range boundary accesses", ram.Faults)
+	}
+}
+
+// TestRAMWindowMatchesFlat drives a RAM and a flat reference memory with
+// the same random stores, byte writes and bus writes, and compares every
+// load and the snapshot bytes (which are Buffer's, every byte of the
+// memory). Zero stores outside the window allocate nothing.
+func TestRAMWindowMatchesFlat(t *testing.T) {
+	const size = 3<<12 + 100
+	rng := rand.New(rand.NewSource(1))
+	ram, flat := NewRAM(size), make([]byte, size)
+	ram.Store(size-8, make([]byte, 8))
+	if ram.win != nil {
+		t.Fatalf("zero store allocated a %d-byte window", len(ram.win))
+	}
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(64)
+		off := rng.Intn(size - n + 1)
+		src := make([]byte, n)
+		if rng.Intn(4) > 0 {
+			rng.Read(src)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			ram.Store(off, src)
+			copy(flat[off:], src)
+		case 1:
+			ram.Set(off, src[0])
+			flat[off] = src[0]
+		default:
+			ram.BusWrite(uint32(off), 8, uint32(src[0]))
+			flat[off] = src[0]
+		}
+		got := make([]byte, n)
+		if ram.Load(off, got); !bytes.Equal(got, flat[off:off+n]) || ram.At(off) != flat[off] {
+			t.Fatalf("step %d: load at %#x = %x, want %x", i, off, got, flat[off:off+n])
+		}
+	}
+	all := make([]byte, size)
+	if ram.Load(0, all); !bytes.Equal(all, flat) {
+		t.Fatal("contents differ from the flat reference")
+	}
+	blob, err := ram.MarshalState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := snap.NewEncoder(nil, "ram")
+	enc.Buffer(flat)
+	enc.U64(&ram.Faults)
+	if want, _ := enc.Finish(); !bytes.Equal(blob, want) {
+		t.Fatal("snapshot is not the flat memory's Buffer encoding")
+	}
+	back := NewRAM(size)
+	if err := back.UnmarshalState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if back.Load(0, all); !bytes.Equal(all, flat) {
+		t.Fatal("restored contents differ from the flat reference")
+	}
+}
+
+// TestRAMLoadStoreBounds: Load, Store, At and Set reject ranges outside
+// the memory, like slice expressions.
+func TestRAMLoadStoreBounds(t *testing.T) {
+	ram := NewRAM(16)
+	for name, f := range map[string]func(){
+		"load past end":     func() { ram.Load(12, make([]byte, 5)) },
+		"store past end":    func() { ram.Store(16, []byte{1}) },
+		"store negative":    func() { ram.Store(-1, []byte{1}) },
+		"at end":            func() { ram.At(16) },
+		"set past end":      func() { ram.Set(17, 1) },
+		"zero store at end": func() { ram.Store(15, make([]byte, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -8,10 +8,10 @@ import "repro/internal/snap"
 // interrupts alongside the device simulators and driver stubs, and a
 // freshly wired host restores them. Each primitive lists its fields once,
 // in a snapState walk over a snap.Codec that both directions run. Space
-// and IRQLine walk a local copy and commit it under their lock only after
-// a clean decode, so a rejected blob leaves them untouched. Wiring
-// (mappings, cost models, observers, span stacks) is reconstruction-time
-// configuration and never travels in a blob.
+// and IRQLine decode into a local copy and commit it only after a clean
+// decode (the line under its lock), so a rejected blob leaves them
+// untouched. Wiring (mappings, cost models, observers, span stacks) is
+// reconstruction-time configuration and never travels in a blob.
 
 // snapState walks the current virtual time.
 func (c *Clock) snapState(sc *snap.Codec) { sc.U64(&c.ns) }
@@ -46,11 +46,8 @@ func (st *Stats) snapState(c *snap.Codec) {
 
 // MarshalState implements snap.Snapshotter.
 func (s *Space) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	st := s.stats
-	s.mu.Unlock()
 	c := snap.NewEncoder(dst, "space")
-	st.snapState(&c)
+	s.stats.snapState(&c)
 	return c.Finish()
 }
 
@@ -65,9 +62,7 @@ func (s *Space) UnmarshalState(data []byte) error {
 	if err := c.Close(); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	s.stats = st
-	s.mu.Unlock()
 	return nil
 }
 
@@ -107,11 +102,11 @@ func (l *IRQLine) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// snapState walks the memory contents and the fault counter. The Strict
-// flag is wiring; the receiver must have been allocated at the size the
-// blob was taken at.
+// snapState walks the memory contents, on the wire every byte of them,
+// and the fault counter. The Strict flag is wiring; the receiver must have
+// been allocated at the size the blob was taken at.
 func (r *RAM) snapState(c *snap.Codec) {
-	c.Buffer(r.Data)
+	c.Window(&r.lo, &r.win, r.size)
 	c.U64(&r.Faults)
 }
 

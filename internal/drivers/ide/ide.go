@@ -120,10 +120,10 @@ func (p *Ports) transfer(drv protocol, mode Mode, lba int, buf []byte, read bool
 		switch {
 		case mode == DMA && read:
 			if err = drv.dma(lba, n, true); err == nil {
-				copy(chunk, p.Mem.Data[p.DMAAddr:int(p.DMAAddr)+len(chunk)])
+				p.Mem.Load(int(p.DMAAddr), chunk)
 			}
 		case mode == DMA:
-			copy(p.Mem.Data[p.DMAAddr:], chunk)
+			p.Mem.Store(int(p.DMAAddr), chunk[:min(len(chunk), p.Mem.Len()-int(p.DMAAddr))])
 			err = drv.dma(lba, n, false)
 		case read:
 			err = drv.readPIO(lba, chunk)

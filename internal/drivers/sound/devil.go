@@ -131,7 +131,7 @@ func (d *Devil) isr(buf []byte, rev, revs int) error {
 	}
 	ring := d.cfg.RingBytes
 	if rev < revs {
-		copy(d.p.Mem.Data[d.p.RingAddr:], buf[rev*ring:(rev+1)*ring])
+		d.p.Mem.Store(int(d.p.RingAddr), buf[rev*ring:(rev+1)*ring])
 	} else {
 		// Final revolution: silence the channel before the ring wraps.
 		d.dma.SetMaskOn(true)
@@ -150,7 +150,7 @@ func (d *Devil) Start(buf []byte) error {
 	if err := checkBuf(d.cfg, &d.p, buf); err != nil {
 		return err
 	}
-	copy(d.p.Mem.Data[d.p.RingAddr:], buf[:d.cfg.RingBytes])
+	d.p.Mem.Store(int(d.p.RingAddr), buf[:d.cfg.RingBytes])
 	d.arm()
 	d.p.withSpan("play.start", func() { d.codec.SetPen(true) })
 	return nil

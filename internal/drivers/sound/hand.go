@@ -121,7 +121,7 @@ func (d *Hand) isr(buf []byte, rev, revs int) error {
 	}
 	ring := d.cfg.RingBytes
 	if rev < revs {
-		copy(d.p.Mem.Data[d.p.RingAddr:], buf[rev*ring:(rev+1)*ring])
+		d.p.Mem.Store(int(d.p.RingAddr), buf[rev*ring:(rev+1)*ring])
 	} else {
 		io.Out8(d.p.DMABase+hwDMAMask, hwDMAMaskOn|0)
 	}
@@ -138,7 +138,7 @@ func (d *Hand) Start(buf []byte) error {
 		return err
 	}
 	io := d.p.Space
-	copy(d.p.Mem.Data[d.p.RingAddr:], buf[:d.cfg.RingBytes])
+	d.p.Mem.Store(int(d.p.RingAddr), buf[:d.cfg.RingBytes])
 	d.arm()
 	d.p.withSpan("play.start", func() {
 		io.Out8(d.p.WSSBase+hwWSSIndex, hwRegIface)

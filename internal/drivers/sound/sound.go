@@ -191,7 +191,7 @@ func checkRing(cfg Config, p *Ports) error {
 	if cfg.RingBytes > 1<<16 {
 		return fmt.Errorf("sound: ring size %d exceeds the 8237's 16-bit reach", cfg.RingBytes)
 	}
-	if int(p.RingAddr)+cfg.RingBytes > len(p.Mem.Data) {
+	if int(p.RingAddr)+cfg.RingBytes > p.Mem.Len() {
 		return fmt.Errorf("sound: ring [%#x,%#x) outside simulated memory", p.RingAddr, int(p.RingAddr)+cfg.RingBytes)
 	}
 	return nil

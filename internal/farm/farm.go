@@ -6,7 +6,9 @@
 // its span attribution live on its clock, statistics live on its Space,
 // and fault counters live on its RAM — so thousands of hosts can run on a
 // goroutine pool without synchronizing with each other, and an observer
-// attached to one host costs every other host nothing.
+// attached to one host costs every other host nothing. A host is a
+// single-owner machine in the sense of the bus package doc: its parts
+// take no locks, and RunFleet hands each host to exactly one worker.
 //
 // A host's machine is the rig its driver package wires (NewRig in
 // internal/drivers/ide, permedia2 and sound), the same machine the

@@ -1,6 +1,7 @@
 package mutation
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -145,6 +146,23 @@ func TestDevilCodesBusmouse(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("code table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDevilStudyMatchesStudy: the Devil-only run computes the same Devil
+// line as the full study, and none of the C lines.
+func TestDevilStudyMatchesStudy(t *testing.T) {
+	full, err := RunStudy("busmouse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	devil, err := RunDevilStudy("busmouse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Row{Device: full[0].Device, Devil: full[0].Devil}
+	if len(devil) != 1 || !reflect.DeepEqual(devil[0], want) {
+		t.Errorf("RunDevilStudy = %+v, want %+v", devil, want)
 	}
 }
 

@@ -112,13 +112,25 @@ var studies = []study{
 
 // RunStudy executes the complete Table 1 experiment for one device by
 // paper name ("busmouse", "ide", "ne2000") or for all with "".
-func RunStudy(filter string) ([]Row, error) {
+func RunStudy(filter string) ([]Row, error) { return runStudies(filter, study.run) }
+
+// RunDevilStudy runs only the Devil line of each matching device's Table 1
+// row: the returned rows carry Device and Devil, and their C and C_Devil
+// lines are left zero. The filter is RunStudy's.
+func RunDevilStudy(filter string) ([]Row, error) {
+	return runStudies(filter, func(st study) (Row, error) {
+		row, _, err := st.devil()
+		return row, err
+	})
+}
+
+func runStudies(filter string, run func(study) (Row, error)) ([]Row, error) {
 	var rows []Row
 	for _, st := range studies {
 		if filter != "" && !strings.Contains(strings.ToLower(st.device), strings.ToLower(filter)) {
 			continue
 		}
-		row, err := st.run()
+		row, err := run(st)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", st.device, err)
 		}
@@ -128,18 +140,33 @@ func RunStudy(filter string) ([]Row, error) {
 }
 
 func (st study) run() (Row, error) {
-	row := Row{Device: st.device}
+	row, env, err := st.devil()
+	if err != nil {
+		return row, err
+	}
 
 	// C: the hand-crafted fragment against the permissive mini-C checker.
 	row.C = Run(st.cSrc, SitesForC(st.cSrc), func(s string) error {
 		return minic.Check(s, minic.CEnv())
 	})
 
+	// C_Devil: the stub-calling fragment against the typed stub signatures.
+	row.CDevil = Run(st.stubSrc, SitesForC(st.stubSrc), func(s string) error {
+		return minic.Check(s, env)
+	})
+	return row, nil
+}
+
+// devil computes the Devil line of the study's row, and returns the stub
+// environment of the unmutated specifications that the C_Devil line is
+// checked against.
+func (st study) devil() (Row, *minic.Env, error) {
+	row := Row{Device: st.device}
 	var compiled []*sema.Device
 	for _, spec := range st.specs {
 		dev, err := core.Compile(spec)
 		if err != nil {
-			return row, err
+			return row, nil, err
 		}
 		compiled = append(compiled, dev)
 	}
@@ -172,12 +199,7 @@ func (st study) run() (Row, error) {
 		})
 		row.Devil = row.Devil.Add(res)
 	}
-
-	// C_Devil: the stub-calling fragment against the typed stub signatures.
-	row.CDevil = Run(st.stubSrc, SitesForC(st.stubSrc), func(s string) error {
-		return minic.Check(s, env)
-	})
-	return row, nil
+	return row, env, nil
 }
 
 // BitOpShare measures the fraction of code lines in a mini-C fragment that

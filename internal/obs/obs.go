@@ -8,8 +8,8 @@
 //   - Producers (bus.Space, bus.IRQLine, the simulator engines) emit
 //     Events through their host's bus.Clock, which holds the host's one
 //     Observer; they pay nothing but a nil check when none is attached.
-//   - The exec interpreter and codegen-emitted stubs annotate a
-//     goroutine-local span (Span("cs4236.pfmt.set")) so every bus op in
+//   - The exec interpreter and codegen-emitted stubs annotate the host's
+//     span stack (Span("cs4236.pfmt.set")) so every bus op in
 //     a trace names the .dil variable — and, one level up, the driver
 //     phase (init/ISR/transfer) — that caused it.
 //   - Sinks (Ring, Metrics) buffer and aggregate; chrome.go exports the
@@ -69,12 +69,12 @@ func (k Kind) IsOp() bool { return k <= KindBlockOut }
 // nanoseconds after the event's cost was charged; Cost is the virtual
 // time the event itself consumed, so [TS-Cost, TS] is its interval on
 // the timeline. Source names the emitting chip or region, Span the
-// attribution stack active on the emitting goroutine ("phase/dev.var.op").
+// attribution stack active on the emitting host ("phase/dev.var.op").
 type Event struct {
 	TS     uint64 // virtual ns at completion
 	Kind   Kind
 	Source string // chip / mapped region / space name
-	Span   string // goroutine-local attribution, "" when tracking is off
+	Span   string // the host's attribution, "" when tracking is off
 	Addr   uint32 // port address (port and block kinds, faults)
 	Width  int    // access width in bits (port and block kinds)
 	Value  uint64 // datum read or written (single accesses)
@@ -121,7 +121,8 @@ func (e Event) String() string {
 }
 
 // Observer receives events. Implementations must tolerate concurrent
-// Observe calls: producers emit from whatever goroutine runs the driver.
+// Observe calls: one sink may observe several hosts, each running on its
+// own goroutine.
 type Observer interface {
 	Observe(Event)
 }

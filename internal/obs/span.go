@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Span attribution: a per-host stack of names pushed by the exec
 // interpreter, the codegen-emitted stubs, and driver phase annotations.
@@ -27,14 +24,11 @@ import (
 // A nil *Spans is valid and permanently disabled, so producers without a
 // host (a stub bound to a bare test bus) pay only the nil check.
 //
-// Methods are safe for concurrent use; the mutex is per host, so it is
-// uncontended in the common one-goroutine-per-host regime and never
-// shared between hosts.
+// The stack is per-host state under the bus package's single-owner
+// contract: one goroutine at a time uses it, so it takes no lock.
 type Spans struct {
 	enabled atomic.Int32
-
-	mu    sync.Mutex
-	stack []string
+	stack   []string
 }
 
 // Enable turns span tracking on for this host. Calls nest: tracking stays
@@ -75,19 +69,15 @@ func (s *Spans) Span(name string) func() {
 	if s == nil || s.enabled.Load() == 0 {
 		return nop
 	}
-	s.mu.Lock()
 	joined := name
 	if n := len(s.stack); n > 0 {
 		joined = s.stack[n-1] + "/" + name
 	}
 	s.stack = append(s.stack, joined)
-	s.mu.Unlock()
 	return func() {
-		s.mu.Lock()
 		if n := len(s.stack); n > 0 {
 			s.stack = s.stack[:n-1]
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -105,8 +95,6 @@ func (s *Spans) Current() string {
 	if s == nil || s.enabled.Load() == 0 {
 		return ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n := len(s.stack); n > 0 {
 		return s.stack[n-1]
 	}

@@ -19,8 +19,6 @@
 // and the Devil specification's forced mask bits.
 package busmouse
 
-import "sync"
-
 // Port offsets relative to the device base.
 const (
 	PortData    = 0
@@ -43,8 +41,6 @@ const (
 // Sim is a simulated Logitech bus mouse. It implements bus.Handler over a
 // 4-port window. The zero value is a mouse with no pending movement.
 type Sim struct {
-	mu sync.Mutex
-
 	// Accumulated (unread) movement and live button state.
 	accX, accY int8
 	buttons    uint8 // 3 bits, device convention: 1 = released
@@ -69,55 +65,42 @@ func New() *Sim { return &Sim{buttons: 0x7} }
 
 // Move accumulates mouse movement, as the hardware would between polls.
 func (s *Sim) Move(dx, dy int) {
-	s.mu.Lock()
 	s.accX = int8(int(s.accX) + dx)
 	s.accY = int8(int(s.accY) + dy)
-	irq := s.IRQ
-	enabled := !s.intrDisabled
-	s.mu.Unlock()
-	if irq != nil && enabled {
-		irq()
-	}
+	s.interrupt()
 }
 
 // SetButtons sets the raw 3-bit button state (device convention: a set bit
 // means released).
 func (s *Sim) SetButtons(b uint8) {
-	s.mu.Lock()
 	s.buttons = b & 0x7
-	irq := s.IRQ
-	enabled := !s.intrDisabled
-	s.mu.Unlock()
-	if irq != nil && enabled {
-		irq()
+	s.interrupt()
+}
+
+// interrupt signals IRQ if one is wired and interrupts are enabled.
+func (s *Sim) interrupt() {
+	if s.IRQ != nil && !s.intrDisabled {
+		s.IRQ()
 	}
 }
 
 // Pending reports whether unread movement has accumulated.
 func (s *Sim) Pending() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.accX != 0 || s.accY != 0
 }
 
 // Config returns the last value written to the configuration port.
 func (s *Sim) Config() uint8 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.config
 }
 
 // InterruptsEnabled reports the state of the interrupt enable bit.
 func (s *Sim) InterruptsEnabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return !s.intrDisabled
 }
 
 // BusRead implements bus.Handler.
 func (s *Sim) BusRead(offset uint32, width int) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch offset {
 	case PortData:
 		x, y, b := s.accX, s.accY, s.buttons
@@ -142,8 +125,6 @@ func (s *Sim) BusRead(offset uint32, width int) uint32 {
 
 // BusWrite implements bus.Handler.
 func (s *Sim) BusWrite(offset uint32, width int, v uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b := uint8(v)
 	switch offset {
 	case PortSig:

@@ -18,8 +18,6 @@
 package cs4236
 
 import (
-	"sync"
-
 	"repro/internal/bus"
 	"repro/internal/obs"
 )
@@ -82,8 +80,6 @@ var rateHz = [16]uint64{
 // the pump barrier (the pipeline stops streaming while an interrupt is
 // pending so the driver's ISR runs before more data moves).
 type Sim struct {
-	mu sync.Mutex
-
 	control uint8 // last value written to R0; IA is the bottom five bits
 	indexed [32]uint8
 	ext     [32]uint8
@@ -109,38 +105,24 @@ func (s *Sim) emit(kind obs.Kind, detail string) {
 func New() *Sim { return &Sim{} }
 
 // IA returns the selected index.
-func (s *Sim) IA() uint8 { s.mu.Lock(); defer s.mu.Unlock(); return s.control & 0x1f }
+func (s *Sim) IA() uint8 { return s.control & 0x1f }
 
 // Extended reports whether the data port currently addresses an extended
 // register (the specification's xm mode cell).
-func (s *Sim) Extended() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.xm }
+func (s *Sim) Extended() bool { return s.xm }
 
 // Indexed returns indexed register i without touching the automaton.
-func (s *Sim) Indexed(i int) uint8 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.indexed[i&0x1f]
-}
+func (s *Sim) Indexed(i int) uint8 { return s.indexed[i&0x1f] }
 
 // Ext returns extended register j without touching the automaton.
-func (s *Sim) Ext(j int) uint8 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ext[j&0x1f]
-}
+func (s *Sim) Ext(j int) uint8 { return s.ext[j&0x1f] }
 
 // SetExt backdoor-sets extended register j, as codec-internal state
 // updates (volume sliders, AFE results) would.
-func (s *Sim) SetExt(j int, v uint8) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ext[j&0x1f] = v
-}
+func (s *Sim) SetExt(j int, v uint8) { s.ext[j&0x1f] = v }
 
 // BusRead implements bus.Handler.
 func (s *Sim) BusRead(offset uint32, width int) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch offset {
 	case PortIndex:
 		return uint32(s.control)
@@ -155,8 +137,6 @@ func (s *Sim) BusRead(offset uint32, width int) uint32 {
 
 // BusWrite implements bus.Handler.
 func (s *Sim) BusWrite(offset uint32, width int, v uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b := uint8(v)
 	switch offset {
 	case PortIndex:
@@ -193,53 +173,41 @@ func (s *Sim) BusWrite(offset uint32, width int, v uint32) {
 
 // FIFOPush deposits one sample byte into the DAC FIFO — the device end of
 // the DMA channel (dma8237.Sim.Sink).
-func (s *Sim) FIFOPush(b byte) {
-	s.mu.Lock()
-	s.fifo = append(s.fifo, b)
-	s.mu.Unlock()
-}
+func (s *Sim) FIFOPush(b byte) { s.fifo = append(s.fifo, b) }
 
 // FIFOLevel returns the number of bytes queued in the DAC FIFO.
-func (s *Sim) FIFOLevel() int { s.mu.Lock(); defer s.mu.Unlock(); return len(s.fifo) }
+func (s *Sim) FIFOLevel() int { return len(s.fifo) }
 
 // RaisePI latches the playback-interrupt flag in the alternate feature
 // status register I24 — the pipeline pulses it from the 8237's terminal
 // count. The driver acknowledges by writing the bit back as zero.
 func (s *Sim) RaisePI() {
-	s.mu.Lock()
 	s.indexed[RegAFS] |= AFSPI
-	s.mu.Unlock()
 	s.emit(obs.KindIRQRaise, "PI")
 }
 
 // Played returns every sample byte the DAC has consumed since the last
 // ResetPlayback, in order — the pipeline tests compare it against the clip
 // the driver streamed.
-func (s *Sim) Played() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.played...)
-}
+func (s *Sim) Played() []byte { return append([]byte(nil), s.played...) }
 
 // Underrun reports whether the DAC starved mid-frame: playback enabled, a
 // partial sample frame in the FIFO, and the DMA channel unable to supply
 // the rest. A FIFO drained to empty over a masked channel is the clean
 // end-of-clip state, not an underrun.
-func (s *Sim) Underrun() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.underrun }
+func (s *Sim) Underrun() bool { return s.underrun }
 
 // ResetPlayback clears the playback record, the FIFO, and the underrun
 // latch (the registers keep their state).
 func (s *Sim) ResetPlayback() {
-	s.mu.Lock()
 	s.fifo = nil
 	s.played = nil
 	s.underrun = false
-	s.mu.Unlock()
 }
 
-// frameLocked decodes the programmed sample format: the virtual-clock
+// frame decodes the programmed sample format: the virtual-clock
 // nanoseconds per sample frame and the frame size in bytes.
-func (s *Sim) frameLocked() (periodNS uint64, frameBytes int) {
+func (s *Sim) frame() (periodNS uint64, frameBytes int) {
 	pfmt := s.indexed[RegPfmt]
 	hz := rateHz[pfmt&0x0f]
 	if hz == 0 {
@@ -268,30 +236,20 @@ func (s *Sim) Pump(maxFrames int) int {
 		if s.Halt != nil && s.Halt() {
 			break
 		}
-		s.mu.Lock()
 		if s.indexed[RegIface]&IfacePEN == 0 {
-			s.mu.Unlock()
 			break
 		}
-		periodNS, frameBytes := s.frameLocked()
+		periodNS, frameBytes := s.frame()
 		if frameBytes == 0 {
-			s.mu.Unlock()
 			break
 		}
-		level := len(s.fifo)
-		s.mu.Unlock()
 
-		if level < frameBytes {
-			// Refill the FIFO from the DMA channel (without holding the
-			// lock: the channel's sink re-enters FIFOPush).
+		if level := len(s.fifo); level < frameBytes {
+			// Refill the FIFO from the DMA channel (its sink re-enters
+			// FIFOPush).
 			if s.DREQ == nil || s.DREQ(FIFODepth-level) == 0 {
-				s.mu.Lock()
-				starved := len(s.fifo) > 0
-				if starved {
+				if len(s.fifo) > 0 {
 					s.underrun = true // a partial frame is stuck
-				}
-				s.mu.Unlock()
-				if starved {
 					s.emit(obs.KindMark, "underrun")
 				}
 				break
@@ -299,10 +257,8 @@ func (s *Sim) Pump(maxFrames int) int {
 			continue // recheck the barrier: the pull may have hit TC
 		}
 
-		s.mu.Lock()
 		s.played = append(s.played, s.fifo[:frameBytes]...)
 		s.fifo = append(s.fifo[:0], s.fifo[frameBytes:]...)
-		s.mu.Unlock()
 		if s.Clock != nil {
 			s.Clock.Advance(periodNS)
 		}

@@ -203,9 +203,7 @@ func TestPumpHonoursPENHaltAndUnderrun(t *testing.T) {
 func TestAFSWriteAcksAllFlags(t *testing.T) {
 	s := New()
 	s.RaisePI()
-	s.mu.Lock()
 	s.indexed[RegAFS] |= AFSCI | AFSTI
-	s.mu.Unlock()
 	// The devil-style ack: everything but PI written as zero.
 	program(s, RegAFS, 0x00)
 	if got := s.Indexed(RegAFS) & afsFlags; got != 0 {
@@ -213,9 +211,7 @@ func TestAFSWriteAcksAllFlags(t *testing.T) {
 	}
 
 	s.RaisePI()
-	s.mu.Lock()
 	s.indexed[RegAFS] |= AFSCI
-	s.mu.Unlock()
 	// The hand-style ack: read-modify-write preserving the other flags in
 	// the written value — the hardware still clears them all.
 	program(s, RegAFS, AFSCI)

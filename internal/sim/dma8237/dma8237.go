@@ -20,8 +20,6 @@
 package dma8237
 
 import (
-	"sync"
-
 	"repro/internal/bus"
 	"repro/internal/obs"
 )
@@ -59,8 +57,6 @@ const (
 // routes it into pic8259.Raise. All are optional; left nil, Transfer only
 // steps the address/count registers as before.
 type Sim struct {
-	mu sync.Mutex
-
 	flipflop bool // false: next data-port byte is the low byte
 
 	baseAddr, curAddr   uint16
@@ -84,37 +80,31 @@ func New() *Sim { return &Sim{mask: 0xf} }
 
 // FlipFlop reports the first/last flip-flop state (false = next byte is
 // the low byte). Exposed for the serialization quirk tests.
-func (s *Sim) FlipFlop() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.flipflop }
+func (s *Sim) FlipFlop() bool { return s.flipflop }
 
 // BaseAddr0 returns channel 0's programmed base address.
-func (s *Sim) BaseAddr0() uint16 { s.mu.Lock(); defer s.mu.Unlock(); return s.baseAddr }
+func (s *Sim) BaseAddr0() uint16 { return s.baseAddr }
 
 // BaseCount0 returns channel 0's programmed base word count.
-func (s *Sim) BaseCount0() uint16 { s.mu.Lock(); defer s.mu.Unlock(); return s.baseCount }
+func (s *Sim) BaseCount0() uint16 { return s.baseCount }
 
 // CurAddr0 returns channel 0's live current address without touching the
 // flip-flop (a test backdoor; the port readout toggles it).
-func (s *Sim) CurAddr0() uint16 { s.mu.Lock(); defer s.mu.Unlock(); return s.curAddr }
+func (s *Sim) CurAddr0() uint16 { return s.curAddr }
 
 // CurCount0 returns channel 0's live current word count without touching
 // the flip-flop.
-func (s *Sim) CurCount0() uint16 { s.mu.Lock(); defer s.mu.Unlock(); return s.curCount }
+func (s *Sim) CurCount0() uint16 { return s.curCount }
 
 // Mode returns the last mode word written for channel ch.
-func (s *Sim) Mode(ch int) uint8 { s.mu.Lock(); defer s.mu.Unlock(); return s.mode[ch&3] }
+func (s *Sim) Mode(ch int) uint8 { return s.mode[ch&3] }
 
 // Masked reports whether channel ch is masked off.
-func (s *Sim) Masked(ch int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mask&(1<<uint(ch&3)) != 0
-}
+func (s *Sim) Masked(ch int) bool { return s.mask&(1<<uint(ch&3)) != 0 }
 
 // Request raises (or drops) the request flag of channel ch, as a device
 // driving DREQ would.
 func (s *Sim) Request(ch int, on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	bit := uint8(0x10) << uint(ch&3)
 	if on {
 		s.status |= bit
@@ -137,14 +127,12 @@ func (s *Sim) Request(ch int, on bool) {
 //
 // Transfer returns the number of cycles actually run. It stops at TC even
 // with cycles remaining, so callers observe the ring boundary (EOP); a
-// masked channel runs none. Callbacks are invoked without the internal
-// lock held, so sinks may re-enter the bus or other simulators freely.
+// masked channel runs none. Callbacks run after the cycle has stepped the
+// registers, so sinks may re-enter the bus or other simulators freely.
 func (s *Sim) Transfer(units int) int {
 	done := 0
 	for ; units > 0; units-- {
-		s.mu.Lock()
 		if s.mask&1 != 0 {
-			s.mu.Unlock()
 			break
 		}
 		mode := s.mode[0]
@@ -165,16 +153,15 @@ func (s *Sim) Transfer(units int) int {
 				s.mask |= 1 // hardware masks the channel at terminal count
 			}
 		}
-		s.mu.Unlock()
 
 		switch mode & (ModeXferRead | ModeXferWrite) {
 		case ModeXferRead: // memory -> device
 			if s.Mem != nil && s.Sink != nil {
-				s.Sink(s.Mem.Data[phys])
+				s.Sink(s.Mem.At(int(phys)))
 			}
 		case ModeXferWrite: // device -> memory
 			if s.Mem != nil && s.Source != nil {
-				s.Mem.Data[phys] = s.Source()
+				s.Mem.Set(int(phys), s.Source())
 			}
 		}
 		done++
@@ -191,8 +178,6 @@ func (s *Sim) Transfer(units int) int {
 
 // BusRead implements bus.Handler.
 func (s *Sim) BusRead(offset uint32, width int) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch offset {
 	case PortAddr0:
 		return uint32(s.byteOf(s.curAddr))
@@ -220,8 +205,6 @@ func (s *Sim) byteOf(v uint16) uint8 {
 
 // BusWrite implements bus.Handler.
 func (s *Sim) BusWrite(offset uint32, width int, v uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b := uint8(v)
 	switch offset {
 	case PortAddr0:

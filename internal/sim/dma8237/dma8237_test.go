@@ -184,9 +184,11 @@ func TestFlipFlopSurvivesTransfer(t *testing.T) {
 // order; a write transfer fills memory from the source.
 func TestTransferMovesBytes(t *testing.T) {
 	mem := bus.NewRAM(0x30010)
-	for i := 0; i < 16; i++ {
-		mem.Data[0x20000+i] = byte(0xa0 + i)
+	want := make([]byte, 16)
+	for i := range want {
+		want[i] = byte(0xa0 + i)
 	}
+	mem.Store(0x20000, want)
 	var got []byte
 	tcs := 0
 	s := New()
@@ -205,8 +207,8 @@ func TestTransferMovesBytes(t *testing.T) {
 	if n := s.Transfer(100); n != 7 {
 		t.Fatalf("second burst = %d cycles, want the 7 remaining", n)
 	}
-	if !bytes.Equal(got, mem.Data[0x20000:0x20010]) {
-		t.Errorf("sink saw % x, want % x", got, mem.Data[0x20000:0x20010])
+	if !bytes.Equal(got, want) {
+		t.Errorf("sink saw % x, want % x", got, want)
 	}
 	if tcs != 1 {
 		t.Errorf("OnTC pulsed %d times, want 1", tcs)
@@ -226,8 +228,9 @@ func TestTransferMovesBytes(t *testing.T) {
 	s.BusWrite(PortMode, 8, ModeXferWrite|0)
 	s.BusWrite(PortMask, 8, 0)
 	s.Transfer(8)
-	if !bytes.Equal(mem.Data[0x30004:0x30008], []byte{1, 2, 3, 4}) {
-		t.Errorf("memory = % x, want 01 02 03 04", mem.Data[0x30004:0x30008])
+	stored := make([]byte, 4)
+	if mem.Load(0x30004, stored); !bytes.Equal(stored, []byte{1, 2, 3, 4}) {
+		t.Errorf("memory = % x, want 01 02 03 04", stored)
 	}
 }
 

@@ -17,7 +17,6 @@ package ide
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bus"
 	"repro/internal/obs"
@@ -92,7 +91,6 @@ const MediaByteNS = 70
 // Disk is the simulated drive plus busmaster function. Map its three
 // handlers with Attach.
 type Disk struct {
-	mu    sync.Mutex
 	clock *bus.Clock
 
 	image []byte
@@ -147,8 +145,6 @@ func (d *Disk) Sectors() int { return len(d.image) / SectorSize }
 
 // ReadImage copies sector data out of the drive image (for verification).
 func (d *Disk) ReadImage(lba, n int) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]byte, n*SectorSize)
 	copy(out, d.image[lba*SectorSize:])
 	return out
@@ -175,19 +171,12 @@ func (d *Disk) Attach(space *bus.Space, cmdBase, ctlBase, bmBase uint32) {
 
 func (d *Disk) raiseIRQ() {
 	d.IRQCount++
-	// Engine events go through the clock with d.mu held; observers must
-	// not re-enter the disk (Ring/Metrics do not).
 	d.clock.Emit(obs.Event{Kind: obs.KindIRQRaise, Source: "ide", Detail: "ide"})
 	if d.ctl&0x02 != 0 { // nIEN set: interrupt gated off
 		return
 	}
 	if d.IRQ != nil {
-		irq := d.IRQ
-		// Drop the lock while running the handler: drivers re-enter the
-		// device from interrupt context.
-		d.mu.Unlock()
-		irq()
-		d.mu.Lock()
+		d.IRQ()
 	}
 }
 
@@ -396,15 +385,16 @@ func (d *Disk) startDMA() {
 	d.bmStatus |= BMStActive
 	bytes := d.dmaCount * SectorSize
 	addr := int(d.prd)
-	if addr+bytes > len(d.mem.Data) {
+	if addr+bytes > d.mem.Len() {
 		d.bmStatus |= BMStError
 		d.bmStatus &^= BMStActive
 		return
 	}
+	media := d.image[d.dmaLBA*SectorSize : d.dmaLBA*SectorSize+bytes]
 	if d.dmaWrite {
-		copy(d.image[d.dmaLBA*SectorSize:], d.mem.Data[addr:addr+bytes])
+		d.mem.Load(addr, media)
 	} else {
-		copy(d.mem.Data[addr:addr+bytes], d.image[d.dmaLBA*SectorSize:d.dmaLBA*SectorSize+bytes])
+		d.mem.Store(addr, media)
 	}
 	d.clock.Charge(obs.Event{Kind: obs.KindSeek, Source: "ide", Detail: "dma-media", Units: bytes, Cost: uint64(bytes) * MediaByteNS})
 	d.bmStatus &^= BMStActive
@@ -420,8 +410,6 @@ type taskFile struct{ d *Disk }
 
 func (t taskFile) BusRead(off uint32, width int) uint32 {
 	d := t.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch off {
 	case RegData:
 		return d.dataRead(width)
@@ -448,8 +436,6 @@ func (t taskFile) BusRead(off uint32, width int) uint32 {
 
 func (t taskFile) BusWrite(off uint32, width int, v uint32) {
 	d := t.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	b := uint8(v)
 	switch off {
 	case RegData:
@@ -474,15 +460,11 @@ func (t taskFile) BusWrite(off uint32, width int, v uint32) {
 type control struct{ d *Disk }
 
 func (c control) BusRead(off uint32, width int) uint32 {
-	c.d.mu.Lock()
-	defer c.d.mu.Unlock()
 	return uint32(c.d.status) // alternate status
 }
 
 func (c control) BusWrite(off uint32, width int, v uint32) {
 	d := c.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	prev := d.ctl
 	d.ctl = uint8(v)
 	if d.ctl&0x04 != 0 && prev&0x04 == 0 { // SRST rising edge
@@ -498,8 +480,6 @@ type busmaster struct{ d *Disk }
 
 func (b busmaster) BusRead(off uint32, width int) uint32 {
 	d := b.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch off {
 	case BMCommand:
 		return uint32(d.bmCmd)
@@ -513,8 +493,6 @@ func (b busmaster) BusRead(off uint32, width int) uint32 {
 
 func (b busmaster) BusWrite(off uint32, width int, v uint32) {
 	d := b.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch off {
 	case BMCommand:
 		prev := d.bmCmd

@@ -138,7 +138,8 @@ func TestDMATransferAdvancesClock(t *testing.T) {
 	if st := bm.BusRead(BMStatus, 8); st&BMStIRQ == 0 {
 		t.Errorf("busmaster status %#x, want IRQ", st)
 	}
-	if !bytes.Equal(d.mem.Data[0x1000:0x1000+8*SectorSize], d.ReadImage(0, 8)) {
+	got := make([]byte, 8*SectorSize)
+	if d.mem.Load(0x1000, got); !bytes.Equal(got, d.ReadImage(0, 8)) {
 		t.Error("DMA data mismatch")
 	}
 	// Write-1-to-clear acknowledgement.

@@ -49,8 +49,6 @@ func (d *Disk) snapState(c *snap.Codec) {
 
 // MarshalState implements snap.Snapshotter.
 func (d *Disk) MarshalState(dst []byte) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	c := snap.NewEncoder(dst, snapName)
 	d.snapState(&c)
 	return c.Finish()
@@ -62,8 +60,6 @@ func (d *Disk) UnmarshalState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.snapState(&c)
 	return c.Close()
 }

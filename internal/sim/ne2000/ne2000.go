@@ -10,8 +10,6 @@
 // 0x10 is the 16-bit remote-DMA data port, and 0x1f is the reset port.
 package ne2000
 
-import "sync"
-
 // Register offsets (page-dependent where noted).
 const (
 	RegCmd   = 0x00
@@ -48,8 +46,6 @@ const (
 
 // Sim is a simulated NE2000. Map it over a 32-byte window.
 type Sim struct {
-	mu sync.Mutex
-
 	sram [sramSize]byte
 
 	cmd uint8
@@ -81,28 +77,17 @@ func New() *Sim { return &Sim{cmd: CmdSTP | CmdRD2} }
 func (s *Sim) raise(bits uint8) {
 	s.isr |= bits
 	if s.IRQ != nil && s.isr&s.imr != 0 {
-		irq := s.IRQ
-		s.mu.Unlock()
-		irq()
-		s.mu.Lock()
+		s.IRQ()
 	}
 }
 
 // SRAM returns a copy of the on-board memory for test inspection.
 func (s *Sim) SRAM() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]byte, sramSize)
-	copy(out, s.sram[:])
-	return out
+	return append([]byte(nil), s.sram[:]...)
 }
 
 // InjectFrame delivers a received frame into the ring, as the wire would.
-func (s *Sim) InjectFrame(frame []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deliver(frame)
-}
+func (s *Sim) InjectFrame(frame []byte) bool { return s.deliver(frame) }
 
 // deliver writes a frame into the receive ring at CURR. It requires the
 // receiver to be started and the ring configured.
@@ -163,8 +148,6 @@ func (s *Sim) page() int { return int(s.cmd >> 6 & 0x3) }
 
 // BusRead implements bus.Handler.
 func (s *Sim) BusRead(off uint32, width int) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch {
 	case off == RegCmd:
 		return uint32(s.cmd)
@@ -198,8 +181,6 @@ func (s *Sim) BusRead(off uint32, width int) uint32 {
 
 // BusWrite implements bus.Handler.
 func (s *Sim) BusWrite(off uint32, width int, v uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b := uint8(v)
 	switch {
 	case off == RegCmd:

@@ -16,7 +16,6 @@ package permedia2
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"repro/internal/bus"
 )
@@ -61,7 +60,6 @@ const (
 // Sim is the simulated controller. Map it over 0x88 bytes of a
 // memory-mapped space created with bus.DefaultMemCosts.
 type Sim struct {
-	mu    sync.Mutex
 	clock *bus.Clock
 
 	Width, Height int
@@ -112,8 +110,6 @@ func (s *Sim) BytesPerPixel() int {
 
 // Pixel returns the stored pixel value at (x, y) for verification.
 func (s *Sim) Pixel(x, y int) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	bpp := s.BytesPerPixel()
 	var px [4]byte
 	s.fb.read(px[:bpp], (y*s.Width+x)*bpp)
@@ -139,8 +135,6 @@ func (s *Sim) free() int {
 
 // BusRead implements bus.Handler.
 func (s *Sim) BusRead(off uint32, width int) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if off == RegInFIFOSpace {
 		return uint32(s.free())
 	}
@@ -149,9 +143,6 @@ func (s *Sim) BusRead(off uint32, width int) uint32 {
 
 // BusWrite implements bus.Handler.
 func (s *Sim) BusWrite(off uint32, width int, v uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	// FIFO admission: a write into a full FIFO stalls the bus until the
 	// engine completes the oldest queued primitive.
 	for s.free() == 0 {

@@ -17,8 +17,6 @@
 package pic8259
 
 import (
-	"sync"
-
 	"repro/internal/bus"
 	"repro/internal/obs"
 )
@@ -61,8 +59,6 @@ const (
 // Sim is a simulated 8259A. It implements bus.Handler over a 2-port
 // window. The zero value is an uninitialized controller awaiting ICW1.
 type Sim struct {
-	mu sync.Mutex
-
 	state initState
 	icw1  uint8
 	icw2  uint8 // vector base in the top five bits
@@ -96,28 +92,20 @@ func (s *Sim) emit(kind obs.Kind, irq int) {
 func New() *Sim { return &Sim{state: wantICW2, icw1: ICW1Select, imr: 0xff, lowest: 7} }
 
 // Operational reports whether the ICW sequence has completed.
-func (s *Sim) Operational() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state == operational
-}
+func (s *Sim) Operational() bool { return s.state == operational }
 
 // Raise latches interrupt request line irq (0..7). The line stays latched
 // until acknowledged.
 func (s *Sim) Raise(irq int) {
-	s.mu.Lock()
 	s.irr |= 1 << uint(irq&7)
-	intr := s.pendingLocked()
-	cb := s.INT
-	s.mu.Unlock()
 	s.emit(obs.KindIRQRaise, irq&7)
-	if intr && cb != nil {
-		cb()
+	if s.pending() && s.INT != nil {
+		s.INT()
 	}
 }
 
-// pendingLocked reports whether an unmasked request is awaiting service.
-func (s *Sim) pendingLocked() bool {
+// pending reports whether an unmasked request is awaiting service.
+func (s *Sim) pending() bool {
 	return s.state == operational && s.irr&^s.imr != 0
 }
 
@@ -125,24 +113,19 @@ func (s *Sim) pendingLocked() bool {
 // unmasked request moves from IRR to ISR and its vector (ICW2 base plus
 // the level) is returned. ok is false when nothing is pending.
 func (s *Sim) Ack() (vector uint8, ok bool) {
-	s.mu.Lock()
-	irq, ok := s.highestLocked(s.irr &^ s.imr)
-	if ok {
-		s.irr &^= 1 << irq
-		s.isr |= 1 << irq
-		vector = s.icw2&0xf8 | uint8(irq)
-	}
-	s.mu.Unlock()
+	irq, ok := s.highest(s.irr &^ s.imr)
 	if !ok {
 		return 0, false
 	}
+	s.irr &^= 1 << irq
+	s.isr |= 1 << irq
 	s.emit(obs.KindIRQConsume, int(irq))
-	return vector, true
+	return s.icw2&0xf8 | uint8(irq), true
 }
 
-// highestLocked returns the highest-priority set bit of bits, honouring
+// highest returns the highest-priority set bit of bits, honouring
 // the rotation pointer (priority order starts just below lowest).
-func (s *Sim) highestLocked(bits uint8) (uint, bool) {
+func (s *Sim) highest(bits uint8) (uint, bool) {
 	for i := 1; i <= 8; i++ {
 		irq := uint(s.lowest+uint8(i)) & 7
 		if bits&(1<<irq) != 0 {
@@ -153,27 +136,25 @@ func (s *Sim) highestLocked(bits uint8) (uint, bool) {
 }
 
 // IRR returns the interrupt request register.
-func (s *Sim) IRR() uint8 { s.mu.Lock(); defer s.mu.Unlock(); return s.irr }
+func (s *Sim) IRR() uint8 { return s.irr }
 
 // ISR returns the in-service register.
-func (s *Sim) ISR() uint8 { s.mu.Lock(); defer s.mu.Unlock(); return s.isr }
+func (s *Sim) ISR() uint8 { return s.isr }
 
 // IMR returns the interrupt mask register.
-func (s *Sim) IMR() uint8 { s.mu.Lock(); defer s.mu.Unlock(); return s.imr }
+func (s *Sim) IMR() uint8 { return s.imr }
 
 // VectorBase returns the ICW2-programmed vector base.
-func (s *Sim) VectorBase() uint8 { s.mu.Lock(); defer s.mu.Unlock(); return s.icw2 & 0xf8 }
+func (s *Sim) VectorBase() uint8 { return s.icw2 & 0xf8 }
 
 // Slaves returns the ICW3-programmed slave mask.
-func (s *Sim) Slaves() uint8 { s.mu.Lock(); defer s.mu.Unlock(); return s.icw3 }
+func (s *Sim) Slaves() uint8 { return s.icw3 }
 
 // AutoEOI reports whether ICW4 selected automatic end-of-interrupt.
-func (s *Sim) AutoEOI() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.icw4&0x02 != 0 }
+func (s *Sim) AutoEOI() bool { return s.icw4&0x02 != 0 }
 
 // BusRead implements bus.Handler.
 func (s *Sim) BusRead(offset uint32, width int) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch offset {
 	case PortCmd:
 		if s.readSel != 0 {
@@ -188,8 +169,6 @@ func (s *Sim) BusRead(offset uint32, width int) uint32 {
 
 // BusWrite implements bus.Handler.
 func (s *Sim) BusWrite(offset uint32, width int, v uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b := uint8(v)
 	switch offset {
 	case PortCmd:
@@ -212,7 +191,7 @@ func (s *Sim) BusWrite(offset uint32, width int, v uint32) {
 				s.readSel = b & OCW3RIS
 			}
 		default:
-			s.ocw2Locked(b)
+			s.ocw2(b)
 		}
 	case PortData:
 		switch s.state {
@@ -242,17 +221,17 @@ func (s *Sim) BusWrite(offset uint32, width int, v uint32) {
 	}
 }
 
-// ocw2Locked executes an end-of-interrupt command.
-func (s *Sim) ocw2Locked(b uint8) {
+// ocw2 executes an end-of-interrupt command.
+func (s *Sim) ocw2(b uint8) {
 	switch b & OCW2EOIMask {
 	case EOINonspec:
-		if irq, ok := s.highestLocked(s.isr); ok {
+		if irq, ok := s.highest(s.isr); ok {
 			s.isr &^= 1 << irq
 		}
 	case EOISpecific:
 		s.isr &^= 1 << uint(b&7)
 	case EOIRotate:
-		if irq, ok := s.highestLocked(s.isr); ok {
+		if irq, ok := s.highest(s.isr); ok {
 			s.isr &^= 1 << irq
 			s.lowest = uint8(irq)
 		}

@@ -25,8 +25,6 @@ func (s *Sim) snapState(c *snap.Codec) {
 
 // MarshalState implements snap.Snapshotter.
 func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	c := snap.NewEncoder(dst, snapName)
 	s.snapState(&c)
 	return c.Finish()
@@ -38,8 +36,6 @@ func (s *Sim) UnmarshalState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.snapState(&c)
 	return c.Close()
 }

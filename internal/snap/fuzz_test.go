@@ -17,6 +17,8 @@ type codecWalk struct {
 	arr   [3]byte
 	buf   []byte
 	pages [][]byte
+	lo    int
+	win   []byte
 	bytes []byte
 	str   string
 }
@@ -26,6 +28,7 @@ const (
 	walkBuf      = 5
 	walkPageSize = 4
 	walkPaged    = 3*walkPageSize + 1
+	walkWindow   = 6
 )
 
 func newCodecWalk() *codecWalk {
@@ -43,6 +46,7 @@ func (w *codecWalk) snapState(c *Codec) {
 	c.Array(w.arr[:])
 	c.Buffer(w.buf)
 	c.Pages(w.pages, walkPageSize, walkPaged)
+	c.Window(&w.lo, &w.win, walkWindow)
 	c.Bytes(&w.bytes)
 	c.String(&w.str)
 }
@@ -63,6 +67,7 @@ func FuzzCodec(f *testing.F) {
 	w.arr = [3]byte{7, 8, 9}
 	copy(w.buf, "abcde")
 	w.pages[1] = []byte{1, 2, 3, 4}
+	w.lo, w.win = 2, []byte{13, 14}
 	w.bytes, w.str = []byte{10, 11}, "twelve"
 	blob, err := w.marshal()
 	if err != nil {

@@ -403,6 +403,43 @@ func (c *Codec) Pages(pages [][]byte, pageSize, size int) {
 	}
 }
 
+// Window walks a buffer of size bytes of which only the window
+// [*lo, *lo+len(*win)) is held; every byte outside it is zero. Its wire
+// form is exactly Buffer's: the length prefix and every byte. Decoding
+// rejects a blob of any other length and sets the window to the span of
+// whole zeroPage-sized chunks that holds the blob's non-zero bytes (empty
+// when there are none).
+func (c *Codec) Window(lo *int, win *[]byte, size int) {
+	n := uint32(size)
+	c.U32(&n)
+	if n != uint32(size) {
+		c.Failf("blob holds a %d-byte buffer, receiver has %d", n, size)
+		return
+	}
+	if !c.dec {
+		c.buf = append(c.buf, make([]byte, *lo)...)
+		c.buf = append(c.buf, *win...)
+		c.buf = append(c.buf, make([]byte, size-*lo-len(*win))...)
+		return
+	}
+	src := c.take(size)
+	if c.err != nil {
+		return
+	}
+	const chunk = len(zeroPage)
+	start, end := 0, size
+	for start < end && isZero(src[start:min(start+chunk, end)]) {
+		start += chunk
+	}
+	for end > start && isZero(src[max((end-1)/chunk*chunk, start):end]) {
+		end = max((end-1)/chunk*chunk, start)
+	}
+	*lo, *win = 0, nil
+	if start < end {
+		*lo, *win = start, append([]byte(nil), src[start:end]...)
+	}
+}
+
 // zeroPage is what isZero compares against, a chunk at a time.
 var zeroPage [4 << 10]byte
 

@@ -65,3 +65,61 @@ func TestPagesMatchesBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowMatchesBuffer checks that Window is Buffer on the wire, and
+// that decoding holds exactly the zeroPage-sized chunks with a non-zero
+// byte: the flat contents survive, and all-zero contents hold nothing.
+func TestWindowMatchesBuffer(t *testing.T) {
+	const chunk = len(zeroPage)
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct{ size, lo, n int }{
+		{0, 0, 0},
+		{10, 0, 0},
+		{10, 3, 4},
+		{3*chunk + 5, chunk + 7, 2},
+		{3*chunk + 5, 0, 3*chunk + 5},
+		{3*chunk + 5, 3 * chunk, 5},
+		{4 * chunk, chunk, chunk},
+	} {
+		win := make([]byte, tc.n)
+		rng.Read(win)
+		flat := make([]byte, tc.size)
+		copy(flat[tc.lo:], win)
+
+		enc := NewEncoder(nil, "t")
+		enc.Buffer(flat)
+		want, _ := enc.Finish()
+		enc = NewEncoder(nil, "t")
+		enc.Window(&tc.lo, &win, tc.size)
+		got, _ := enc.Finish()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%+v: Window wrote %x, Buffer %x", tc, got, want)
+		}
+
+		dec, err := NewDecoder(want, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, into := -1, []byte{1}
+		dec.Window(&lo, &into, tc.size)
+		if err := dec.Close(); err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		wantLo, wantHi := 0, 0
+		if tc.n > 0 {
+			wantLo, wantHi = tc.lo/chunk*chunk, min((tc.lo+tc.n+chunk-1)/chunk*chunk, tc.size)
+		}
+		if lo != wantLo || len(into) != wantHi-wantLo || !bytes.Equal(into, flat[wantLo:wantHi]) {
+			t.Errorf("%+v: decoded window [%d,+%d), want [%d,%d) of the flat contents", tc, lo, len(into), wantLo, wantHi)
+		}
+
+		dec, err = NewDecoder(want, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.Window(&lo, &into, tc.size+1)
+		if dec.Close() == nil {
+			t.Errorf("%+v: decoded into a buffer of another length", tc)
+		}
+	}
+}
