@@ -1,7 +1,6 @@
 package ide
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	genide "repro/internal/gen/ide"
@@ -9,25 +8,32 @@ import (
 	"repro/internal/snap"
 )
 
+// devilCmd names the protocol's commands in the specification.
+var devilCmd = [...]genide.CommandVal{
+	cmdRead: genide.CommandREADSECTORS, cmdWrite: genide.CommandWRITESECTORS,
+	cmdReadMultiple: genide.CommandREADMULTIPLE, cmdWriteMultiple: genide.CommandWRITEMULTIPLE,
+	cmdReadDMA: genide.CommandREADDMA, cmdWriteDMA: genide.CommandWRITEDMA,
+}
+
 // Devil is the Devil-based driver: every device access goes through the
 // stubs generated from ide.dil and piix4.dil. No magic constant appears in
 // this file — offsets, masks, and command encodings live in the
 // specifications.
 type Devil struct {
-	p   Ports
-	cfg Config
+	engine
 	dev *genide.Device
 	bm  *genpiix4.Device
 }
 
 // NewDevil builds the Devil-based driver on the generated stub packages.
 func NewDevil(p Ports, cfg Config) *Devil {
-	return &Devil{
-		p:   p,
-		cfg: cfg,
-		dev: genide.New(p.Space, p.CmdBase, p.CmdBase, p.CmdBase, p.CtlBase),
-		bm:  genpiix4.New(p.Space, p.BMBase, p.BMBase+4),
+	d := &Devil{
+		engine: engine{p: p, cfg: cfg},
+		dev:    genide.New(p.Space, p.CmdBase, p.CmdBase, p.CmdBase, p.CtlBase),
+		bm:     genpiix4.New(p.Space, p.BMBase, p.BMBase+4),
 	}
+	d.r = d
+	return d
 }
 
 // Name implements Driver.
@@ -65,7 +71,7 @@ func (d *Devil) Init() error {
 // operations, the paper's per-command constant for the Devil driver (the
 // device/head register decomposes into three independent device variables,
 // and the ready check reads the status structure).
-func (d *Devil) issue(lba, count int, cmd genide.CommandVal) {
+func (d *Devil) issue(lba, count int, cmd command) {
 	d.dev.SetNien(genide.NienINTRENABLE)
 	d.dev.SetNsect(uint8(count))
 	d.dev.SetLbaLow(uint8(lba))
@@ -75,14 +81,14 @@ func (d *Devil) issue(lba, count int, cmd genide.CommandVal) {
 	d.dev.SetDrive(0)
 	d.dev.SetHead(uint8(lba>>24) & 0x0f)
 	d.dev.ReadIdeStatus() // ready check before issuing
-	d.dev.SetCommand(cmd)
+	d.dev.SetCommand(devilCmd[cmd])
 }
 
-// handleIRQ performs the Devil driver's interrupt bookkeeping: the status
+// irq performs the Devil driver's interrupt bookkeeping: the status
 // snapshot, the error register, and the remaining-sector count — 3 I/O
 // operations per interrupt versus the standard driver's 1 (the paper's
 // "+2 for each interrupt").
-func (d *Devil) handleIRQ() error {
+func (d *Devil) irq() error {
 	if err := d.p.waitIRQ(); err != nil {
 		return err
 	}
@@ -95,138 +101,58 @@ func (d *Devil) handleIRQ() error {
 	return nil
 }
 
-// ReadSectors implements Driver.
-func (d *Devil) ReadSectors(lba int, dst []byte) error {
-	return d.p.transfer(d, d.cfg.Mode, lba, dst, true)
-}
-
-func (d *Devil) readPIO(lba int, dst []byte) error {
-	defer d.p.span("read.pio")()
-	count := len(dst) / sectorSize
-	cmd := genide.CommandREADSECTORS
-	per := 1
-	if d.cfg.SectorsPerIRQ > 1 {
-		cmd = genide.CommandREADMULTIPLE
-		per = d.cfg.SectorsPerIRQ
+// ready checks DRQ in the status snapshot: a read's was taken by irq, a
+// write polls it first.
+func (d *Devil) ready(read bool) error {
+	if !read {
+		d.dev.ReadIdeStatus()
+		if d.dev.Err() {
+			return fmt.Errorf("ide: write error %#x", d.dev.Error())
+		}
 	}
-	d.issue(lba, count, cmd)
-
-	for off := 0; off < len(dst); {
-		if err := d.handleIRQ(); err != nil {
-			return err
-		}
-		if !d.dev.Drq() {
-			return fmt.Errorf("ide: DRQ not asserted")
-		}
-		block := per * sectorSize
-		if off+block > len(dst) {
-			block = len(dst) - off
-		}
-		d.xferIn(dst[off : off+block])
-		off += block
+	if !d.dev.Drq() {
+		return fmt.Errorf("ide: DRQ not asserted for %s", verb(read))
 	}
 	return nil
 }
 
-// xferIn moves one DRQ block through the generated data stubs: the block
+// move16 moves one DRQ block through the generated data stubs: the block
 // variants compile to one rep-style bus operation; the loop variants call
 // the single-value stub per unit (the paper's "C loop over a variable
 // read", the source of the ~10% PIO penalty).
-func (d *Devil) xferIn(dst []byte) {
-	if d.cfg.Width == 32 {
-		n := len(dst) / 4
-		buf := make([]uint32, n)
-		if d.cfg.Block {
-			d.dev.ReadIdeData32Block(buf)
-		} else {
-			for i := range buf {
-				buf[i] = d.dev.IdeData32()
-			}
+func (d *Devil) move16(w []uint16, read bool) {
+	switch {
+	case d.cfg.Block && read:
+		d.dev.ReadIdeDataBlock(w)
+	case d.cfg.Block:
+		d.dev.WriteIdeDataBlock(w)
+	case read:
+		for i := range w {
+			w[i] = d.dev.IdeData()
 		}
-		for i, v := range buf {
-			binary.LittleEndian.PutUint32(dst[4*i:], v)
-		}
-		return
-	}
-	n := len(dst) / 2
-	buf := make([]uint16, n)
-	if d.cfg.Block {
-		d.dev.ReadIdeDataBlock(buf)
-	} else {
-		for i := range buf {
-			buf[i] = d.dev.IdeData()
-		}
-	}
-	for i, v := range buf {
-		binary.LittleEndian.PutUint16(dst[2*i:], v)
-	}
-}
-
-func (d *Devil) xferOut(src []byte) {
-	if d.cfg.Width == 32 {
-		n := len(src) / 4
-		buf := make([]uint32, n)
-		for i := range buf {
-			buf[i] = binary.LittleEndian.Uint32(src[4*i:])
-		}
-		if d.cfg.Block {
-			d.dev.WriteIdeData32Block(buf)
-		} else {
-			for _, v := range buf {
-				d.dev.SetIdeData32(v)
-			}
-		}
-		return
-	}
-	n := len(src) / 2
-	buf := make([]uint16, n)
-	for i := range buf {
-		buf[i] = binary.LittleEndian.Uint16(src[2*i:])
-	}
-	if d.cfg.Block {
-		d.dev.WriteIdeDataBlock(buf)
-	} else {
-		for _, v := range buf {
+	default:
+		for _, v := range w {
 			d.dev.SetIdeData(v)
 		}
 	}
 }
 
-// WriteSectors implements Driver.
-func (d *Devil) WriteSectors(lba int, src []byte) error {
-	return d.p.transfer(d, d.cfg.Mode, lba, src, false)
-}
-
-func (d *Devil) writePIO(lba int, src []byte) error {
-	defer d.p.span("write.pio")()
-	count := len(src) / sectorSize
-	cmd := genide.CommandWRITESECTORS
-	per := 1
-	if d.cfg.SectorsPerIRQ > 1 {
-		cmd = genide.CommandWRITEMULTIPLE
-		per = d.cfg.SectorsPerIRQ
-	}
-	d.issue(lba, count, cmd)
-
-	for off := 0; off < len(src); {
-		d.dev.ReadIdeStatus()
-		if d.dev.Err() {
-			return fmt.Errorf("ide: write error %#x", d.dev.Error())
+// move32 is move16 through the 32-bit data stubs.
+func (d *Devil) move32(w []uint32, read bool) {
+	switch {
+	case d.cfg.Block && read:
+		d.dev.ReadIdeData32Block(w)
+	case d.cfg.Block:
+		d.dev.WriteIdeData32Block(w)
+	case read:
+		for i := range w {
+			w[i] = d.dev.IdeData32()
 		}
-		if !d.dev.Drq() {
-			return fmt.Errorf("ide: DRQ not asserted for write")
-		}
-		block := per * sectorSize
-		if off+block > len(src) {
-			block = len(src) - off
-		}
-		d.xferOut(src[off : off+block])
-		off += block
-		if err := d.handleIRQ(); err != nil {
-			return err
+	default:
+		for _, v := range w {
+			d.dev.SetIdeData32(v)
 		}
 	}
-	return nil
 }
 
 // dma runs one busmaster transfer: 15 setup operations + 5 completion
@@ -235,11 +161,11 @@ func (d *Devil) writePIO(lba int, src []byte) error {
 // command", with no throughput impact because the transfer dominates).
 func (d *Devil) dma(lba, count int, read bool) error {
 	dir := genpiix4.BmDirBMWRITE
-	cmd := genide.CommandWRITEDMA
+	cmd := cmdWriteDMA
 	phase := "write.dma"
 	if read {
 		dir = genpiix4.BmDirBMREAD
-		cmd = genide.CommandREADDMA
+		cmd = cmdReadDMA
 		phase = "read.dma"
 	}
 	defer d.p.span(phase)()
@@ -250,7 +176,7 @@ func (d *Devil) dma(lba, count int, read bool) error {
 	d.issue(lba, count, cmd)
 	d.bm.SetBmStart(genpiix4.BmStartSTART)
 
-	if err := d.handleIRQ(); err != nil {
+	if err := d.irq(); err != nil {
 		return err
 	}
 	d.bm.ReadBmStatus()

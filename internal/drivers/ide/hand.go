@@ -6,7 +6,6 @@
 package ide
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/snap"
@@ -44,14 +43,22 @@ const (
 	hwBMStErr      = 0x02
 )
 
-// Hand is the standard driver: raw inb/outb with hand-computed masks.
-type Hand struct {
-	p   Ports
-	cfg Config
+// hwCmd encodes the protocol's commands.
+var hwCmd = [...]uint8{
+	cmdRead: hwCmdRead, cmdWrite: hwCmdWrite,
+	cmdReadMultiple: hwCmdReadMul, cmdWriteMultiple: hwCmdWriteMul,
+	cmdReadDMA: hwCmdReadDMA, cmdWriteDMA: hwCmdWriteDMA,
 }
 
+// Hand is the standard driver: raw inb/outb with hand-computed masks.
+type Hand struct{ engine }
+
 // NewHand builds the hand-crafted driver.
-func NewHand(p Ports, cfg Config) *Hand { return &Hand{p: p, cfg: cfg} }
+func NewHand(p Ports, cfg Config) *Hand {
+	d := &Hand{engine{p: p, cfg: cfg}}
+	d.r = d
+	return d
+}
 
 // Name implements Driver.
 func (d *Hand) Name() string { return "standard" }
@@ -91,7 +98,7 @@ func (d *Hand) Init() error {
 
 // issue programs the task file and command: 7 I/O operations, the paper's
 // per-command constant for the standard driver.
-func (d *Hand) issue(lba, count int, cmd uint8) {
+func (d *Hand) issue(lba, count int, cmd command) {
 	io := d.p.Space
 	io.Out8(d.p.CtlBase, hwCtlIntEnable)
 	io.Out8(d.p.CmdBase+hwNSect, uint8(count)) // 256 encodes as 0
@@ -99,150 +106,62 @@ func (d *Hand) issue(lba, count int, cmd uint8) {
 	io.Out8(d.p.CmdBase+hwLBA1, uint8(lba>>8))
 	io.Out8(d.p.CmdBase+hwLBA2, uint8(lba>>16))
 	io.Out8(d.p.CmdBase+hwDevHead, hwDevLBA|uint8(lba>>24)&0x0f)
-	io.Out8(d.p.CmdBase+hwCmdStat, cmd)
+	io.Out8(d.p.CmdBase+hwCmdStat, hwCmd[cmd])
 }
 
-// ReadSectors implements Driver.
-func (d *Hand) ReadSectors(lba int, dst []byte) error {
-	return d.p.transfer(d, d.cfg.Mode, lba, dst, true)
-}
+// irq takes the interrupt; the status is read by ready.
+func (d *Hand) irq() error { return d.p.waitIRQ() }
 
-func (d *Hand) readPIO(lba int, dst []byte) error {
-	defer d.p.span("read.pio")()
-	io := d.p.Space
-	count := len(dst) / sectorSize
-	cmd := uint8(hwCmdRead)
-	per := 1
-	if d.cfg.SectorsPerIRQ > 1 {
-		cmd = hwCmdReadMul
-		per = d.cfg.SectorsPerIRQ
+// ready reads the status once per DRQ block: the paper's "+1" per
+// interrupt.
+func (d *Hand) ready(read bool) error {
+	st := d.p.Space.In8(d.p.CmdBase + hwCmdStat)
+	if st&hwStERR != 0 {
+		return fmt.Errorf("ide: %s error, status %#x", verb(read), st)
 	}
-	d.issue(lba, count, cmd)
-
-	for off := 0; off < len(dst); {
-		if err := d.p.waitIRQ(); err != nil {
-			return err
-		}
-		// One status read per interrupt: the paper's "+1".
-		st := io.In8(d.p.CmdBase + hwCmdStat)
-		if st&hwStERR != 0 {
-			return fmt.Errorf("ide: read error, status %#x", st)
-		}
-		if st&hwStDRQ == 0 {
-			return fmt.Errorf("ide: DRQ not asserted, status %#x", st)
-		}
-		block := per * sectorSize
-		if off+block > len(dst) {
-			block = len(dst) - off
-		}
-		d.xferIn(dst[off : off+block])
-		off += block
+	if st&hwStDRQ == 0 {
+		return fmt.Errorf("ide: DRQ not asserted for %s, status %#x", verb(read), st)
 	}
 	return nil
 }
 
-// xferIn moves one DRQ block from the data port, with either a block (rep)
-// operation or a per-unit loop.
-func (d *Hand) xferIn(dst []byte) {
-	io := d.p.Space
-	if d.cfg.Width == 32 {
-		n := len(dst) / 4
-		if d.cfg.Block {
-			buf := make([]uint32, n)
-			io.InBlock32(d.p.CmdBase+hwData, buf)
-			for i, v := range buf {
-				binary.LittleEndian.PutUint32(dst[4*i:], v)
-			}
-			return
+// move16 moves one DRQ block through the data port, with either a block
+// (rep) operation or a per-unit loop.
+func (d *Hand) move16(w []uint16, read bool) {
+	io, port := d.p.Space, d.p.CmdBase+hwData
+	switch {
+	case d.cfg.Block && read:
+		io.InBlock16(port, w)
+	case d.cfg.Block:
+		io.OutBlock16(port, w)
+	case read:
+		for i := range w {
+			w[i] = io.In16(port)
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(dst[4*i:], io.In32(d.p.CmdBase+hwData))
+	default:
+		for _, v := range w {
+			io.Out16(port, v)
 		}
-		return
-	}
-	n := len(dst) / 2
-	if d.cfg.Block {
-		buf := make([]uint16, n)
-		io.InBlock16(d.p.CmdBase+hwData, buf)
-		for i, v := range buf {
-			binary.LittleEndian.PutUint16(dst[2*i:], v)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint16(dst[2*i:], io.In16(d.p.CmdBase+hwData))
 	}
 }
 
-// xferOut moves one DRQ block to the data port.
-func (d *Hand) xferOut(src []byte) {
-	io := d.p.Space
-	if d.cfg.Width == 32 {
-		n := len(src) / 4
-		if d.cfg.Block {
-			buf := make([]uint32, n)
-			for i := range buf {
-				buf[i] = binary.LittleEndian.Uint32(src[4*i:])
-			}
-			io.OutBlock32(d.p.CmdBase+hwData, buf)
-			return
+// move32 is move16 with 32-bit accesses.
+func (d *Hand) move32(w []uint32, read bool) {
+	io, port := d.p.Space, d.p.CmdBase+hwData
+	switch {
+	case d.cfg.Block && read:
+		io.InBlock32(port, w)
+	case d.cfg.Block:
+		io.OutBlock32(port, w)
+	case read:
+		for i := range w {
+			w[i] = io.In32(port)
 		}
-		for i := 0; i < n; i++ {
-			io.Out32(d.p.CmdBase+hwData, binary.LittleEndian.Uint32(src[4*i:]))
-		}
-		return
-	}
-	n := len(src) / 2
-	if d.cfg.Block {
-		buf := make([]uint16, n)
-		for i := range buf {
-			buf[i] = binary.LittleEndian.Uint16(src[2*i:])
-		}
-		io.OutBlock16(d.p.CmdBase+hwData, buf)
-		return
-	}
-	for i := 0; i < n; i++ {
-		io.Out16(d.p.CmdBase+hwData, binary.LittleEndian.Uint16(src[2*i:]))
-	}
-}
-
-// WriteSectors implements Driver.
-func (d *Hand) WriteSectors(lba int, src []byte) error {
-	return d.p.transfer(d, d.cfg.Mode, lba, src, false)
-}
-
-func (d *Hand) writePIO(lba int, src []byte) error {
-	defer d.p.span("write.pio")()
-	io := d.p.Space
-	count := len(src) / sectorSize
-	cmd := uint8(hwCmdWrite)
-	per := 1
-	if d.cfg.SectorsPerIRQ > 1 {
-		cmd = hwCmdWriteMul
-		per = d.cfg.SectorsPerIRQ
-	}
-	d.issue(lba, count, cmd)
-
-	for off := 0; off < len(src); {
-		// Writes assert DRQ without a first interrupt: poll status.
-		st := io.In8(d.p.CmdBase + hwCmdStat)
-		if st&hwStERR != 0 {
-			return fmt.Errorf("ide: write error, status %#x", st)
-		}
-		if st&hwStDRQ == 0 {
-			return fmt.Errorf("ide: DRQ not asserted for write, status %#x", st)
-		}
-		block := per * sectorSize
-		if off+block > len(src) {
-			block = len(src) - off
-		}
-		d.xferOut(src[off : off+block])
-		off += block
-		if err := d.p.waitIRQ(); err != nil {
-			return err
+	default:
+		for _, v := range w {
+			io.Out32(port, v)
 		}
 	}
-	return nil
 }
 
 // dma runs one busmaster transfer: 11 setup operations + 3 completion
@@ -250,11 +169,11 @@ func (d *Hand) writePIO(lba int, src []byte) error {
 func (d *Hand) dma(lba, count int, read bool) error {
 	io := d.p.Space
 	dir := uint8(0)
-	cmd := uint8(hwCmdWriteDMA)
+	cmd := cmdWriteDMA
 	phase := "write.dma"
 	if read {
 		dir = hwBMRead
-		cmd = hwCmdReadDMA
+		cmd = cmdReadDMA
 		phase = "read.dma"
 	}
 	defer d.p.span(phase)()

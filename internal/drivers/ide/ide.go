@@ -6,10 +6,13 @@
 //
 // Both drivers implement the same Driver interface and are functionally
 // interchangeable; the experiments measure their I/O-operation counts and
-// virtual-time throughput across the paper's transfer modes.
+// virtual-time throughput across the paper's transfer modes. The protocol
+// lives once, in this file's engine; hand.go and devil.go hold only the
+// register layer the comparison is about (see regs).
 package ide
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bus"
@@ -97,38 +100,101 @@ const sectorSize = ide.SectorSize
 // maxPerCommand is the ATA limit of sectors per command (nsect = 0).
 const maxPerCommand = 256
 
-// protocol is what each driver variant implements its own way: the PIO
-// loops and one busmaster transfer of the bounce buffer.
-type protocol interface {
-	readPIO(lba int, dst []byte) error
-	writePIO(lba int, src []byte) error
+// command is an ATA command the protocol chooses; each variant encodes it
+// its own way (a magic byte, or a symbol of the ide_disk specification).
+type command uint8
+
+// The commands the drivers issue.
+const (
+	cmdRead          command = iota // READ SECTORS
+	cmdWrite                        // WRITE SECTORS
+	cmdReadMultiple                 // READ MULTIPLE
+	cmdWriteMultiple                // WRITE MULTIPLE
+	cmdReadDMA                      // READ DMA
+	cmdWriteDMA                     // WRITE DMA
+)
+
+// regs is a variant's register layer: how it touches the task file, the
+// data port and the busmaster — the only part of a driver the paper's
+// comparison is about. The engine runs the protocol over it.
+type regs interface {
+	// issue programs the task file and the command.
+	issue(lba, count int, cmd command)
+	// irq takes the interrupt that announces a DRQ block on a read or
+	// completes one on a write, with the variant's status bookkeeping.
+	irq() error
+	// ready checks that the drive asserts DRQ before a block moves.
+	ready(read bool) error
+	// move16 and move32 move one DRQ block of words through the data
+	// port, as one block operation or a per-unit loop.
+	move16(w []uint16, read bool)
+	move32(w []uint32, read bool)
+	// dma runs one busmaster command over the bounce buffer.
 	dma(lba, count int, read bool) error
 }
 
+// engine is the IDE protocol, written once for both variants: command
+// splitting, the DMA bounce buffer, the choice between single-sector and
+// MULTIPLE commands, the DRQ-block loop and the word staging. Each variant
+// embeds it, so ReadSectors and WriteSectors are the engine's.
+type engine struct {
+	p   Ports
+	cfg Config
+	r   regs
+
+	// Staging words for one DRQ block, allocated on first use and reused;
+	// scratch, never part of a snapshot.
+	w16 []uint16
+	w32 []uint32
+}
+
+// verb names a transfer direction in errors.
+func verb(read bool) string {
+	if read {
+		return "read"
+	}
+	return "write"
+}
+
+// ReadSectors implements Driver.
+func (e *engine) ReadSectors(lba int, dst []byte) error { return e.transfer(lba, dst, true) }
+
+// WriteSectors implements Driver.
+func (e *engine) WriteSectors(lba int, src []byte) error { return e.transfer(lba, src, false) }
+
 // transfer moves buf from (read) or to the disk from sector lba on, one
-// command of at most maxPerCommand sectors at a time, each through drv's
-// PIO loop or, in DMA mode, a busmaster transfer through the bounce
-// buffer at p.DMAAddr.
-func (p *Ports) transfer(drv protocol, mode Mode, lba int, buf []byte, read bool) error {
+// command of at most maxPerCommand sectors at a time — and in DMA mode at
+// most what the bounce buffer at p.DMAAddr holds — each through the PIO
+// loop or a busmaster transfer through the bounce buffer.
+func (e *engine) transfer(lba int, buf []byte, read bool) error {
 	if len(buf)%sectorSize != 0 {
 		return fmt.Errorf("ide: buffer not sector aligned")
 	}
+	limit := maxPerCommand
+	if e.cfg.Mode == DMA {
+		room := 0
+		if e.p.Mem != nil {
+			room = (e.p.Mem.Len() - int(e.p.DMAAddr)) / sectorSize
+		}
+		if room <= 0 {
+			return fmt.Errorf("ide: no room for a DMA bounce buffer at %#x", e.p.DMAAddr)
+		}
+		limit = min(limit, room)
+	}
 	for off := 0; off < len(buf); {
-		n := min((len(buf)-off)/sectorSize, maxPerCommand)
+		n := min((len(buf)-off)/sectorSize, limit)
 		chunk := buf[off : off+n*sectorSize]
 		var err error
 		switch {
-		case mode == DMA && read:
-			if err = drv.dma(lba, n, true); err == nil {
-				p.Mem.Load(int(p.DMAAddr), chunk)
+		case e.cfg.Mode == DMA && read:
+			if err = e.r.dma(lba, n, true); err == nil {
+				e.p.Mem.Load(int(e.p.DMAAddr), chunk)
 			}
-		case mode == DMA:
-			p.Mem.Store(int(p.DMAAddr), chunk[:min(len(chunk), p.Mem.Len()-int(p.DMAAddr))])
-			err = drv.dma(lba, n, false)
-		case read:
-			err = drv.readPIO(lba, chunk)
+		case e.cfg.Mode == DMA:
+			e.p.Mem.Store(int(e.p.DMAAddr), chunk)
+			err = e.r.dma(lba, n, false)
 		default:
-			err = drv.writePIO(lba, chunk)
+			err = e.pio(lba, chunk, read)
 		}
 		if err != nil {
 			return err
@@ -137,6 +203,82 @@ func (p *Ports) transfer(drv protocol, mode Mode, lba int, buf []byte, read bool
 		off += n * sectorSize
 	}
 	return nil
+}
+
+// pio runs one PIO command over buf: READ/WRITE SECTORS, or the MULTIPLE
+// form when the drive was set up for several sectors per interrupt, then
+// one DRQ block per interrupt. A read's interrupt announces its block; a
+// write polls for DRQ and its interrupt completes the block.
+func (e *engine) pio(lba int, buf []byte, read bool) error {
+	phase, cmd, multiple := "write.pio", cmdWrite, cmdWriteMultiple
+	if read {
+		phase, cmd, multiple = "read.pio", cmdRead, cmdReadMultiple
+	}
+	defer e.p.span(phase)()
+	per := 1
+	if e.cfg.SectorsPerIRQ > 1 {
+		cmd, per = multiple, e.cfg.SectorsPerIRQ
+	}
+	e.r.issue(lba, len(buf)/sectorSize, cmd)
+
+	for off := 0; off < len(buf); {
+		if read {
+			if err := e.r.irq(); err != nil {
+				return err
+			}
+		}
+		if err := e.r.ready(read); err != nil {
+			return err
+		}
+		block := buf[off:min(off+per*sectorSize, len(buf))]
+		e.move(block, read)
+		off += len(block)
+		if !read {
+			if err := e.r.irq(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// move carries one DRQ block between block and the data port through the
+// staging words, which hold the block's bytes as little-endian words.
+func (e *engine) move(block []byte, read bool) {
+	le := binary.LittleEndian
+	if e.cfg.Width == 32 {
+		if len(e.w32) < len(block)/4 {
+			e.w32 = make([]uint32, len(block)/4)
+		}
+		w := e.w32[:len(block)/4]
+		if !read {
+			for i := range w {
+				w[i] = le.Uint32(block[4*i:])
+			}
+		}
+		e.r.move32(w, read)
+		if read {
+			for i, v := range w {
+				le.PutUint32(block[4*i:], v)
+			}
+		}
+		return
+	}
+	if len(e.w16) < len(block)/2 {
+		e.w16 = make([]uint16, len(block)/2)
+	}
+	w := e.w16[:len(block)/2]
+	if !read {
+		for i := range w {
+			w[i] = le.Uint16(block[2*i:])
+		}
+	}
+	e.r.move16(w, read)
+	if read {
+		for i, v := range w {
+			le.PutUint16(block[2*i:], v)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

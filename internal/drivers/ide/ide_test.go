@@ -237,3 +237,41 @@ func TestThroughputShape(t *testing.T) {
 	fmt.Printf("PIO32/16: std %.2f, devil-loop %.2f, devil-block %.2f MB/s; DMA %.2f/%.2f\n",
 		hand, loop, block, dmaStd, dmaDev)
 }
+
+// TestDMABounceBufferChunks: a DMA transfer larger than the bounce buffer
+// is split into commands the buffer holds, in both directions, and a
+// machine with no bounce room fails with an error instead of a lost
+// interrupt or a nil dereference.
+func TestDMABounceBufferChunks(t *testing.T) {
+	for i, name := range []string{"standard", "devil"} {
+		r := NewRig(64, 4)
+		r.Space.StrictFaults = true
+		drv := drivers(r.Ports(), Config{Mode: DMA})[i]
+		if err := drv.Init(); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 8*simide.SectorSize)
+		if err := drv.ReadSectors(3, got); err != nil {
+			t.Fatalf("%s read: %v", name, err)
+		}
+		if !bytes.Equal(got, r.Disk.ReadImage(3, 8)) {
+			t.Errorf("%s: read data mismatch", name)
+		}
+		for j := range got {
+			got[j] = byte(j*5 + 1)
+		}
+		if err := drv.WriteSectors(20, got); err != nil {
+			t.Fatalf("%s write: %v", name, err)
+		}
+		if !bytes.Equal(r.Disk.ReadImage(20, 8), got) {
+			t.Errorf("%s: disk image does not match written data", name)
+		}
+
+		p := r.Ports()
+		p.Mem = nil
+		drv = drivers(p, Config{Mode: DMA})[i]
+		if err := drv.ReadSectors(0, got); err == nil {
+			t.Errorf("%s: DMA without bounce memory succeeded", name)
+		}
+	}
+}

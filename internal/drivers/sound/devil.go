@@ -15,8 +15,7 @@ import (
 // discipline, ICW sequencing, and bit encodings all live in the
 // specifications.
 type Devil struct {
-	p     Ports
-	cfg   Config
+	engine
 	codec *gencs.Device
 	dma   *gendma.Device
 	pic   *genpic.Device
@@ -24,13 +23,14 @@ type Devil struct {
 
 // NewDevil builds the Devil-based driver on the generated stub packages.
 func NewDevil(p Ports, cfg Config) *Devil {
-	return &Devil{
-		p:     p,
-		cfg:   cfg,
-		codec: gencs.New(p.Space, p.WSSBase),
-		dma:   gendma.New(p.Space, p.DMABase),
-		pic:   genpic.New(p.Space, p.PICBase),
+	d := &Devil{
+		engine: engine{p: p, cfg: cfg},
+		codec:  gencs.New(p.Space, p.WSSBase),
+		dma:    gendma.New(p.Space, p.DMABase),
+		pic:    genpic.New(p.Space, p.PICBase),
 	}
+	d.c = d
+	return d
 }
 
 // Name implements Driver.
@@ -112,16 +112,11 @@ func (d *Devil) arm() {
 	d.dma.WriteSingleMask()
 }
 
-// isr services one terminal-count interrupt: acknowledge the vector, check
-// the DMA status and the codec's playback-interrupt flag, refill the ring
-// (or mask the channel after the final revolution), clear the flag, and
-// send the specific EOI.
+// isr services one acknowledged terminal-count interrupt: check the DMA
+// status and the codec's playback-interrupt flag, refill the ring (or mask
+// the channel after the final revolution), clear the flag, and send the
+// specific EOI.
 func (d *Devil) isr(buf []byte, rev, revs int) error {
-	defer d.p.span("play.isr")()
-	vec, ok := d.p.Ack()
-	if !ok || vec != d.p.vector() {
-		return fmt.Errorf("sound: spurious interrupt vector %#x", vec)
-	}
 	d.dma.ReadDmaStatus()
 	if d.dma.Reached()&0x1 == 0 {
 		return fmt.Errorf("sound: interrupt without terminal count")
@@ -129,9 +124,8 @@ func (d *Devil) isr(buf []byte, rev, revs int) error {
 	if !d.codec.Pi() {
 		return fmt.Errorf("sound: terminal count without playback interrupt")
 	}
-	ring := d.cfg.RingBytes
 	if rev < revs {
-		d.p.Mem.Store(int(d.p.RingAddr), buf[rev*ring:(rev+1)*ring])
+		d.load(buf, rev)
 	} else {
 		// Final revolution: silence the channel before the ring wraps.
 		d.dma.SetMaskOn(true)
@@ -144,38 +138,8 @@ func (d *Devil) isr(buf []byte, rev, revs int) error {
 	return nil
 }
 
-// Start implements Driver: first revolution into the ring, channel armed,
-// DAC enabled.
-func (d *Devil) Start(buf []byte) error {
-	if err := checkBuf(d.cfg, &d.p, buf); err != nil {
-		return err
-	}
-	d.p.Mem.Store(int(d.p.RingAddr), buf[:d.cfg.RingBytes])
-	d.arm()
-	d.p.withSpan("play.start", func() { d.codec.SetPen(true) })
-	return nil
-}
-
-// ServeRev implements Driver: one terminal-count interrupt serviced.
-func (d *Devil) ServeRev(buf []byte, rev, revs int) error {
-	if err := d.p.waitIRQ(); err != nil {
-		return err
-	}
-	return d.isr(buf, rev, revs)
-}
-
-// Finish implements Driver: FIFO tail drained through the DAC, DAC off.
-func (d *Devil) Finish() error {
-	d.p.withSpan("play.stop", func() {
-		for d.p.Pump(pumpBurst) > 0 {
-		}
-		d.codec.SetPen(false)
-	})
-	return nil
-}
-
-// Play implements Driver.
-func (d *Devil) Play(clip []byte) error { return play(d, d.cfg, &d.p, clip) }
+// dac enables or disables playback.
+func (d *Devil) dac(on bool) { d.codec.SetPen(on) }
 
 // MarshalState implements snap.Snapshotter: the driver state of the three
 // generated stubs (codec, DMA, PIC) in wiring order — cached variable

@@ -47,13 +47,14 @@ const (
 )
 
 // Hand is the standard driver: raw inb/outb with hand-computed masks.
-type Hand struct {
-	p   Ports
-	cfg Config
-}
+type Hand struct{ engine }
 
 // NewHand builds the hand-crafted driver.
-func NewHand(p Ports, cfg Config) *Hand { return &Hand{p: p, cfg: cfg} }
+func NewHand(p Ports, cfg Config) *Hand {
+	d := &Hand{engine{p: p, cfg: cfg}}
+	d.c = d
+	return d
+}
 
 // Name implements Driver.
 func (d *Hand) Name() string { return "standard" }
@@ -105,12 +106,7 @@ func (d *Hand) arm() {
 // isr services one terminal-count interrupt with the same device protocol
 // as the Devil variant (and the same I/O-operation count on this path).
 func (d *Hand) isr(buf []byte, rev, revs int) error {
-	defer d.p.span("play.isr")()
 	io := d.p.Space
-	vec, ok := d.p.Ack()
-	if !ok || vec != d.p.vector() {
-		return fmt.Errorf("sound: spurious interrupt vector %#x", vec)
-	}
 	if st := io.In8(d.p.DMABase + hwDMAStatus); st&hwDMATC0 == 0 {
 		return fmt.Errorf("sound: interrupt without terminal count, status %#x", st)
 	}
@@ -119,9 +115,8 @@ func (d *Hand) isr(buf []byte, rev, revs int) error {
 	if afs&hwPI == 0 {
 		return fmt.Errorf("sound: terminal count without playback interrupt, AFS %#x", afs)
 	}
-	ring := d.cfg.RingBytes
 	if rev < revs {
-		d.p.Mem.Store(int(d.p.RingAddr), buf[rev*ring:(rev+1)*ring])
+		d.load(buf, rev)
 	} else {
 		io.Out8(d.p.DMABase+hwDMAMask, hwDMAMaskOn|0)
 	}
@@ -131,44 +126,15 @@ func (d *Hand) isr(buf []byte, rev, revs int) error {
 	return nil
 }
 
-// Start implements Driver: first revolution into the ring, channel armed,
-// DAC enabled.
-func (d *Hand) Start(buf []byte) error {
-	if err := checkBuf(d.cfg, &d.p, buf); err != nil {
-		return err
+// dac enables or disables playback in I9.
+func (d *Hand) dac(on bool) {
+	pen := uint8(0)
+	if on {
+		pen = hwPEN
 	}
-	io := d.p.Space
-	d.p.Mem.Store(int(d.p.RingAddr), buf[:d.cfg.RingBytes])
-	d.arm()
-	d.p.withSpan("play.start", func() {
-		io.Out8(d.p.WSSBase+hwWSSIndex, hwRegIface)
-		io.Out8(d.p.WSSBase+hwWSSData, hwPEN)
-	})
-	return nil
+	d.p.Space.Out8(d.p.WSSBase+hwWSSIndex, hwRegIface)
+	d.p.Space.Out8(d.p.WSSBase+hwWSSData, pen)
 }
-
-// ServeRev implements Driver: one terminal-count interrupt serviced.
-func (d *Hand) ServeRev(buf []byte, rev, revs int) error {
-	if err := d.p.waitIRQ(); err != nil {
-		return err
-	}
-	return d.isr(buf, rev, revs)
-}
-
-// Finish implements Driver: FIFO tail drained through the DAC, DAC off.
-func (d *Hand) Finish() error {
-	io := d.p.Space
-	d.p.withSpan("play.stop", func() {
-		for d.p.Pump(pumpBurst) > 0 {
-		}
-		io.Out8(d.p.WSSBase+hwWSSIndex, hwRegIface)
-		io.Out8(d.p.WSSBase+hwWSSData, 0)
-	})
-	return nil
-}
-
-// Play implements Driver.
-func (d *Hand) Play(clip []byte) error { return play(d, d.cfg, &d.p, clip) }
 
 // MarshalState implements snap.Snapshotter. The hand driver keeps no
 // device state in host memory — every latched value lives in the chips —

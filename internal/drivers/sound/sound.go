@@ -17,6 +17,9 @@
 // Both drivers implement the same Driver interface and are functionally
 // interchangeable; the experiments (Table 5) measure their I/O-operation
 // counts and virtual-time throughput across buffer sizes and sample rates.
+// The playback protocol lives once, in this file's engine; hand.go and
+// devil.go hold only the register layer the comparison is about (see
+// chips).
 package sound
 
 import (
@@ -208,26 +211,88 @@ func checkBuf(cfg Config, p *Ports, buf []byte) error {
 	return nil
 }
 
-// play is Play for both drivers: the configuration checked, the clip
-// padded to whole ring revolutions, then Start, one ServeRev per
-// revolution, and Finish.
-func play(d Driver, cfg Config, p *Ports, clip []byte) error {
-	if err := checkRing(cfg, p); err != nil {
+// chips is a variant's register layer: how it programs the codec, the
+// DMA channel and the interrupt controller — the only part of a driver
+// the paper's comparison is about. The engine runs the playback over it.
+type chips interface {
+	// arm programs the DMA channel over the sample ring.
+	arm()
+	// isr services the terminal-count interrupt of revolution rev of revs
+	// once the engine has acknowledged its vector.
+	isr(buf []byte, rev, revs int) error
+	// dac enables or disables codec playback.
+	dac(on bool)
+}
+
+// engine is the playback protocol, written once for both variants. Each
+// variant embeds it, so Start, ServeRev, Finish and Play are the engine's.
+type engine struct {
+	p   Ports
+	cfg Config
+	c   chips
+}
+
+// load copies revolution rev of buf into the sample ring.
+func (e *engine) load(buf []byte, rev int) {
+	ring := e.cfg.RingBytes
+	e.p.Mem.Store(int(e.p.RingAddr), buf[rev*ring:(rev+1)*ring])
+}
+
+// Start implements Driver: first revolution into the ring, channel armed,
+// DAC enabled.
+func (e *engine) Start(buf []byte) error {
+	if err := checkBuf(e.cfg, &e.p, buf); err != nil {
 		return err
 	}
-	buf, revs := cfg.Pad(clip)
+	e.load(buf, 0)
+	e.c.arm()
+	e.p.withSpan("play.start", func() { e.c.dac(true) })
+	return nil
+}
+
+// ServeRev implements Driver: one terminal-count interrupt taken,
+// acknowledged and serviced.
+func (e *engine) ServeRev(buf []byte, rev, revs int) error {
+	if err := e.p.waitIRQ(); err != nil {
+		return err
+	}
+	defer e.p.span("play.isr")()
+	if vec, ok := e.p.Ack(); !ok || vec != e.p.vector() {
+		return fmt.Errorf("sound: spurious interrupt vector %#x", vec)
+	}
+	return e.c.isr(buf, rev, revs)
+}
+
+// Finish implements Driver: FIFO tail drained through the DAC, DAC off.
+func (e *engine) Finish() error {
+	e.p.withSpan("play.stop", func() {
+		for e.p.Pump(pumpBurst) > 0 {
+		}
+		e.c.dac(false)
+	})
+	return nil
+}
+
+// Play implements Driver: the configuration checked, the clip padded to
+// whole ring revolutions, then Start, one ServeRev per revolution, and
+// Finish.
+func (e *engine) Play(clip []byte) error {
+	if err := checkRing(e.cfg, &e.p); err != nil {
+		return err
+	}
+	buf, revs := e.cfg.Pad(clip)
 	if revs == 0 {
 		return nil
 	}
-	if err := d.Start(buf); err != nil {
+	if err := e.Start(buf); err != nil {
 		return err
 	}
 	for rev := 1; rev <= revs; rev++ {
-		if err := d.ServeRev(buf, rev, revs); err != nil {
+		if err := e.ServeRev(buf, rev, revs); err != nil {
 			return err
 		}
 	}
-	return d.Finish()
+	return e.Finish()
 }
 
 // rateCode maps a sample rate to the I8 divider encoding; the same table

@@ -43,7 +43,7 @@ func errCodes(t *testing.T, src string) map[diag.Code]bool {
 // hasMutant reports whether the study's mutation rules can produce text m
 // at a site.
 func hasMutant(s Site, m string) bool {
-	for _, x := range MutantsOf(s) {
+	for _, x := range mutate(s) {
 		if x == m {
 			return true
 		}

@@ -391,4 +391,3 @@ func Run(src string, sites []Site, check func(string) error) Result {
 	}
 	return res
 }
-func MutantsOf(s Site) []string { return mutate(s) }
